@@ -348,17 +348,12 @@ fn main() -> ExitCode {
                             Ok(handle) if i % 2 == 0 => {
                                 if handle.cancel() {
                                     cancelled_live.fetch_add(1, Ordering::Relaxed);
-                                    match handle.try_wait() {
-                                        WaitOutcome::Cancelled => {}
-                                        outcome => {
+                                    match handle.wait() {
+                                        Err(fc_core::CoreError::Cancelled) => {}
+                                        other => {
                                             eprintln!(
-                                                "FAIL storm: cancelled sweep reported {}",
-                                                match outcome {
-                                                    WaitOutcome::Ready(_) => "Ready",
-                                                    WaitOutcome::Taken => "Taken",
-                                                    WaitOutcome::TimedOut => "TimedOut",
-                                                    WaitOutcome::Cancelled => unreachable!(),
-                                                }
+                                                "FAIL storm: cancelled sweep resolved to {:?}",
+                                                other.map(|plans| plans.len())
                                             );
                                             storm_failed.store(true, Ordering::Relaxed);
                                         }

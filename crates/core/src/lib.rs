@@ -36,7 +36,7 @@ pub use planner::{
     Parallelism, Plan, PlanDiagnostics, PlannerService, PointOutcome, Problem, QuotaPolicy,
     QuotaUsage, RequestHandle, ServiceOptions, ServiceStats, SnapshotError, SnapshotStats,
     SolveRequest, Solver, SolverRegistry, SweepHandle, SweepMode, SweepRequest, TenantId,
-    WaitOutcome, WorkerPool,
+    WorkerPool,
 };
 pub use selection::Selection;
 

@@ -44,7 +44,7 @@ pub use exec::{BatchJob, CancelToken, ExecOptions, Parallelism, SweepMode};
 pub use pool::WorkerPool;
 pub use service::{
     Lane, PlannerService, PointOutcome, QuotaPolicy, QuotaUsage, RequestHandle, ServiceOptions,
-    ServiceStats, SolveRequest, SweepHandle, SweepRequest, TenantId, WaitOutcome,
+    ServiceStats, SolveRequest, SweepHandle, SweepRequest, TenantId,
 };
 
 use std::cell::OnceCell;

@@ -7,22 +7,21 @@
 //! request/response front the ROADMAP calls for, with no async runtime
 //! (none is available offline): a [`PlannerService`] owns an
 //! `Arc<SolverRegistry>`, a [`CacheStore`], and a [`WorkerPool`], and
-//! callers hand it work via [`PlannerService::submit`] /
-//! [`PlannerService::submit_sweep`], getting back a [`RequestHandle`] —
-//! a hand-rolled future: poll with [`RequestHandle::is_ready`], take
-//! with [`RequestHandle::try_wait`], or block on
-//! [`RequestHandle::wait`]. Sweeps return a [`SweepHandle`], which
-//! adds incremental consumption on top: because the sweep is
-//! decomposed into one task per budget point,
-//! [`SweepHandle::wait_next_point`] yields each [`Plan`] the moment its
-//! point completes (ascending budget order), while later points are
-//! still solving.
+//! callers hand it work via [`PlannerService::submit_sweep`], getting
+//! back a [`SweepHandle`] — a hand-rolled future over the request's
+//! budget points. Every query is indexed by budget, so a single
+//! recommend is a sweep with one point: [`PlannerService::submit`]
+//! returns a [`RequestHandle`], a thin view over a one-point
+//! [`SweepHandle`] whose [`RequestHandle::wait`] yields the one
+//! [`Plan`]. A handle yields each point the moment it completes
+//! ([`SweepHandle::wait_next_point`], ascending budget order) while
+//! later points are still solving, or all of them at once
+//! ([`SweepHandle::wait`]).
 //!
 //! ## Admission control and fair scheduling
 //!
 //! Every request is costed by [`Problem::estimated_engine_evals`]
-//! (times the number of budget points, for sweeps) and routed to a
-//! [`Lane`]:
+//! (times the number of budget points) and routed to a [`Lane`]:
 //!
 //! * **Inline** — below [`ServiceOptions::inline_threshold`] the
 //!   request is solved synchronously at `submit`; queueing a pool job
@@ -33,11 +32,10 @@
 //!   lane.
 //! * **Bulk** — everything else (big sweeps, audits).
 //!
-//! Pool workers always drain the interactive lane before the bulk
-//! lane, and a sweep is decomposed into one task *per budget point* —
-//! so even on a single worker, an interactive claim waits for at most
-//! one budget point of a running sweep, never for the whole thing.
-//! That is what keeps a huge sweep from starving interactive claims.
+//! Pool workers always take queued interactive work before queued bulk
+//! work, so a claim submitted behind a queue of big sweeps overtakes
+//! them. A queued sweep runs as at most `pool.threads()` chain tasks,
+//! each solving its share of the budget points in order.
 //!
 //! ## Determinism
 //!
@@ -50,49 +48,45 @@
 //! [`Plan::divergence`] deliberately ignores.
 //!
 //! Panics inside a request are contained: the worker survives and the
-//! handle resolves to [`CoreError::WorkerPanicked`].
+//! point resolves to [`CoreError::WorkerPanicked`].
 //!
 //! ## Request lifecycle: cancellation
 //!
 //! Every in-flight request is cancellable: call
-//! [`RequestHandle::cancel`], or simply drop the handle — an abandoned
+//! [`SweepHandle::cancel`], or simply drop the handle — an abandoned
 //! request is cancelled automatically, so work nobody will observe is
-//! never solved. Cancellation is cooperative and takes effect at task
-//! granularity: a queued task is dropped *at dispatch* (it never
-//! reaches a solver, and performs zero engine builds), and because a
-//! sweep is decomposed into one task per budget point, cancelling a
-//! 50-point sweep mid-flight stops after the point currently being
-//! solved. A request that is already solving its final form completes
-//! the computation but discards the result: once cancelled, a handle
-//! can never report [`WaitOutcome::Ready`].
+//! never solved. Cancellation is cooperative and takes effect at
+//! budget-point granularity: a queued task is dropped *at dispatch* (it
+//! never reaches a solver, and performs zero engine builds), and a
+//! running sweep stops after the point currently being solved. Once
+//! cancelled, a handle never yields another point.
 //!
-//! Waiting is typed by [`WaitOutcome`]: [`RequestHandle::try_wait`] /
-//! [`RequestHandle::wait_timeout`] distinguish `Ready` / `TimedOut` /
-//! `Taken` / `Cancelled`, so a caller that times out once can retry
-//! and still retrieve the result (the old `Option` API conflated
-//! "timed out" with "already taken" and could lose a completed plan).
-//! [`RequestHandle::wait_or_cancel`] couples a wait to a liveness
-//! probe — the network front's disconnect-driven cancel hook: when the
-//! probe reports the client gone, the request is cancelled instead of
-//! solved for nobody.
+//! Waiting is typed by [`PointOutcome`]: the point waits distinguish
+//! `Point` / `Done` / `TimedOut` / `Cancelled`, and a timeout consumes
+//! nothing, so a caller that times out once can retry and still
+//! retrieve the plan. [`SweepHandle::wait_or_cancel`] couples a wait to
+//! a liveness probe — the network front's disconnect-driven cancel
+//! hook: when the probe reports the client gone, the request is
+//! cancelled instead of solved for nobody.
 //!
 //! ## Per-tenant quotas
 //!
 //! Requests carry a [`TenantId`] (default: `"default"`), and the
 //! service enforces a [`QuotaPolicy`] per tenant — a cap on concurrent
 //! in-flight requests and on the summed admission-control estimates
-//! ([`RequestHandle::estimate`]) outstanding at once. Quota is
-//! acquired at submit ([`PlannerService::submit`] returns a typed
+//! ([`SweepHandle::estimate`]) outstanding at once. Quota is acquired
+//! at submit ([`PlannerService::submit_sweep`] returns a typed
 //! [`CoreError::QuotaExceeded`] *before* anything is queued) and
-//! released exactly once, on completion, cancellation, or panic — so a
-//! tenant that saturates its quota is throttled at the door and can
-//! never crowd another tenant's interactive lane.
+//! released exactly once, when the request settles — completed or
+//! cancelled — so a tenant that saturates its quota is throttled at the
+//! door and can never crowd another tenant's interactive lane.
 
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use super::cache::{CacheKey, CacheStore};
 use super::exec::{CancelToken, ExecOptions};
@@ -416,413 +410,26 @@ pub struct ServiceStats {
     /// cancelled): queued *or* running. The saturation gauge a load
     /// harness records alongside the queue depths.
     pub in_flight: u64,
-    /// Interactive-lane tasks executing on a worker right now
-    /// (sweeps count once per in-flight budget point).
+    /// Interactive-lane tasks executing on a worker right now (a
+    /// queued sweep counts once per running chain task).
     pub running_interactive: usize,
     /// Bulk-lane tasks executing on a worker right now.
     pub running_bulk: usize,
 }
 
-/// The outcome of a non-consuming wait ([`RequestHandle::try_wait`] /
-/// [`RequestHandle::wait_timeout`]). Replaces the old
-/// `Option<Result<T>>` API, which conflated "timed out" with "result
-/// already taken" — a caller that timed out once could silently lose a
-/// completed plan. `TimedOut` leaves the result in place: retrying (or
-/// blocking on [`RequestHandle::wait`]) still retrieves it.
-#[derive(Debug)]
-#[must_use = "a WaitOutcome distinguishes TimedOut (retry) from Taken/Cancelled (don't)"]
-pub enum WaitOutcome<T> {
-    /// The request resolved; this take consumed the result.
-    Ready(Result<T>),
-    /// Still pending when the timeout elapsed. The result, when it
-    /// arrives, remains retrievable.
-    TimedOut,
-    /// The result was already taken by an earlier successful wait.
-    Taken,
-    /// The request was cancelled; no result will ever arrive.
-    Cancelled,
-}
-
-impl<T> WaitOutcome<T> {
-    /// The result, if this outcome carried one.
-    pub fn ready(self) -> Option<Result<T>> {
-        match self {
-            Self::Ready(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Whether the wait timed out (result still pending).
-    pub fn is_timed_out(&self) -> bool {
-        matches!(self, Self::TimedOut)
-    }
-
-    /// Whether the result was already taken.
-    pub fn is_taken(&self) -> bool {
-        matches!(self, Self::Taken)
-    }
-
-    /// Whether the request was cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        matches!(self, Self::Cancelled)
-    }
-}
-
-/// Locks a state-only mutex, recovering from poisoning. The mutexes
-/// this guards (result slots, sweep point slots, the tenant ledger)
-/// protect plain data whose invariants hold between statements — no
-/// critical section leaves them mid-update — so a panic on one thread
-/// says nothing about the data's integrity. Propagating the poison
-/// instead would cascade one contained [`CoreError::WorkerPanicked`]
-/// request into panics in every sibling waiter *and into quota
-/// release*, leaking the tenant's ledger entries forever.
-fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Result slot shared between a [`RequestHandle`] and the worker that
-/// completes it.
-enum Slot<T> {
-    Pending,
-    Ready(Result<T>),
-    Taken,
-    /// Terminal: set by [`HandleShared::cancel`]; a completion arriving
-    /// afterwards is discarded, so a cancelled request can never read
-    /// as `Ready`.
-    Cancelled,
-}
-
-struct HandleShared<T> {
-    slot: Mutex<Slot<T>>,
-    ready: Condvar,
-}
-
-impl<T> HandleShared<T> {
-    fn new() -> Self {
-        Self {
-            slot: Mutex::new(Slot::Pending),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Resolves the slot with `result`, bumping `completed` under the
-    /// slot lock (so a waiter that wakes on the notify already sees the
-    /// request counted). Returns `false` — discarding the result and
-    /// counting nothing — when the request was cancelled first.
-    fn complete_counted(&self, result: Result<T>, completed: &AtomicU64) -> bool {
-        let mut slot = lock_recover(&self.slot);
-        match *slot {
-            Slot::Pending => {
-                completed.fetch_add(1, Ordering::Relaxed);
-                *slot = Slot::Ready(result);
-                self.ready.notify_all();
-                true
-            }
-            Slot::Cancelled => false,
-            Slot::Ready(_) | Slot::Taken => {
-                debug_assert!(false, "a request must be completed exactly once");
-                false
-            }
-        }
-    }
-
-    /// Blocks until the slot leaves `Pending`, without consuming it.
-    fn await_resolution(&self) {
-        let mut slot = lock_recover(&self.slot);
-        while matches!(*slot, Slot::Pending) {
-            slot = self
-                .ready
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Flips a still-pending slot to `Cancelled`, waking waiters.
-    /// Returns whether this call performed the transition (a resolved
-    /// or already-cancelled slot is left untouched).
-    fn cancel(&self) -> bool {
-        let mut slot = lock_recover(&self.slot);
-        if matches!(*slot, Slot::Pending) {
-            *slot = Slot::Cancelled;
-            self.ready.notify_all();
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// One request's quota reservation. Released exactly once — on
-/// completion, cancellation, or panic — whichever comes first
-/// (idempotent, so the completion path and the cancel path can both
-/// call it without double-counting).
-struct QuotaLease {
-    service: Arc<ServiceInner>,
-    tenant: TenantId,
-    estimate: u64,
-    released: AtomicBool,
-}
-
-impl QuotaLease {
-    fn release(&self) {
-        if !self.released.swap(true, Ordering::AcqRel) {
-            self.service.release_quota(&self.tenant, self.estimate);
-        }
-    }
-}
-
-/// One request's shared lifecycle state — slot, cancellation token,
-/// quota lease — built once per submit (after the quota was acquired)
-/// and shared between the handle and the queued tasks.
-struct RequestSetup<T> {
-    shared: Arc<HandleShared<T>>,
-    cancel: CancelToken,
-    lease: Arc<QuotaLease>,
-}
-
-impl<T> RequestSetup<T> {
-    fn new(service: &Arc<ServiceInner>, tenant: TenantId, estimate: u64) -> Self {
-        Self {
-            shared: Arc::new(HandleShared::new()),
-            cancel: CancelToken::new(),
-            lease: Arc::new(QuotaLease {
-                service: Arc::clone(service),
-                tenant,
-                estimate,
-                released: AtomicBool::new(false),
-            }),
-        }
-    }
-
-    /// A handle over this request's state, routed to `lane`.
-    fn handle(&self, lane: Lane) -> RequestHandle<T> {
-        RequestHandle {
-            shared: Arc::clone(&self.shared),
-            lane,
-            estimate: self.lease.estimate,
-            cancel: self.cancel.clone(),
-            lease: Arc::clone(&self.lease),
-        }
-    }
-}
-
-/// How long a wait is allowed to block on a pending slot.
-#[derive(Debug, Clone, Copy)]
-enum WaitLimit {
-    /// Return [`WaitOutcome::TimedOut`] immediately (`try_wait`).
-    Poll,
-    /// Block until the deadline, then report `TimedOut`.
-    Until(std::time::Instant),
-    /// Block until the request resolves (`wait`, or a `wait_timeout`
-    /// whose deadline overflows [`std::time::Instant`]).
-    Forever,
-}
-
-/// A hand-rolled future for an in-flight request (no async runtime is
-/// available offline): poll with [`RequestHandle::is_ready`], take the
-/// result with [`RequestHandle::try_wait`] /
-/// [`RequestHandle::wait_timeout`] (typed [`WaitOutcome`]s), or block
-/// on [`RequestHandle::wait`]. `T` is [`Plan`] for solves and
-/// `Vec<Plan>` for sweeps.
-///
-/// **Dropping the handle cancels the request** (see the [module
-/// docs](self)): a request nobody can observe any more is never worth
-/// solving. Call [`RequestHandle::cancel`] to abandon it explicitly
-/// while keeping the handle around.
-#[must_use = "dropping a RequestHandle cancels the request"]
-pub struct RequestHandle<T> {
-    shared: Arc<HandleShared<T>>,
-    lane: Lane,
-    estimate: u64,
-    cancel: CancelToken,
-    lease: Arc<QuotaLease>,
-}
-
-impl<T> RequestHandle<T> {
-    /// Which lane the request was routed to ([`Lane::Inline`] handles
-    /// are ready immediately).
-    pub fn lane(&self) -> Lane {
-        self.lane
-    }
-
-    /// The admission-control estimate the routing (and quota
-    /// accounting) was keyed on.
-    pub fn estimate(&self) -> u64 {
-        self.estimate
-    }
-
-    /// The tenant the request is accounted to.
-    pub fn tenant(&self) -> &TenantId {
-        &self.lease.tenant
-    }
-
-    /// Whether the request has resolved — completed (result ready or
-    /// already taken) or cancelled.
-    pub fn is_ready(&self) -> bool {
-        !matches!(*lock_recover(&self.shared.slot), Slot::Pending)
-    }
-
-    /// Whether the request was cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        matches!(*lock_recover(&self.shared.slot), Slot::Cancelled)
-    }
-
-    /// Cancels the request: queued work is dropped at dispatch, an
-    /// in-flight sweep stops after its current budget point, and the
-    /// tenant's quota is released immediately. Waiters wake with
-    /// [`WaitOutcome::Cancelled`]. Returns `true` when this call
-    /// cancelled the request, `false` when it had already resolved
-    /// (the result — if not yet taken — stays retrievable) or was
-    /// already cancelled. Idempotent.
-    pub fn cancel(&self) -> bool {
-        self.cancel.cancel();
-        if self.shared.cancel() {
-            self.lease
-                .service
-                .stats
-                .cancelled
-                .fetch_add(1, Ordering::Relaxed);
-            self.lease.release();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Takes the result if it is ready ([`WaitOutcome::Ready`]);
-    /// otherwise reports — without consuming anything — whether the
-    /// request is still pending ([`WaitOutcome::TimedOut`]), was
-    /// already taken, or was cancelled.
-    pub fn try_wait(&self) -> WaitOutcome<T> {
-        self.wait_deadline(WaitLimit::Poll)
-    }
-
-    /// Blocks until the result is ready, waiting at most `timeout`.
-    /// [`WaitOutcome::TimedOut`] does **not** consume the result: a
-    /// later wait still retrieves it. A `timeout` too large to
-    /// represent as a deadline (e.g. [`Duration::MAX`]) waits forever —
-    /// it can never elapse.
-    pub fn wait_timeout(&self, timeout: Duration) -> WaitOutcome<T> {
-        // `Instant + Duration` panics on overflow, so a huge timeout
-        // must degrade to wait-forever, not crash the waiter.
-        match std::time::Instant::now().checked_add(timeout) {
-            Some(deadline) => self.wait_deadline(WaitLimit::Until(deadline)),
-            None => self.wait_deadline(WaitLimit::Forever),
-        }
-    }
-
-    /// Blocks like [`RequestHandle::wait_timeout`], but instead of a
-    /// fixed deadline it re-checks `alive()` every `poll` interval and
-    /// **cancels the request** ([`RequestHandle::cancel`]) the moment
-    /// the callback returns `false`, returning
-    /// [`WaitOutcome::Cancelled`]. This is the network front's
-    /// disconnect-driven cancel hook: `alive` probes the client socket,
-    /// so a client that hangs up mid-solve stops burning worker time
-    /// instead of computing a plan nobody will read.
-    pub fn wait_or_cancel(
-        &self,
-        poll: Duration,
-        mut alive: impl FnMut() -> bool,
-    ) -> WaitOutcome<T> {
-        loop {
-            match self.wait_timeout(poll) {
-                WaitOutcome::TimedOut => {
-                    if !alive() {
-                        self.cancel();
-                        return WaitOutcome::Cancelled;
-                    }
-                }
-                outcome => return outcome,
-            }
-        }
-    }
-
-    /// Shared wait loop (see [`WaitLimit`] for the Pending behavior).
-    fn wait_deadline(&self, limit: WaitLimit) -> WaitOutcome<T> {
-        let mut slot = lock_recover(&self.shared.slot);
-        loop {
-            match std::mem::replace(&mut *slot, Slot::Taken) {
-                Slot::Ready(r) => return WaitOutcome::Ready(r),
-                Slot::Taken => return WaitOutcome::Taken,
-                Slot::Cancelled => {
-                    *slot = Slot::Cancelled;
-                    return WaitOutcome::Cancelled;
-                }
-                Slot::Pending => {
-                    *slot = Slot::Pending;
-                    slot = match limit {
-                        WaitLimit::Poll => return WaitOutcome::TimedOut,
-                        WaitLimit::Until(deadline) => {
-                            let now = std::time::Instant::now();
-                            if deadline <= now {
-                                return WaitOutcome::TimedOut;
-                            }
-                            self.shared
-                                .ready
-                                .wait_timeout(slot, deadline - now)
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .0
-                        }
-                        WaitLimit::Forever => self
-                            .shared
-                            .ready
-                            .wait(slot)
-                            .unwrap_or_else(PoisonError::into_inner),
-                    };
-                }
-            }
-        }
-    }
-
-    /// Blocks until the request resolves and returns the result;
-    /// cancellation surfaces as [`CoreError::Cancelled`].
-    ///
-    /// # Panics
-    /// If the result was already taken via [`RequestHandle::try_wait`]
-    /// / [`RequestHandle::wait_timeout`].
-    pub fn wait(self) -> Result<T> {
-        match self.wait_deadline(WaitLimit::Forever) {
-            WaitOutcome::Ready(r) => r,
-            WaitOutcome::Cancelled => Err(CoreError::Cancelled),
-            WaitOutcome::Taken => panic!("RequestHandle result already taken by try_wait"),
-            WaitOutcome::TimedOut => unreachable!("a Forever wait cannot time out"),
-        }
-    }
-}
-
-impl<T> Drop for RequestHandle<T> {
-    /// Cancellation-on-drop: an abandoned request must not burn worker
-    /// time nobody will observe. No-op when the request already
-    /// resolved (including the normal `wait()` path, which takes the
-    /// result before dropping).
-    fn drop(&mut self) {
-        self.cancel();
-    }
-}
-
-impl<T> std::fmt::Debug for RequestHandle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RequestHandle")
-            .field("lane", &self.lane)
-            .field("estimate", &self.estimate)
-            .field("tenant", &self.lease.tenant)
-            .field("ready", &self.is_ready())
-            .field("cancelled", &self.is_cancelled())
-            .finish()
-    }
-}
-
-/// Outcome of polling a [`SweepHandle`] for its next budget point.
+/// The outcome of waiting for a handle's next budget point — the
+/// service's one wait outcome. `TimedOut` consumes nothing: retrying
+/// (or blocking on [`SweepHandle::wait`]) still retrieves the point.
 #[derive(Debug)]
 pub enum PointOutcome {
     /// The next budget point (ascending budget order) resolved with
-    /// this per-point result.
+    /// this result; this wait took it.
     Point(Result<Plan>),
-    /// Every budget point has already been yielded.
+    /// Every budget point has already been taken.
     Done,
     /// The next point is still solving (nothing was consumed).
     TimedOut,
-    /// The sweep was cancelled; remaining points will never resolve.
+    /// The request was cancelled; remaining points will never resolve.
     Cancelled,
 }
 
@@ -835,7 +442,7 @@ impl PointOutcome {
         }
     }
 
-    /// Whether all points have been yielded.
+    /// Whether all points have been taken.
     pub fn is_done(&self) -> bool {
         matches!(self, Self::Done)
     }
@@ -845,140 +452,143 @@ impl PointOutcome {
         matches!(self, Self::TimedOut)
     }
 
-    /// Whether the sweep was cancelled.
+    /// Whether the request was cancelled.
     pub fn is_cancelled(&self) -> bool {
         matches!(self, Self::Cancelled)
     }
 }
 
-/// A hand-rolled future for an in-flight budget sweep. Wraps the
-/// sweep's aggregate `RequestHandle<Vec<Plan>>` (all of whose waits are
-/// available here) and adds **incremental consumption**: the sweep
-/// decomposition already runs one task per budget point, so
-/// [`SweepHandle::try_next_point`] / [`SweepHandle::wait_next_point`]
-/// yield each [`Plan`] as its point completes, in ascending budget
-/// order, while later points are still solving. Each streamed plan is
-/// byte-identical ([`Plan::divergence`]) to its slot in the aggregate
-/// [`SweepHandle::wait`] result — streaming changes delivery, never
-/// bytes.
+/// Locks a state-only mutex, recovering from poisoning. The mutexes
+/// this guards (a request's point slots, the tenant ledger) protect
+/// plain data whose invariants hold between statements — no critical
+/// section leaves them mid-update — so a panic on one thread says
+/// nothing about the data's integrity. Propagating the poison instead
+/// would cascade one contained [`CoreError::WorkerPanicked`] request
+/// into panics in every sibling waiter *and into quota release*,
+/// leaking the tenant's ledger entries forever.
+fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How long a wait is allowed to block on a pending point.
+#[derive(Debug, Clone, Copy)]
+enum WaitLimit {
+    /// Report [`PointOutcome::TimedOut`] immediately.
+    Poll,
+    /// Block until the deadline, then report `TimedOut`.
+    Until(Instant),
+    /// Block until the point resolves (or a timeout whose deadline
+    /// overflows [`Instant`]).
+    Forever,
+}
+
+impl WaitLimit {
+    /// A deadline `timeout` from now. `Instant + Duration` panics on
+    /// overflow, so a timeout too large to represent (e.g.
+    /// [`Duration::MAX`]) waits forever instead — it can never elapse.
+    fn after(timeout: Duration) -> Self {
+        Instant::now()
+            .checked_add(timeout)
+            .map_or(Self::Forever, Self::Until)
+    }
+}
+
+/// A hand-rolled future for an in-flight request: one result slot per
+/// budget point. [`SweepHandle::try_next_point`] /
+/// [`SweepHandle::wait_next_point`] take each [`Plan`] as its point
+/// completes, in ascending budget order, while later points are still
+/// solving; [`SweepHandle::wait`] takes every remaining point at once.
+/// Plans are moved out of their slots, never cloned, and each is
+/// byte-identical ([`Plan::divergence`]) to its synchronous
+/// counterpart — streaming changes delivery, never bytes.
 ///
-/// Dropping the handle cancels the sweep (remaining points are skipped
-/// after the one currently solving), exactly like dropping the
-/// underlying [`RequestHandle`].
-#[must_use = "dropping a SweepHandle cancels the sweep"]
+/// **Dropping the handle cancels the request** (see the [module
+/// docs](self)): a request nobody can observe any more is never worth
+/// solving. Call [`SweepHandle::cancel`] to abandon it explicitly while
+/// keeping the handle around.
+#[must_use = "dropping a SweepHandle cancels the request"]
 pub struct SweepHandle {
-    handle: RequestHandle<Vec<Plan>>,
-    /// Per-point state for queued sweeps; `None` when the request
-    /// resolved at submit time (inline lane, empty grid, or a submit
-    /// error), in which case points are replayed out of `buffered`.
-    state: Option<Arc<SweepState>>,
-    total: usize,
+    state: Arc<SweepState>,
+    /// Points already taken, from the front of the grid.
     next: usize,
-    buffered: Option<Result<Vec<Plan>>>,
 }
 
 impl SweepHandle {
-    /// A handle over a queued sweep whose points resolve through
-    /// `state`.
-    fn streamed(handle: RequestHandle<Vec<Plan>>, state: Arc<SweepState>, total: usize) -> Self {
-        Self {
-            handle,
-            state: Some(state),
-            total,
-            next: 0,
-            buffered: None,
-        }
-    }
-
-    /// A handle over a sweep that resolved at submit time.
-    fn resolved(handle: RequestHandle<Vec<Plan>>, total: usize) -> Self {
-        Self {
-            handle,
-            state: None,
-            total,
-            next: 0,
-            buffered: None,
-        }
-    }
-
-    /// Which lane the sweep was routed to.
+    /// Which lane the request was routed to ([`Lane::Inline`] handles
+    /// are ready immediately).
     pub fn lane(&self) -> Lane {
-        self.handle.lane()
+        self.state.lane
     }
 
-    /// The admission-control estimate (points × per-point evals).
+    /// The admission-control estimate (points × per-point evals) the
+    /// routing and quota accounting were keyed on.
     pub fn estimate(&self) -> u64 {
-        self.handle.estimate()
+        self.state.estimate
     }
 
-    /// The tenant the sweep is accounted to.
+    /// The tenant the request is accounted to.
     pub fn tenant(&self) -> &TenantId {
-        self.handle.tenant()
+        &self.state.tenant
     }
 
-    /// Number of budget points in the sweep grid.
+    /// Number of budget points in the grid.
     pub fn points(&self) -> usize {
-        self.total
+        self.state.budgets.len()
     }
 
-    /// Number of points already yielded through the streaming API.
+    /// Number of points already taken.
     pub fn points_yielded(&self) -> usize {
         self.next
     }
 
-    /// Whether the aggregate result has resolved (see
-    /// [`RequestHandle::is_ready`]); individual points may be ready
-    /// much earlier.
+    /// Whether the request has settled: every point resolved, or it was
+    /// cancelled. Individual points may be ready much earlier.
     pub fn is_ready(&self) -> bool {
-        self.handle.is_ready()
+        self.state.lock().settled
     }
 
-    /// Whether the sweep was cancelled.
+    /// Whether the request was cancelled.
     pub fn is_cancelled(&self) -> bool {
-        self.handle.is_cancelled()
+        self.state.cancel.is_cancelled()
     }
 
-    /// Cancels the sweep (see [`RequestHandle::cancel`]): remaining
-    /// budget points are skipped after the one currently solving, and
-    /// any point waiter wakes with [`PointOutcome::Cancelled`].
+    /// Cancels the request: queued points are dropped at dispatch, a
+    /// running chain stops after its current point, and the tenant's
+    /// quota is released immediately. Waiters wake with
+    /// [`PointOutcome::Cancelled`]. Returns `true` when this call
+    /// cancelled the request, `false` when every point had already
+    /// resolved (untaken points stay retrievable) or it was already
+    /// cancelled. Idempotent.
     pub fn cancel(&self) -> bool {
-        let cancelled = self.handle.cancel();
-        if let Some(state) = &self.state {
-            state.wake_point_waiters();
-        }
-        cancelled
+        self.state.cancel()
     }
 
-    /// Yields the next budget point if it already resolved
-    /// ([`PointOutcome::Point`]); otherwise reports — without consuming
-    /// anything — that it is still solving ([`PointOutcome::TimedOut`]),
-    /// that all points were yielded, or that the sweep was cancelled.
+    /// Takes the next point if it already resolved; otherwise reports —
+    /// without consuming anything — that it is still solving, that
+    /// every point was taken, or that the request was cancelled.
     pub fn try_next_point(&mut self) -> PointOutcome {
         self.next_point(WaitLimit::Poll)
     }
 
-    /// Blocks until the next budget point resolves and yields it;
-    /// returns [`PointOutcome::Done`] once all points were yielded and
-    /// [`PointOutcome::Cancelled`] if the sweep was cancelled.
+    /// Blocks until the next point resolves and takes it; returns
+    /// [`PointOutcome::Done`] once every point was taken and
+    /// [`PointOutcome::Cancelled`] if the request was cancelled.
     pub fn wait_next_point(&mut self) -> PointOutcome {
         self.next_point(WaitLimit::Forever)
     }
 
     /// Like [`SweepHandle::wait_next_point`], waiting at most
     /// `timeout`. [`PointOutcome::TimedOut`] does not consume the
-    /// point; a later wait still yields it.
+    /// point. A `timeout` too large to represent as a deadline (e.g.
+    /// [`Duration::MAX`]) waits forever — it can never elapse.
     pub fn wait_next_point_timeout(&mut self, timeout: Duration) -> PointOutcome {
-        match std::time::Instant::now().checked_add(timeout) {
-            Some(deadline) => self.next_point(WaitLimit::Until(deadline)),
-            None => self.next_point(WaitLimit::Forever),
-        }
+        self.next_point(WaitLimit::after(timeout))
     }
 
     /// Like [`SweepHandle::wait_next_point`], but re-checks `alive()`
-    /// every `poll` interval and cancels the sweep the moment it
-    /// returns `false` — the per-point analogue of
-    /// [`RequestHandle::wait_or_cancel`], so a client that hangs up
-    /// mid-stream stops the remaining budget points.
+    /// every `poll` interval and cancels the request the moment it
+    /// returns `false`, so a client that hangs up stops the points
+    /// still solving.
     pub fn wait_next_point_or_cancel(
         &mut self,
         poll: Duration,
@@ -998,118 +608,114 @@ impl SweepHandle {
     }
 
     fn next_point(&mut self, limit: WaitLimit) -> PointOutcome {
-        match &self.state {
-            Some(state) => {
-                if self.next >= self.total {
-                    // The final point's slot is published before the
-                    // fold resolves the aggregate, so without this
-                    // wait a consumer could observe `Done`, drop the
-                    // handle, and have the drop-cancel race the fold
-                    // into counting a fully-streamed sweep as
-                    // cancelled. Resolution is imminent here — the
-                    // finisher that wrote the last slot folds next —
-                    // so the wait is bounded and usually a no-op.
-                    self.handle.shared.await_resolution();
-                    return PointOutcome::Done;
-                }
-                match state.wait_point(self.next, limit) {
-                    PointWait::Ready(result) => {
-                        self.next += 1;
-                        PointOutcome::Point(result)
-                    }
-                    PointWait::TimedOut => PointOutcome::TimedOut,
-                    PointWait::Cancelled => PointOutcome::Cancelled,
-                }
-            }
-            None => {
-                if self.buffered.is_none() {
-                    // Submit-time-resolved sweeps hold the whole result
-                    // in the aggregate slot; take it once and replay.
-                    match self.handle.try_wait() {
-                        WaitOutcome::Ready(result) => self.buffered = Some(result),
-                        WaitOutcome::Cancelled => return PointOutcome::Cancelled,
-                        // `wait()` already consumed the aggregate (or a
-                        // still-pending slot, which cannot happen for a
-                        // submit-time-resolved sweep): nothing to
-                        // stream.
-                        WaitOutcome::Taken => return PointOutcome::Done,
-                        WaitOutcome::TimedOut => return PointOutcome::TimedOut,
-                    }
-                }
-                match self.buffered.as_ref().expect("buffered result just set") {
-                    Ok(plans) => {
-                        if self.next >= plans.len() {
-                            return PointOutcome::Done;
-                        }
-                        let plan = plans[self.next].clone();
-                        self.next += 1;
-                        PointOutcome::Point(Ok(plan))
-                    }
-                    Err(e) => {
-                        // A sweep that failed wholesale at submit
-                        // surfaces its error as the first (and only)
-                        // streamed point.
-                        if self.next > 0 {
-                            return PointOutcome::Done;
-                        }
-                        let err = e.clone();
-                        self.next = self.total.max(1);
-                        PointOutcome::Point(Err(err))
-                    }
-                }
-            }
+        if self.next == self.points() {
+            return PointOutcome::Done;
         }
+        let outcome = self.state.wait_point(self.next, limit);
+        if matches!(outcome, PointOutcome::Point(_)) {
+            self.next += 1;
+        }
+        outcome
     }
 
-    /// Takes the aggregate result if ready (see
-    /// [`RequestHandle::try_wait`]).
-    pub fn try_wait(&self) -> WaitOutcome<Vec<Plan>> {
-        self.handle.try_wait()
-    }
-
-    /// Blocks for the aggregate result at most `timeout` (see
-    /// [`RequestHandle::wait_timeout`]).
-    pub fn wait_timeout(&self, timeout: Duration) -> WaitOutcome<Vec<Plan>> {
-        self.handle.wait_timeout(timeout)
-    }
-
-    /// Disconnect-driven aggregate wait (see
-    /// [`RequestHandle::wait_or_cancel`]).
+    /// [`SweepHandle::wait`] with a liveness probe: re-checks `alive()`
+    /// every `poll` interval and cancels the request the moment it
+    /// returns `false` — the network front's disconnect-driven cancel
+    /// hook, so a client that hangs up mid-solve stops burning worker
+    /// time.
     pub fn wait_or_cancel(
-        &self,
+        mut self,
         poll: Duration,
-        alive: impl FnMut() -> bool,
-    ) -> WaitOutcome<Vec<Plan>> {
-        self.handle.wait_or_cancel(poll, alive)
+        mut alive: impl FnMut() -> bool,
+    ) -> Result<Vec<Plan>> {
+        let all_resolved = |points: &Points| points.resolved == points.slots.len();
+        let mut points = loop {
+            // Only settling can satisfy this wait, so no point wakes it.
+            match self
+                .state
+                .wait_until(usize::MAX, WaitLimit::after(poll), all_resolved)
+            {
+                Ok(points) => break points,
+                Err(PointOutcome::TimedOut) if alive() => {}
+                Err(PointOutcome::TimedOut) => {
+                    self.cancel();
+                    return Err(CoreError::Cancelled);
+                }
+                Err(_) => return Err(CoreError::Cancelled),
+            }
+        };
+        let taken = self.next;
+        self.next = points.slots.len();
+        points.slots[taken..]
+            .iter_mut()
+            .map(|slot| slot.take().expect("a settled request resolved every point"))
+            .collect()
     }
 
-    /// Blocks until the sweep resolves and returns every plan in budget
-    /// order; works after (and regardless of) streaming consumption.
-    ///
-    /// # Panics
-    /// Like [`RequestHandle::wait`], if the aggregate result was
-    /// already taken via [`SweepHandle::try_wait`] /
-    /// [`SweepHandle::wait_timeout`].
+    /// Blocks until every point not yet taken resolves and returns
+    /// their plans in budget order — or the first error by index, as
+    /// the sequential sweep reports it. Cancellation surfaces as
+    /// [`CoreError::Cancelled`]. Points already taken by the point
+    /// waits are not returned again.
     pub fn wait(self) -> Result<Vec<Plan>> {
-        let Self {
-            handle, buffered, ..
-        } = self;
-        match buffered {
-            // Streaming already took the aggregate slot; hand back the
-            // stashed result (dropping the resolved handle is a no-op).
-            Some(result) => result,
-            None => handle.wait(),
-        }
+        // A poll too large for a deadline waits forever, so the probe
+        // never runs.
+        self.wait_or_cancel(Duration::MAX, || true)
+    }
+}
+
+impl Drop for SweepHandle {
+    /// Cancellation-on-drop; a no-op once every point resolved.
+    fn drop(&mut self) {
+        self.cancel();
     }
 }
 
 impl std::fmt::Debug for SweepHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SweepHandle")
-            .field("points", &self.total)
+            .field("lane", &self.lane())
+            .field("estimate", &self.estimate())
+            .field("tenant", self.tenant())
+            .field("points", &self.points())
             .field("yielded", &self.next)
-            .field("handle", &self.handle)
+            .field("ready", &self.is_ready())
+            .field("cancelled", &self.is_cancelled())
             .finish()
+    }
+}
+
+/// What [`PlannerService::submit`] returns: a thin view over a
+/// one-point [`SweepHandle`] — it derefs to it for the lane,
+/// cancellation and the point waits — whose [`RequestHandle::wait`]
+/// yields the one [`Plan`]. Dropping it cancels the request.
+#[must_use = "dropping a RequestHandle cancels the request"]
+#[derive(Debug)]
+pub struct RequestHandle(SweepHandle);
+
+impl RequestHandle {
+    /// Blocks until the plan resolves and returns it; cancellation
+    /// surfaces as [`CoreError::Cancelled`].
+    ///
+    /// # Panics
+    /// If a point wait already took the plan.
+    pub fn wait(self) -> Result<Plan> {
+        let plan = self.0.wait()?.pop();
+        Ok(plan.expect("the plan was already taken by a point wait"))
+    }
+}
+
+impl Deref for RequestHandle {
+    type Target = SweepHandle;
+
+    fn deref(&self) -> &SweepHandle {
+        &self.0
+    }
+}
+
+impl DerefMut for RequestHandle {
+    fn deref_mut(&mut self) -> &mut SweepHandle {
+        &mut self.0
     }
 }
 
@@ -1142,7 +748,7 @@ impl Counters {
 
 /// RAII occupancy marker: increments a lane's running gauge for the
 /// lifetime of one executing task, decrementing even when the solver
-/// panics (the panic is contained by [`solve_contained`], but the
+/// panics (the panic is contained by [`SweepState::run_chain`], but the
 /// guard's `Drop` makes the gauge robust to any unwind path).
 struct RunningGuard<'c>(&'c AtomicUsize);
 
@@ -1227,17 +833,17 @@ impl ServiceInner {
         }
     }
 
-    /// Returns one request's reservation (only ever called through
-    /// [`QuotaLease::release`], which guarantees exactly-once). An
-    /// idle entry with the default (unlimited) policy is evicted — the
-    /// ledger must not grow without bound when tenant ids are derived
-    /// from request input; entries installed via
-    /// [`PlannerService::set_quota`] are kept.
+    /// Returns one request's reservation (only ever called when the
+    /// request settles, which happens exactly once). An idle entry with
+    /// the default (unlimited) policy is evicted — the ledger must not
+    /// grow without bound when tenant ids are derived from request
+    /// input; entries installed via [`PlannerService::set_quota`] are
+    /// kept.
     fn release_quota(&self, tenant: &TenantId, estimate: u64) {
         let mut tenants = lock_recover(&self.tenants);
         let state = tenants
             .get_mut(tenant)
-            .expect("released a lease for a tenant that never acquired");
+            .expect("released quota for a tenant that never acquired");
         state.usage.in_flight = state.usage.in_flight.saturating_sub(1);
         state.usage.outstanding_evals = state.usage.outstanding_evals.saturating_sub(estimate);
         if state.usage == QuotaUsage::default() && state.policy == QuotaPolicy::unlimited() {
@@ -1274,162 +880,194 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Solves one (solver, problem, budget) with a cache wired to `store`
-/// under `key`, containing panics.
-fn solve_contained(
-    stats: &Counters,
-    store: &Arc<CacheStore>,
-    key: Option<CacheKey>,
-    solver: &Arc<dyn Solver>,
-    problem: &Problem,
-    budget: Budget,
-) -> Result<Plan> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let cache = match key {
-            Some(key) => EngineCache::with_store(Arc::clone(store), key),
-            None => EngineCache::new(),
-        };
-        solver.solve_with_cache(problem, budget, &cache)
-    }));
-    match outcome {
-        Ok(result) => result,
-        Err(payload) => {
-            stats.panics.fetch_add(1, Ordering::Relaxed);
-            Err(CoreError::WorkerPanicked {
-                detail: panic_detail(payload.as_ref()),
-            })
-        }
-    }
+/// A request's point slots, behind [`SweepState`]'s lock.
+struct Points {
+    /// A point's result, from the moment it resolves until a wait
+    /// takes it.
+    slots: Vec<Option<Result<Plan>>>,
+    /// Points solved or skipped so far.
+    resolved: usize,
+    /// Every point resolved or the request was cancelled: it has been
+    /// counted and its quota released.
+    settled: bool,
+    /// The point the handle's (only) waiter last blocked on;
+    /// `usize::MAX` when it waits for every point. Finishers wake it
+    /// only when it can make progress.
+    wake_at: usize,
 }
 
-/// Shared state of an in-flight sweep: per-point slots plus a
-/// completion counter; the task that finishes last folds the slots (in
-/// budget order, first error by index — the sequential semantics) and
-/// resolves the handle. Cancellation-aware: once the sweep's token
-/// flips, remaining points report [`SweepState::skip_point`] instead
-/// of solving, and the fold is abandoned (the handle was already
-/// resolved to `Cancelled`, the quota already released, by
-/// [`RequestHandle::cancel`]).
+/// One request in flight: the job, its per-point result slots — the
+/// only result state the service keeps — and its lifecycle. Settling
+/// (completion or cancellation, whichever comes first) happens exactly
+/// once under the slot lock, so a waiter that takes the last point
+/// already sees the request counted, and dropping the handle after
+/// that can never count it cancelled.
 struct SweepState {
-    slots: Vec<Mutex<Option<Result<Plan>>>>,
-    remaining: AtomicUsize,
-    /// Resolved-point count plus the wake channel for streaming
-    /// waiters ([`SweepHandle::wait_next_point`]). Bumped *after* the
-    /// slot write (or skip), under its own lock, so a waiter blocked on
-    /// the next index wakes exactly when it can make progress.
-    progress: Mutex<usize>,
-    point_ready: Condvar,
-    shared: Arc<HandleShared<Vec<Plan>>>,
     inner: Arc<ServiceInner>,
-    lease: Arc<QuotaLease>,
+    tenant: TenantId,
+    estimate: u64,
+    lane: Lane,
     cancel: CancelToken,
-}
-
-/// What [`SweepState::wait_point`] observed for one budget point.
-enum PointWait {
-    Ready(Result<Plan>),
-    TimedOut,
-    Cancelled,
+    /// The registry lookup; a failed one resolves every point with its
+    /// error.
+    solver: Result<Arc<dyn Solver>>,
+    problem: Arc<Problem>,
+    budgets: Vec<Budget>,
+    /// Where the points share prefix work: the service store under the
+    /// request's key, a request-private store for an unkeyed multi-point
+    /// sweep (mirroring `exec::sweep`), or nothing for an unkeyed
+    /// single point.
+    store: Option<(Arc<CacheStore>, CacheKey)>,
+    points: Mutex<Points>,
+    point_ready: Condvar,
 }
 
 impl SweepState {
-    fn finish_point(&self, index: usize, result: Result<Plan>) {
-        *lock_recover(&self.slots[index]) = Some(result);
-        self.point_done();
+    fn lock(&self) -> MutexGuard<'_, Points> {
+        lock_recover(&self.points)
     }
 
-    /// A budget point observed the cancelled token and did not solve.
-    fn skip_point(&self) {
-        self.point_done();
+    /// Solves every `chains`-th point from `chain`, in budget order, on
+    /// one engine cache — a multi-point chain carries the greedy
+    /// trajectory memo from point to point, with plans byte-identical
+    /// to independent solves (see [`super::exec::SweepMode`]). Once the
+    /// request is cancelled the remaining points are skipped, so
+    /// abandoning a 50-point sweep stops after the point being solved.
+    fn run_chain(&self, chain: usize, chains: usize) {
+        let mut running = None;
+        let mut cache = None;
+        for index in (chain..self.budgets.len()).step_by(chains) {
+            if self.cancel.is_cancelled() {
+                self.finish_point(index, None);
+                continue;
+            }
+            if self.lane != Lane::Inline {
+                running.get_or_insert_with(|| RunningGuard::enter(&self.inner.stats, self.lane));
+            }
+            let result = match &self.solver {
+                Ok(solver) => catch_unwind(AssertUnwindSafe(|| {
+                    let cache = cache.get_or_insert_with(|| self.engine_cache());
+                    solver.solve_with_cache(&self.problem, self.budgets[index], cache)
+                }))
+                .unwrap_or_else(|payload| {
+                    self.inner.stats.panics.fetch_add(1, Ordering::Relaxed);
+                    // The panic may have torn the resume chain
+                    // mid-update; the next point starts from a fresh
+                    // cache.
+                    cache = None;
+                    Err(CoreError::WorkerPanicked {
+                        detail: panic_detail(payload.as_ref()),
+                    })
+                }),
+                Err(e) => Err(e.clone()),
+            };
+            self.finish_point(index, Some(result));
+        }
     }
 
-    fn point_done(&self) {
-        {
-            let mut progress = lock_recover(&self.progress);
-            *progress += 1;
+    fn engine_cache(&self) -> EngineCache<'_> {
+        let cache = match &self.store {
+            Some((store, key)) => EngineCache::with_store(Arc::clone(store), *key),
+            None => EngineCache::new(),
+        };
+        // A lone point has no successor to resume into.
+        if self.budgets.len() > 1 {
+            cache.enable_sweep_resume();
+        }
+        cache
+    }
+
+    /// Publishes point `index` (`None`: skipped after a cancel) and
+    /// settles the request once every point resolved.
+    fn finish_point(&self, index: usize, result: Option<Result<Plan>>) {
+        let mut points = self.lock();
+        points.slots[index] = result;
+        points.resolved += 1;
+        self.settle_if_complete(&mut points);
+        if index == points.wake_at || points.resolved == points.slots.len() {
             self.point_ready.notify_all();
         }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            if self.cancel.is_cancelled() {
-                // The cancel path already resolved the handle and
-                // counted the request; just make sure the quota
-                // reservation is gone (idempotent).
-                self.lease.release();
-                return;
-            }
-            let mut plans = Vec::with_capacity(self.slots.len());
-            let mut first_err: Option<Result<Vec<Plan>>> = None;
-            for slot in &self.slots {
-                // Clone, don't take: a streaming consumer that lags
-                // behind the fold still reads its remaining points out
-                // of the slots afterwards.
-                match lock_recover(slot)
-                    .clone()
-                    .expect("every budget point completed")
-                {
-                    Ok(plan) => plans.push(plan),
-                    Err(e) => {
-                        first_err = Some(Err(e));
-                        break;
-                    }
-                }
-            }
-            // Release before resolving: a waiter that wakes on the
-            // completion must already see the quota freed.
-            self.lease.release();
-            self.shared
-                .complete_counted(first_err.unwrap_or(Ok(plans)), &self.inner.stats.completed);
+    }
+
+    /// Counts a fully resolved request completed and releases its quota
+    /// — before any waiter can wake on the last point.
+    fn settle_if_complete(&self, points: &mut Points) {
+        if points.resolved == points.slots.len() && !points.settled {
+            points.settled = true;
+            self.inner.stats.completed.fetch_add(1, Ordering::Relaxed);
+            self.inner.release_quota(&self.tenant, self.estimate);
         }
     }
 
-    /// Blocks until budget point `index` resolves (its slot is
-    /// written), the sweep is cancelled, or `limit` elapses. Lock
-    /// order: `progress` is held across the slot peek; finishers take a
-    /// slot and `progress` strictly in sequence (never both), so the
-    /// pair cannot deadlock, and because finishers need `progress` to
-    /// notify, a wakeup can never be lost between the peek and the
-    /// wait.
-    fn wait_point(&self, index: usize, limit: WaitLimit) -> PointWait {
-        let mut progress = lock_recover(&self.progress);
+    /// See [`SweepHandle::cancel`].
+    fn cancel(&self) -> bool {
+        let mut points = self.lock();
+        if points.settled {
+            return false;
+        }
+        points.settled = true;
+        self.cancel.cancel();
+        self.inner.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+        self.inner.release_quota(&self.tenant, self.estimate);
+        self.point_ready.notify_all();
+        true
+    }
+
+    /// Takes point `index` once it resolves, unless the request is
+    /// cancelled or `limit` elapses first.
+    fn wait_point(&self, index: usize, limit: WaitLimit) -> PointOutcome {
+        match self.wait_until(index, limit, |points| points.slots[index].is_some()) {
+            Ok(mut points) => {
+                PointOutcome::Point(points.slots[index].take().expect("just resolved"))
+            }
+            Err(outcome) => outcome,
+        }
+    }
+
+    /// Blocks until `ready` holds, returning the locked slots, or
+    /// reports [`PointOutcome::Cancelled`] / [`PointOutcome::TimedOut`].
+    /// `wake_at` is the point whose resolution can make `ready` hold
+    /// (see [`Points::wake_at`]).
+    fn wait_until(
+        &self,
+        wake_at: usize,
+        limit: WaitLimit,
+        ready: impl Fn(&Points) -> bool,
+    ) -> std::result::Result<MutexGuard<'_, Points>, PointOutcome> {
+        let mut points = self.lock();
         loop {
             if self.cancel.is_cancelled() {
-                return PointWait::Cancelled;
+                return Err(PointOutcome::Cancelled);
             }
-            if let Some(result) = lock_recover(&self.slots[index]).clone() {
-                return PointWait::Ready(result);
+            if ready(&points) {
+                return Ok(points);
             }
-            progress = match limit {
-                WaitLimit::Poll => return PointWait::TimedOut,
+            points.wake_at = wake_at;
+            points = match limit {
+                WaitLimit::Poll => return Err(PointOutcome::TimedOut),
                 WaitLimit::Until(deadline) => {
-                    let now = std::time::Instant::now();
+                    let now = Instant::now();
                     if deadline <= now {
-                        return PointWait::TimedOut;
+                        return Err(PointOutcome::TimedOut);
                     }
                     self.point_ready
-                        .wait_timeout(progress, deadline - now)
+                        .wait_timeout(points, deadline - now)
                         .unwrap_or_else(PoisonError::into_inner)
                         .0
                 }
                 WaitLimit::Forever => self
                     .point_ready
-                    .wait(progress)
+                    .wait(points)
                     .unwrap_or_else(PoisonError::into_inner),
             };
         }
-    }
-
-    /// Wakes any [`SweepState::wait_point`] waiter so it can observe a
-    /// cancellation that did not pass through a finishing point.
-    fn wake_point_waiters(&self) {
-        let _progress = lock_recover(&self.progress);
-        self.point_ready.notify_all();
     }
 }
 
 /// The long-lived serving front over a [`SolverRegistry`]: owns the
 /// registry, a fingerprint-keyed [`CacheStore`], and a [`WorkerPool`],
 /// and serves [`SolveRequest`]s / [`SweepRequest`]s asynchronously
-/// through [`RequestHandle`]s. Cheap to clone (all state is shared);
+/// through [`SweepHandle`]s. Cheap to clone (all state is shared);
 /// share one service per process or tenant.
 ///
 /// See the [module docs](self) for admission control, fairness, and
@@ -1545,233 +1183,102 @@ impl PlannerService {
             .unwrap_or_default()
     }
 
-    /// Submits one solve. Quota is checked first: a tenant over its
-    /// [`QuotaPolicy`] gets a typed [`CoreError::QuotaExceeded`] and
-    /// nothing is queued. Unknown strategies resolve the *handle* with
-    /// [`CoreError::UnknownStrategy`]; small requests (see the module
-    /// docs) are solved inline before `submit` returns.
-    pub fn submit(&self, request: SolveRequest) -> Result<RequestHandle<Plan>> {
-        let inner = &self.inner;
-        let estimate = request.problem.estimated_engine_evals();
-        inner.acquire_quota(&request.tenant, estimate)?;
-        inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let setup = RequestSetup::new(inner, request.tenant.clone(), estimate);
-        let RequestSetup {
-            shared,
-            cancel,
-            lease,
-        } = &setup;
-
-        let solver = match inner.registry.get(&request.strategy) {
-            Ok(solver) => solver,
-            Err(e) => {
-                shared.complete_counted(Err(e), &inner.stats.completed);
-                // Error-resolved requests count as inline so the lane
-                // counters always sum to `submitted`.
-                inner.stats.inline.fetch_add(1, Ordering::Relaxed);
-                lease.release();
-                return Ok(setup.handle(Lane::Inline));
-            }
-        };
-
-        let lane = inner.lane_for(estimate);
-        match lane {
-            Lane::Inline => {
-                let result = solve_contained(
-                    &inner.stats,
-                    &inner.store,
-                    request.key,
-                    &solver,
-                    &request.problem,
-                    request.budget,
-                );
-                shared.complete_counted(result, &inner.stats.completed);
-                inner.stats.inline.fetch_add(1, Ordering::Relaxed);
-                lease.release();
-            }
-            Lane::Interactive | Lane::Bulk => {
-                let counter = if lane == Lane::Interactive {
-                    &inner.stats.interactive
-                } else {
-                    &inner.stats.bulk
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                let task_inner = Arc::clone(inner);
-                let task_shared = Arc::clone(shared);
-                let task_cancel = cancel.clone();
-                let task_lease = Arc::clone(lease);
-                inner.enqueue(lane, cancel.clone(), move || {
-                    // The dispatcher drops cancelled tasks; this check
-                    // covers a cancel landing between pop and run. The
-                    // cancel path did the bookkeeping already.
-                    if task_cancel.is_cancelled() {
-                        return;
-                    }
-                    let _running = RunningGuard::enter(&task_inner.stats, lane);
-                    let result = solve_contained(
-                        &task_inner.stats,
-                        &task_inner.store,
-                        request.key,
-                        &solver,
-                        &request.problem,
-                        request.budget,
-                    );
-                    // Release before resolving: a waiter that wakes on
-                    // the completion must already see the quota freed.
-                    task_lease.release();
-                    task_shared.complete_counted(result, &task_inner.stats.completed);
-                });
-            }
-        }
-        Ok(setup.handle(lane))
+    /// Submits one solve: a one-point [`PlannerService::submit_sweep`]
+    /// (see there for quotas, lanes and errors).
+    pub fn submit(&self, request: SolveRequest) -> Result<RequestHandle> {
+        let SolveRequest {
+            strategy,
+            problem,
+            budget,
+            key,
+            tenant,
+        } = request;
+        self.submit_sweep(SweepRequest {
+            strategy,
+            problem,
+            budgets: vec![budget],
+            key,
+            tenant,
+        })
+        .map(RequestHandle)
     }
 
-    /// Submits a budget sweep. The request is costed by its *total*
-    /// estimate (points × per-point), but executed as one task per
-    /// budget point, so interactive work interleaves between points.
-    /// Prefix work is shared across points through the service store
-    /// when a key is supplied, or a request-private store otherwise —
-    /// plans are byte-identical to [`SolverRegistry::sweep`] either
-    /// way. The returned [`SweepHandle`] yields each plan as its point
-    /// completes ([`SweepHandle::wait_next_point`]) or the whole grid
-    /// at once ([`SweepHandle::wait`]).
+    /// Submits a budget sweep. Quota is checked first: a tenant over
+    /// its [`QuotaPolicy`] gets a typed [`CoreError::QuotaExceeded`]
+    /// and nothing is queued. The request is costed by its *total*
+    /// estimate (points × per-point); small requests are solved inline
+    /// before this returns, and an unknown strategy resolves every
+    /// point with [`CoreError::UnknownStrategy`]. Prefix work is shared
+    /// across points through the service store when a key is supplied,
+    /// or a request-private store otherwise — plans are byte-identical
+    /// to [`SolverRegistry::sweep`] either way. The returned
+    /// [`SweepHandle`] yields each plan as its point completes
+    /// ([`SweepHandle::wait_next_point`]) or the whole grid at once
+    /// ([`SweepHandle::wait`]).
     pub fn submit_sweep(&self, request: SweepRequest) -> Result<SweepHandle> {
         let inner = &self.inner;
+        let points = request.budgets.len();
         let estimate = request
             .problem
             .estimated_engine_evals()
-            .saturating_mul(request.budgets.len() as u64);
+            .saturating_mul(points as u64);
         inner.acquire_quota(&request.tenant, estimate)?;
         inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let setup = RequestSetup::new(inner, request.tenant.clone(), estimate);
-        // Every `done` caller resolves at submit time (error, empty
-        // grid, or inline solve), so the request counts as inline —
-        // the lane counters always sum to `submitted`.
-        let done = |result: Result<Vec<Plan>>, lane: Lane| {
-            setup
-                .shared
-                .complete_counted(result, &inner.stats.completed);
-            inner.stats.inline.fetch_add(1, Ordering::Relaxed);
-            setup.lease.release();
-            setup.handle(lane)
-        };
-
-        let points = request.budgets.len();
-        let solver = match inner.registry.get(&request.strategy) {
-            Ok(solver) => solver,
-            Err(e) => return Ok(SweepHandle::resolved(done(Err(e), Lane::Inline), points)),
-        };
-        if request.budgets.is_empty() {
-            return Ok(SweepHandle::resolved(done(Ok(Vec::new()), Lane::Inline), 0));
-        }
-
-        // Without a trustworthy identity, share prefix work through a
-        // store private to this request (mirroring `exec::sweep`).
-        let (store, key) = match request.key {
-            Some(key) => (Arc::clone(&inner.store), key),
-            None => (Arc::new(CacheStore::new(1)), CacheKey::new(0, 0)),
-        };
-
-        let lane = inner.lane_for(estimate);
-        if lane == Lane::Inline {
-            // One shared cache, sequential — the sequential sweep path.
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let cache = EngineCache::with_store(store, key);
-                // A single sequential chain: carry the greedy
-                // trajectory memo from budget point to budget point.
-                cache.enable_sweep_resume();
-                request
-                    .budgets
-                    .iter()
-                    .map(|&b| solver.solve_with_cache(&request.problem, b, &cache))
-                    .collect::<Result<Vec<Plan>>>()
-            }))
-            .unwrap_or_else(|payload| {
-                inner.stats.panics.fetch_add(1, Ordering::Relaxed);
-                Err(CoreError::WorkerPanicked {
-                    detail: panic_detail(payload.as_ref()),
-                })
-            });
-            return Ok(SweepHandle::resolved(done(result, Lane::Inline), points));
-        }
-
-        let counter = if lane == Lane::Interactive {
-            &inner.stats.interactive
+        let solver = inner.registry.get(&request.strategy);
+        // A failed lookup and an empty grid resolve at submit like a
+        // small request, so the lane counters always sum to
+        // `submitted`.
+        let lane = if solver.is_err() || points == 0 {
+            Lane::Inline
         } else {
-            &inner.stats.bulk
+            inner.lane_for(estimate)
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        let lane_counter = match lane {
+            Lane::Inline => &inner.stats.inline,
+            Lane::Interactive => &inner.stats.interactive,
+            Lane::Bulk => &inner.stats.bulk,
+        };
+        lane_counter.fetch_add(1, Ordering::Relaxed);
+        let store = match request.key {
+            Some(key) => Some((Arc::clone(&inner.store), key)),
+            None if points > 1 => Some((Arc::new(CacheStore::new(1)), CacheKey::new(0, 0))),
+            None => None,
+        };
         let state = Arc::new(SweepState {
-            slots: request.budgets.iter().map(|_| Mutex::new(None)).collect(),
-            remaining: AtomicUsize::new(request.budgets.len()),
-            progress: Mutex::new(0),
-            point_ready: Condvar::new(),
-            shared: Arc::clone(&setup.shared),
             inner: Arc::clone(inner),
-            lease: Arc::clone(&setup.lease),
-            cancel: setup.cancel.clone(),
+            tenant: request.tenant,
+            estimate,
+            lane,
+            cancel: CancelToken::new(),
+            solver,
+            problem: request.problem,
+            budgets: request.budgets,
+            store,
+            points: Mutex::new(Points {
+                slots: (0..points).map(|_| None).collect(),
+                resolved: 0,
+                settled: false,
+                wake_at: usize::MAX,
+            }),
+            point_ready: Condvar::new(),
         });
-        let handle_state = Arc::clone(&state);
-        // Resume-chain decomposition: instead of one pool task per
-        // budget point, deal the points round-robin to at most
-        // `pool.threads()` chain tasks. Each chain solves its points
-        // sequentially on one sweep-resuming [`EngineCache`], so the
-        // greedy trajectory memo carries from point to point. Plans
-        // stay byte-identical to independent per-point solves (see
-        // [`super::exec::SweepMode`]).
-        let budgets: Arc<[Budget]> = request.budgets.clone().into();
-        let chains = inner.pool.threads().min(budgets.len()).max(1);
-        for chain in 0..chains {
-            let state = Arc::clone(&state);
-            let solver = Arc::clone(&solver);
-            let problem = Arc::clone(&request.problem);
-            let store = Arc::clone(&store);
-            let budgets = Arc::clone(&budgets);
-            let task_inner = Arc::clone(inner);
-            inner.enqueue(lane, setup.cancel.clone(), move || {
-                let mut running = None;
-                let mut cache = None;
-                for index in (chain..budgets.len()).step_by(chains) {
-                    // Cancellation between budget points: a flipped
-                    // token means the remaining points are skipped, so
-                    // abandoning a 50-point sweep stops after the
-                    // point currently being solved.
-                    if state.cancel.is_cancelled() {
-                        state.skip_point();
-                        continue;
-                    }
-                    running.get_or_insert_with(|| RunningGuard::enter(&task_inner.stats, lane));
-                    let budget = budgets[index];
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let cache = cache.get_or_insert_with(|| {
-                            let cache = EngineCache::with_store(Arc::clone(&store), key);
-                            cache.enable_sweep_resume();
-                            cache
-                        });
-                        solver.solve_with_cache(&problem, budget, cache)
-                    }));
-                    let result = match outcome {
-                        Ok(result) => result,
-                        Err(payload) => {
-                            task_inner.stats.panics.fetch_add(1, Ordering::Relaxed);
-                            // The panic may have torn the resume chain
-                            // mid-update; discard it so the next point
-                            // starts from a fresh cache.
-                            cache = None;
-                            Err(CoreError::WorkerPanicked {
-                                detail: panic_detail(payload.as_ref()),
-                            })
-                        }
-                    };
-                    state.finish_point(index, result);
-                }
-            });
+        if lane == Lane::Inline {
+            state.run_chain(0, 1);
+            // An empty grid has no point whose resolution settles it.
+            state.settle_if_complete(&mut state.lock());
+        } else {
+            // Deal the points round-robin to at most `pool.threads()`
+            // chain tasks, each solving its points in order on one
+            // sweep-resuming cache.
+            let chains = inner.pool.threads().min(points);
+            for chain in 0..chains {
+                let task = Arc::clone(&state);
+                inner.enqueue(lane, state.cancel.clone(), move || {
+                    task.run_chain(chain, chains);
+                });
+            }
         }
-        Ok(SweepHandle::streamed(
-            setup.handle(lane),
-            handle_state,
-            points,
-        ))
+        Ok(SweepHandle { state, next: 0 })
     }
 }
 
@@ -1936,18 +1443,15 @@ mod tests {
         for (i, (a, b)) in streamed.iter().zip(&expected).enumerate() {
             assert_eq!(a.divergence(b), None, "streamed budget point {i}");
         }
-        // Streaming never consumes the aggregate: wait() still returns
-        // the full grid, byte-identical to the streamed points.
-        let plans = handle.wait().unwrap();
-        for (i, (a, b)) in plans.iter().zip(&streamed).enumerate() {
-            assert_eq!(a.divergence(b), None, "aggregate vs streamed point {i}");
-        }
+        // Plans move out of their slots: a fully streamed handle has
+        // nothing left for wait() to return.
+        assert!(handle.wait().unwrap().is_empty());
     }
 
     #[test]
-    fn inline_sweep_streams_its_buffered_points() {
-        // Inline-lane sweeps resolve at submit; streaming replays the
-        // buffered result point by point.
+    fn inline_sweep_points_are_ready_at_submit() {
+        // Inline-lane sweeps resolve at submit: every point can be
+        // taken without blocking, and wait() takes the rest.
         let svc = service(ServiceOptions::new());
         let problem = dup_problem(6, 32);
         let budgets: Vec<Budget> = (1..=3).map(Budget::absolute).collect();
@@ -1960,18 +1464,18 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(handle.lane(), Lane::Inline);
-        for (i, want) in expected.iter().enumerate() {
-            let got = handle
-                .try_next_point()
-                .point()
-                .unwrap_or_else(|| panic!("inline point {i} is ready at submit"))
-                .unwrap();
-            assert_eq!(got.divergence(want), None, "inline streamed point {i}");
+        assert!(handle.is_ready());
+        let first = handle
+            .try_next_point()
+            .point()
+            .expect("inline point 0 is ready at submit")
+            .unwrap();
+        assert_eq!(first.divergence(&expected[0]), None);
+        let rest = handle.wait().unwrap();
+        assert_eq!(rest.len(), expected.len() - 1, "wait() takes only the rest");
+        for (i, (a, b)) in rest.iter().zip(&expected[1..]).enumerate() {
+            assert_eq!(a.divergence(b), None, "inline point {}", i + 1);
         }
-        assert!(handle.try_next_point().is_done());
-        // The aggregate slot was taken by streaming, but wait() hands
-        // back the stashed result instead of panicking.
-        assert_eq!(handle.wait().unwrap().len(), expected.len());
     }
 
     #[test]
@@ -1992,19 +1496,19 @@ mod tests {
                 vec![Budget::absolute(1), Budget::absolute(2)],
             ))
             .unwrap();
-        let err = unknown
-            .wait_next_point()
-            .point()
-            .expect("a failed sweep streams its error as the first point")
-            .unwrap_err();
-        assert!(
-            matches!(err, CoreError::UnknownStrategy { .. }),
-            "got {err}"
-        );
-        assert!(
-            unknown.wait_next_point().is_done(),
-            "the error is yielded exactly once"
-        );
+        assert_eq!(unknown.lane(), Lane::Inline);
+        for _ in 0..2 {
+            let err = unknown
+                .wait_next_point()
+                .point()
+                .expect("a failed lookup resolves every point")
+                .unwrap_err();
+            assert!(
+                matches!(err, CoreError::UnknownStrategy { .. }),
+                "got {err}"
+            );
+        }
+        assert!(unknown.wait_next_point().is_done());
     }
 
     /// Parks every solve after the first `free` until the gate opens;
@@ -2078,11 +1582,11 @@ mod tests {
             .unwrap();
         assert_eq!(first.divergence(&expected[0]), None);
         gate.wait_entered(1); // point 1 is deterministically mid-solve
-        assert!(!handle.is_ready(), "the aggregate has not resolved");
+        assert!(!handle.is_ready(), "the request has not settled");
         assert_eq!(
             svc.stats().completed,
             0,
-            "the sweep counts as completed only at the final fold"
+            "the sweep counts as completed only once every point resolved"
         );
         assert!(
             handle.try_next_point().is_timed_out(),
@@ -2100,19 +1604,19 @@ mod tests {
         for (i, (a, b)) in streamed.iter().zip(&expected).enumerate() {
             assert_eq!(a.divergence(b), None, "budget point {i}");
         }
-        // `Done` synchronizes with the final fold, so the sweep is
-        // already counted; the aggregate wait still works afterwards.
+        // Taking the last point synchronizes with settling, so the
+        // sweep is already counted.
         assert_eq!(svc.stats().completed, 1);
-        handle.wait().unwrap();
+        assert!(handle.wait().unwrap().is_empty());
     }
 
     #[test]
     fn draining_to_done_then_dropping_counts_completed_not_cancelled() {
-        // Regression: the last point's slot is published before the
-        // final fold resolves the aggregate. `Done` must synchronize
-        // with the fold — a consumer that drains the stream and
+        // Regression: a consumer that drains the stream and
         // immediately drops the handle must never race the drop-cancel
-        // into flipping a fully-delivered sweep to cancelled.
+        // into flipping a fully-delivered sweep to cancelled — the
+        // last point is published and the request settled under one
+        // lock.
         let svc = PlannerService::new(
             Arc::new(SolverRegistry::with_defaults()),
             ServiceOptions::new()
@@ -2310,17 +1814,18 @@ mod tests {
     #[test]
     fn try_wait_takes_exactly_once() {
         let svc = service(ServiceOptions::new());
-        let handle = svc
+        let mut handle = svc
             .submit(SolveRequest::new(
                 "greedy",
                 dup_problem(6, 9),
                 Budget::absolute(1),
             ))
             .unwrap();
-        assert!(handle.try_wait().ready().expect("inline: ready").is_ok());
+        let plan = handle.try_next_point().point().expect("inline: ready");
+        assert!(plan.is_ok());
         assert!(
-            handle.try_wait().is_taken(),
-            "second take reports Taken, not a timeout"
+            handle.try_next_point().is_done(),
+            "second take reports Done, not a timeout"
         );
         assert!(handle.is_ready(), "taken still reads as ready");
         assert!(!handle.cancel(), "a resolved request cannot be cancelled");
@@ -2458,7 +1963,7 @@ mod tests {
             .registry()
             .solve("greedy", &problem, Budget::absolute(2))
             .unwrap();
-        let handle = svc
+        let mut handle = svc
             .submit(SolveRequest::new(
                 "gate",
                 Arc::clone(&problem),
@@ -2467,12 +1972,14 @@ mod tests {
             .unwrap();
         gate.wait_entered(1); // deterministically pending
         assert!(
-            handle.wait_timeout(Duration::ZERO).is_timed_out(),
+            handle
+                .wait_next_point_timeout(Duration::ZERO)
+                .is_timed_out(),
             "a pending request times out"
         );
         assert!(
-            handle.try_wait().is_timed_out(),
-            "try_wait on a pending request is a zero-wait timeout"
+            handle.try_next_point().is_timed_out(),
+            "try_next_point on a pending request is a zero-wait timeout"
         );
         gate.open_up();
         let plan = handle.wait().expect("the timed-out wait consumed nothing");
@@ -2550,14 +2057,14 @@ mod tests {
         );
         let problem = dup_problem(10, 25);
         let budgets: Vec<Budget> = (1..=8).map(Budget::absolute).collect();
-        let handle = svc
+        let mut handle = svc
             .submit_sweep(SweepRequest::new("gate", Arc::clone(&problem), budgets))
             .unwrap();
         gate.wait_entered(1); // point 0 is mid-solve
         assert!(handle.cancel(), "first cancel lands");
         assert!(!handle.cancel(), "cancel is idempotent");
         assert!(handle.is_cancelled());
-        assert!(handle.try_wait().is_cancelled());
+        assert!(handle.try_next_point().is_cancelled());
         gate.open_up();
         // Drain: everything after point 0 must have been discarded.
         svc.submit(SolveRequest::new(
@@ -2759,7 +2266,7 @@ mod tests {
         // wait-forever (a deadline past the representable range can
         // never elapse).
         let (svc, gate) = gated_service(ServiceOptions::new().with_inline_threshold(0));
-        let handle = svc
+        let mut handle = svc
             .submit(SolveRequest::new(
                 "gate",
                 dup_problem(8, 40),
@@ -2768,11 +2275,11 @@ mod tests {
             .unwrap();
         gate.wait_entered(1); // deterministically pending at wait time
         std::thread::scope(|s| {
-            let waiter = s.spawn(|| handle.wait_timeout(Duration::MAX));
+            let waiter = s.spawn(|| handle.wait_next_point_timeout(Duration::MAX));
             gate.open_up();
             let outcome = waiter.join().expect("waiter must not panic");
             assert!(
-                matches!(outcome, WaitOutcome::Ready(Ok(_))),
+                matches!(outcome, PointOutcome::Point(Ok(_))),
                 "the overflowing timeout waited for the result"
             );
         });
@@ -2782,21 +2289,23 @@ mod tests {
     fn wait_or_cancel_cancels_when_the_liveness_probe_fails() {
         let (svc, gate) = gated_service(ServiceOptions::new().with_inline_threshold(0));
         let handle = svc
-            .submit(SolveRequest::new(
+            .submit_sweep(SweepRequest::new(
                 "gate",
                 dup_problem(8, 41),
-                Budget::absolute(2),
+                vec![Budget::absolute(2)],
             ))
             .unwrap();
         gate.wait_entered(1);
         // First poll reports alive, second reports the client gone.
         let mut polls = 0;
-        let outcome = handle.wait_or_cancel(Duration::from_millis(1), || {
-            polls += 1;
-            polls < 2
-        });
-        assert!(outcome.is_cancelled());
-        assert!(handle.is_cancelled());
+        let err = handle
+            .wait_or_cancel(Duration::from_millis(1), || {
+                polls += 1;
+                polls < 2
+            })
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Cancelled), "got {err}");
+        assert_eq!(polls, 2);
         assert_eq!(svc.stats().cancelled, 1);
         assert_eq!(svc.quota_usage(&TenantId::default()).in_flight, 0);
         gate.open_up();
@@ -2811,15 +2320,17 @@ mod tests {
             .solve("greedy", &problem, Budget::absolute(2))
             .unwrap();
         let handle = svc
-            .submit(SolveRequest::new(
+            .submit_sweep(SweepRequest::new(
                 "greedy",
                 Arc::clone(&problem),
-                Budget::absolute(2),
+                vec![Budget::absolute(2)],
             ))
             .unwrap();
-        let outcome = handle.wait_or_cancel(Duration::from_millis(1), || true);
-        let plan = outcome.ready().expect("completed").unwrap();
-        assert_eq!(plan.divergence(&expected), None);
+        let plans = handle
+            .wait_or_cancel(Duration::from_millis(1), || true)
+            .unwrap();
+        assert_eq!(plans.len(), 1);
+        assert_eq!(plans[0].divergence(&expected), None);
     }
 
     #[test]
@@ -2892,9 +2403,9 @@ mod tests {
 
     #[test]
     fn poisoned_slot_lock_recovers() {
-        // Deliberately poison a pending request's slot mutex (a waiter
-        // panicking while holding it), then verify completion and a
-        // later wait both recover instead of cascading the panic.
+        // Deliberately poison a pending request's point-slot mutex (a
+        // waiter panicking while holding it), then verify completion
+        // and a later wait both recover instead of cascading the panic.
         let (svc, gate) = gated_service(ServiceOptions::new().with_inline_threshold(0));
         let handle = svc
             .submit(SolveRequest::new(
@@ -2904,9 +2415,9 @@ mod tests {
             ))
             .unwrap();
         gate.wait_entered(1);
-        let shared = Arc::clone(&handle.shared);
+        let state = Arc::clone(&handle.state);
         let _ = std::thread::spawn(move || {
-            let _guard = shared.slot.lock().unwrap();
+            let _guard = state.points.lock().unwrap();
             panic!("deliberate poison");
         })
         .join();

@@ -96,11 +96,10 @@ fn main() {
     println!(
         "superseded sweep cancelled: {} (outcome: {})",
         landed,
-        match stale_sweep.try_wait() {
-            WaitOutcome::Cancelled => "Cancelled — no stale plans will surface",
-            WaitOutcome::Ready(_) | WaitOutcome::Taken =>
-                "completed before the cancel (its plans are pre-cleaning answers)",
-            WaitOutcome::TimedOut => "still draining",
+        if stale_sweep.is_cancelled() {
+            "Cancelled — no stale plans will surface"
+        } else {
+            "completed before the cancel (its plans are pre-cleaning answers)"
         }
     );
     println!(

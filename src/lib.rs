@@ -104,9 +104,6 @@ pub use planner::{Goal, Measure, ObjectiveSpec, Strategy};
 pub use serve::ClaimStream;
 pub use session::{CleaningSession, DataModel};
 
-#[allow(deprecated)]
-pub use session::{Objective, Recommendation};
-
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::builder::SessionBuilder;
@@ -119,18 +116,13 @@ pub mod prelude {
         ClaimSet, Direction, LinearClaim,
     };
     pub use fc_core::planner::service::{
-        Lane, PlannerService, QuotaPolicy, QuotaUsage, RequestHandle, ServiceOptions, SolveRequest,
-        SweepRequest, TenantId, WaitOutcome,
+        Lane, PlannerService, PointOutcome, QuotaPolicy, QuotaUsage, RequestHandle, ServiceOptions,
+        SolveRequest, SweepHandle, SweepRequest, TenantId,
     };
     pub use fc_core::CancelToken;
     pub use fc_core::{
         Budget, CacheStore, GaussianInstance, Instance, Parallelism, Plan, Problem, Selection,
         Solver, SolverRegistry,
-    };
-    // The classic free-function entry points remain available for code
-    // that predates the planner API.
-    pub use fc_core::algo::{
-        greedy_max_pr, greedy_min_var, greedy_naive, knapsack_optimum_min_var,
     };
     pub use fc_datasets as datasets;
     pub use fc_uncertain::{DiscreteDist, Normal};

@@ -21,13 +21,17 @@
 //! * [`http`] — HTTP/1.1 framing: `Content-Length` bodies, keep-alive,
 //!   chunked streamed responses, hard header/body limits, typed 4xx
 //!   mapping for malformed input;
-//! * [`PlannerServer`] — the accept loop, route table, per-request
-//!   tenancy (`x-tenant` header), wire-native stream creation,
-//!   disconnect-driven cancellation, graceful drain, and warm-boot
-//!   snapshot restore;
+//! * [`PlannerServer`] — the route table, per-request tenancy
+//!   (`x-tenant` header), wire-native stream creation,
+//!   disconnect-driven cancellation, and warm-boot snapshot restore;
 //! * [`router`] — the consistent-hash shard front that spreads streams
 //!   across N `PlannerServer` backends with health probes, drain, and
 //!   bounded retry.
+//!
+//! The server and the router share one connection front: the accept
+//! loop, bounded handler threads with the saturation `503`, the
+//! keep-alive loop, graceful drain, and the `405`/`404` answers. Each
+//! supplies only its route table.
 //!
 //! Everything the serving layer guarantees in-process holds over the
 //! wire: plans are byte-identical to in-process
@@ -38,6 +42,7 @@
 
 pub mod api;
 pub mod client;
+mod front;
 pub mod http;
 pub mod json;
 pub mod router;

@@ -96,12 +96,9 @@ use super::api::{ApiError, StatsResponse};
 use super::client::{
     parse_chunk_frame, parse_head, write_request, ChunkFrame, ClientPool, ClientPools, Conn,
 };
-use super::http::{
-    finish_chunked, read_request, write_chunk, write_chunked_head, write_response, HttpError,
-    Request,
-};
+use super::front::{client_connected, Call, Front, Limits, Outcome, Route};
+use super::http::{finish_chunked, write_chunk, write_chunked_head, Request};
 use super::json::Json;
-use super::server::{client_connected, LiveConnections};
 
 /// Virtual nodes per backend on the hash ring: enough that removing
 /// one backend spreads its streams across the survivors instead of
@@ -251,8 +248,6 @@ struct RouterCtx {
     /// ring point → backend index.
     ring: BTreeMap<u64, usize>,
     config: RouterConfig,
-    shutdown: AtomicBool,
-    live: LiveConnections,
     /// Wakes the prober early on shutdown.
     prober_bed: (Mutex<bool>, Condvar),
     /// Wakes the repair thread early on shutdown.
@@ -311,23 +306,29 @@ impl RouterCtx {
     /// same backend the repair pass re-replicates onto.
     fn replica_set(&self, order: &[usize]) -> Vec<usize> {
         let want = self.config.replication_factor.min(self.backends.len());
-        let mut set: Vec<usize> = order
-            .iter()
-            .copied()
-            .filter(|&idx| self.backends[idx].available())
+        self.candidates(order)
+            .map(|(idx, _)| idx)
             .take(want)
-            .collect();
-        if set.len() < want {
-            for &idx in order {
-                if set.len() == want {
-                    break;
-                }
-                if !set.contains(&idx) && self.backends[idx].healthy.load(Ordering::Relaxed) {
-                    set.push(idx);
-                }
-            }
-        }
-        set
+            .collect()
+    }
+
+    /// `order`'s backends in try order: available ones first, then —
+    /// drain is a preference, not a partition — draining but healthy
+    /// ones. Health is read as the walk advances, so a backend marked
+    /// unhealthy mid-walk is not offered again.
+    fn candidates<'a>(&'a self, order: &'a [usize]) -> impl Iterator<Item = (usize, &'a Backend)> {
+        [false, true].into_iter().flat_map(move |admit_draining| {
+            order
+                .iter()
+                .map(|&idx| (idx, &self.backends[idx]))
+                .filter(move |(_, b)| {
+                    if admit_draining {
+                        b.healthy.load(Ordering::Relaxed) && b.draining()
+                    } else {
+                        b.available()
+                    }
+                })
+        })
     }
 
     /// Whether per-stream replication is on (`replication_factor >=
@@ -445,22 +446,21 @@ impl RouterServer {
             });
         }
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
+        let limits = Limits {
+            max_body_bytes: self.config.max_body_bytes,
+            max_connections: self.config.max_connections,
+            read_timeout: self.config.read_timeout,
+        };
         let ctx = Arc::new(RouterCtx {
             backends,
             ring,
             config: self.config,
-            shutdown: AtomicBool::new(false),
-            live: LiveConnections::default(),
             prober_bed: (Mutex::new(false), Condvar::new()),
             repair_bed: (Mutex::new(false), Condvar::new()),
             tombstones: Mutex::new(BTreeSet::new()),
             repair_stalls: Mutex::new(BTreeMap::new()),
         });
-        let accept_ctx = Arc::clone(&ctx);
-        let accept = std::thread::Builder::new()
-            .name("fc-router-accept".into())
-            .spawn(move || accept_loop(listener, accept_ctx))?;
+        let front = Front::serve("fc-router", listener, limits, Arc::clone(&ctx), ROUTES)?;
         let probe_ctx = Arc::clone(&ctx);
         let prober = std::thread::Builder::new()
             .name("fc-router-probe".into())
@@ -470,9 +470,8 @@ impl RouterServer {
             .name("fc-router-repair".into())
             .spawn(move || repairer_loop(&repair_ctx))?;
         Ok(RouterHandle {
-            addr,
             ctx,
-            accept: Some(accept),
+            front,
             prober: Some(prober),
             repairer: Some(repairer),
         })
@@ -497,9 +496,8 @@ impl std::fmt::Debug for RouterServer {
 /// A running router: its bound address plus graceful shutdown.
 /// Dropping the handle shuts it down (draining in-flight relays).
 pub struct RouterHandle {
-    addr: SocketAddr,
     ctx: Arc<RouterCtx>,
-    accept: Option<JoinHandle<()>>,
+    front: Front<RouterCtx>,
     prober: Option<JoinHandle<()>>,
     repairer: Option<JoinHandle<()>>,
 }
@@ -507,7 +505,7 @@ pub struct RouterHandle {
 impl RouterHandle {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// Runs one synchronous repair pass (the same thing `POST
@@ -537,13 +535,9 @@ impl RouterHandle {
     }
 
     fn shutdown_inner(&mut self) {
-        let Some(accept) = self.accept.take() else {
+        if !self.front.shutdown() {
             return;
-        };
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        let _ = accept.join();
-        self.ctx.live.wait_drained();
+        }
         for bed_pair in [&self.ctx.prober_bed, &self.ctx.repair_bed] {
             let (bed, alarm) = bed_pair;
             *bed.lock().unwrap_or_else(PoisonError::into_inner) = true;
@@ -567,8 +561,8 @@ impl Drop for RouterHandle {
 impl std::fmt::Debug for RouterHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouterHandle")
-            .field("addr", &self.addr)
-            .field("live_connections", &*self.ctx.live.lock())
+            .field("addr", &self.addr())
+            .field("live_connections", &self.front.live_connections())
             .finish()
     }
 }
@@ -592,7 +586,7 @@ fn prober_loop(ctx: &RouterCtx) {
                 break;
             }
         }
-        if *asleep || ctx.shutdown.load(Ordering::SeqCst) {
+        if *asleep {
             return;
         }
     }
@@ -667,7 +661,7 @@ fn repairer_loop(ctx: &RouterCtx) {
                 break;
             }
         }
-        if *asleep || ctx.shutdown.load(Ordering::SeqCst) {
+        if *asleep {
             return;
         }
         drop(asleep);
@@ -930,161 +924,54 @@ fn repair_pass(ctx: &RouterCtx) -> Json {
     ])
 }
 
-/// RAII claim on a connection slot (see the server's twin): released
-/// on drop so panicking handlers cannot wedge the drain.
-struct ConnSlot(Arc<RouterCtx>);
-
-impl ConnSlot {
-    fn try_claim(ctx: &Arc<RouterCtx>) -> Option<Self> {
-        ctx.live
-            .try_enter(ctx.config.max_connections)
-            .then(|| Self(Arc::clone(ctx)))
-    }
-}
-
-impl Drop for ConnSlot {
-    fn drop(&mut self) {
-        self.0.live.exit();
-    }
-}
-
-fn accept_loop(listener: TcpListener, ctx: Arc<RouterCtx>) {
-    for stream in listener.incoming() {
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(sock) = stream else { continue };
-        let Some(slot) = ConnSlot::try_claim(&ctx) else {
-            let body = ApiError {
-                status: 503,
-                message: "connection limit reached".into(),
-            }
-            .body();
-            let mut sock = sock;
-            let _ = sock.set_write_timeout(Some(Duration::from_millis(250)));
-            let _ = write_response(&mut sock, 503, &body, true);
-            continue;
-        };
-        let conn_ctx = Arc::clone(&ctx);
-        let _ = std::thread::Builder::new()
-            .name("fc-router-conn".into())
-            .spawn(move || {
-                let _slot = slot;
-                handle_connection(sock, &conn_ctx);
-            });
-    }
-}
-
-fn handle_connection(sock: TcpStream, ctx: &RouterCtx) {
-    let _ = sock.set_read_timeout(Some(ctx.config.read_timeout));
-    let _ = sock.set_write_timeout(Some(ctx.config.read_timeout));
-    let _ = sock.set_nodelay(true);
-    let Ok(read_half) = sock.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = sock;
-    loop {
-        let request = match read_request(&mut reader, ctx.config.max_body_bytes) {
-            Ok(request) => request,
-            Err(HttpError::Closed) | Err(HttpError::Io(_)) | Err(HttpError::IdleTimeout) => return,
-            Err(HttpError::Malformed { status, reason }) => {
-                let body = ApiError {
-                    status,
-                    message: reason.to_string(),
-                }
-                .body();
-                let _ = write_response(&mut writer, status, &body, true);
-                return;
-            }
-        };
-        let close_after = request.close || ctx.shutdown.load(Ordering::SeqCst);
-        match dispatch(ctx, &request, &writer) {
-            Outcome::Respond { status, body } => {
-                if write_response(&mut writer, status, &body, close_after).is_err() {
-                    return;
-                }
-            }
-            // A relayed chunked response declared `connection: close`;
-            // the exchange owns the connection to its end.
-            Outcome::Streamed => return,
-            Outcome::ClientGone => return,
-        }
-        if close_after {
-            return;
-        }
-    }
-}
-
-enum Outcome {
-    Respond {
-        status: u16,
-        body: String,
-    },
-    /// The route relayed a chunked response itself; the connection
-    /// closes with the stream.
-    Streamed,
-    ClientGone,
-}
-
-impl Outcome {
-    fn ok(body: Json) -> Self {
-        Self::Respond {
-            status: 200,
-            body: body.to_string(),
-        }
-    }
-}
-
-impl From<ApiError> for Outcome {
-    fn from(e: ApiError) -> Self {
-        Self::Respond {
-            status: e.status,
-            body: e.body(),
-        }
-    }
-}
-
-fn dispatch(ctx: &RouterCtx, request: &Request, sock: &TcpStream) -> Outcome {
-    let path = request.path().to_string();
-    let segments: Vec<&str> = path.strip_prefix('/').unwrap_or(&path).split('/').collect();
-    let method = request.method.as_str();
-    match (method, segments.as_slice()) {
-        ("GET", ["v1", "stats"]) => relay_stats(ctx),
-        ("GET", ["v1", "streams"]) => relay_get(ctx, "/v1/streams"),
-        ("GET", ["v1", "topology"]) => topology(ctx),
-        ("GET", ["v1", "health"]) => Outcome::ok(Json::obj([
+/// The route table (see [`RouterServer`]); the shared front answers
+/// `405` for a known path under another method and `404` otherwise.
+const ROUTES: &[Route<RouterCtx>] = &[
+    ("GET", &["v1", "stats"], |ctx, _| relay_stats(ctx)),
+    ("GET", &["v1", "streams"], |ctx, _| {
+        relay_get(ctx, "/v1/streams", "/v1/streams")
+    }),
+    ("GET", &["v1", "topology"], |ctx, _| topology(ctx)),
+    ("GET", &["v1", "health"], |ctx, _| {
+        let live = ctx.backends.iter().filter(|b| b.available()).count();
+        Outcome::ok(Json::obj([
             ("ok", Json::Bool(true)),
-            (
-                "backends_live",
-                Json::Num(ctx.backends.iter().filter(|b| b.available()).count() as f64),
-            ),
+            ("backends_live", Json::Num(live as f64)),
             ("backends", Json::Num(ctx.backends.len() as f64)),
             (
                 "replication_factor",
                 Json::Num(ctx.config.replication_factor as f64),
             ),
-        ])),
-        ("POST", ["v1", "recommend" | "sweep"]) => relay_solve(ctx, request, &path, sock),
-        ("POST", ["v1", "streams"]) => relay_create_stream(ctx, request),
-        ("GET", ["v1", "streams", id]) => relay_stream_scoped(ctx, "GET", id, &path),
-        ("DELETE", ["v1", "streams", id]) => relay_delete_stream(ctx, request, id, &path),
-        ("POST", ["v1", "streams", id, "clean"]) => relay_clean(ctx, request, id, &path),
-        ("POST", ["v1", "admin", "backends", name, "drain"]) => set_drain(ctx, name, true),
-        ("POST", ["v1", "admin", "backends", name, "undrain"]) => set_drain(ctx, name, false),
-        ("POST", ["v1", "admin", "repair"]) => Outcome::ok(repair_pass(ctx)),
-        (_, ["v1", "stats" | "streams" | "recommend" | "sweep" | "health" | "topology"])
-        | (_, ["v1", "streams", _])
-        | (_, ["v1", "streams", _, "clean"])
-        | (_, ["v1", "admin", "repair"])
-        | (_, ["v1", "admin", "backends", _, "drain" | "undrain"]) => ApiError {
-            status: 405,
-            message: format!("method {method} not allowed on {path}"),
-        }
-        .into(),
-        _ => ApiError::not_found(format!("no route for {path}")).into(),
-    }
-}
+        ]))
+    }),
+    ("POST", &["v1", "recommend"], relay_solve),
+    ("POST", &["v1", "sweep"], relay_solve),
+    ("POST", &["v1", "streams"], |ctx, call| {
+        relay_create_stream(ctx, call.request)
+    }),
+    ("GET", &["v1", "streams", "*"], |ctx, call| {
+        relay_get(ctx, call.params[0], call.request.path())
+    }),
+    ("DELETE", &["v1", "streams", "*"], |ctx, call| {
+        relay_delete_stream(ctx, call.request, call.params[0])
+    }),
+    ("POST", &["v1", "streams", "*", "clean"], |ctx, call| {
+        relay_clean(ctx, call.request, call.params[0])
+    }),
+    (
+        "POST",
+        &["v1", "admin", "backends", "*", "drain"],
+        |ctx, call| set_drain(ctx, call.params[0], true),
+    ),
+    (
+        "POST",
+        &["v1", "admin", "backends", "*", "undrain"],
+        |ctx, call| set_drain(ctx, call.params[0], false),
+    ),
+    ("POST", &["v1", "admin", "repair"], |ctx, _| {
+        Outcome::ok(repair_pass(ctx))
+    }),
+];
 
 /// `GET /v1/topology`: the ring as the operator sees it, including
 /// each backend's per-stream residency from its last health probe —
@@ -1160,11 +1047,11 @@ fn stream_key(body: &[u8], field: &str) -> String {
         .unwrap_or_default()
 }
 
-/// Forwards an idempotent request along `order`, trying each live
-/// backend at most once; a transport error marks the backend unhealthy
-/// and moves on. The fallback pass admits draining (but healthy)
-/// backends rather than failing the request — drain is a preference,
-/// not a partition.
+/// Forwards an idempotent request along `order`'s
+/// [candidates](RouterCtx::candidates), trying each at most once; a
+/// transport error marks the backend unhealthy and moves on. `alive`
+/// probes the client while a response is pending: a hangup drops the
+/// upstream request (which the backend turns into a cancel).
 fn forward_idempotent(
     ctx: &RouterCtx,
     order: &[usize],
@@ -1173,35 +1060,26 @@ fn forward_idempotent(
     headers: &[(&str, &str)],
     body: &str,
     alive: &mut dyn FnMut() -> bool,
-) -> Result<Option<(u16, String)>, ApiError> {
-    for admit_draining in [false, true] {
-        for &idx in order {
-            let backend = &ctx.backends[idx];
-            let eligible = if admit_draining {
-                backend.healthy.load(Ordering::Relaxed) && backend.draining()
-            } else {
-                backend.available()
-            };
-            if !eligible {
-                continue;
-            }
-            match backend.pool.request_with_probe(
-                method,
-                path,
-                headers,
-                body,
-                ctx.config.disconnect_poll,
-                alive,
-            ) {
-                Ok(response) => return Ok(response),
-                Err(_) => backend.healthy.store(false, Ordering::Relaxed),
-            }
+) -> Outcome {
+    for (_, backend) in ctx.candidates(order) {
+        match backend.pool.request_with_probe(
+            method,
+            path,
+            headers,
+            body,
+            ctx.config.disconnect_poll,
+            alive,
+        ) {
+            Ok(Some((status, body))) => return Outcome::Respond { status, body },
+            Ok(None) => return Outcome::ClientGone,
+            Err(_) => backend.healthy.store(false, Ordering::Relaxed),
         }
     }
-    Err(ApiError::unavailable("no live backend"))
+    ApiError::unavailable("no live backend").into()
 }
 
-fn relay_solve(ctx: &RouterCtx, request: &Request, path: &str, sock: &TcpStream) -> Outcome {
+fn relay_solve(ctx: &RouterCtx, call: &Call<'_>) -> Outcome {
+    let request = call.request;
     let Ok(body) = std::str::from_utf8(&request.body) else {
         return ApiError::bad_request("body is not UTF-8").into();
     };
@@ -1209,15 +1087,12 @@ fn relay_solve(ctx: &RouterCtx, request: &Request, path: &str, sock: &TcpStream)
     let order = ctx.route_order(&key);
     let tenant = request.header("x-tenant");
     let headers: Vec<(&str, &str)> = tenant.map(|t| ("x-tenant", t)).into_iter().collect();
+    let path = request.path();
     if request.query_param("stream").is_some() {
-        return relay_solve_streamed(ctx, &order, path, &headers, body, sock);
+        return relay_solve_streamed(ctx, &order, path, &headers, body, call.sock);
     }
-    let mut alive = || client_connected(sock);
-    match forward_idempotent(ctx, &order, "POST", path, &headers, body, &mut alive) {
-        Ok(Some((status, body))) => Outcome::Respond { status, body },
-        Ok(None) => Outcome::ClientGone,
-        Err(e) => e.into(),
-    }
+    let mut alive = || client_connected(call.sock);
+    forward_idempotent(ctx, &order, "POST", path, &headers, body, &mut alive)
 }
 
 /// What one backend attempt of a streamed relay produced.
@@ -1246,21 +1121,10 @@ fn relay_solve_streamed(
     sock: &TcpStream,
 ) -> Outcome {
     let target = format!("{path}?stream=1");
-    for admit_draining in [false, true] {
-        for &idx in order {
-            let backend = &ctx.backends[idx];
-            let eligible = if admit_draining {
-                backend.healthy.load(Ordering::Relaxed) && backend.draining()
-            } else {
-                backend.available()
-            };
-            if !eligible {
-                continue;
-            }
-            match stream_from_backend(ctx, backend, &target, headers, body, sock) {
-                StreamRelay::Done(outcome) => return outcome,
-                StreamRelay::Retry => backend.healthy.store(false, Ordering::Relaxed),
-            }
+    for (_, backend) in ctx.candidates(order) {
+        match stream_from_backend(ctx, backend, &target, headers, body, sock) {
+            StreamRelay::Done(outcome) => return outcome,
+            StreamRelay::Retry => backend.healthy.store(false, Ordering::Relaxed),
         }
     }
     ApiError::unavailable("no live backend").into()
@@ -1281,7 +1145,7 @@ fn stream_from_backend(
         // The short read timeout turns reads into a poll loop so the
         // client socket is probed for disconnect between chunks.
         upstream.set_read_timeout(Some(ctx.config.disconnect_poll))?;
-        upstream.set_write_timeout(Some(ctx.config.read_timeout))?;
+        upstream.set_write_timeout(Some(ctx.config.upstream_timeout))?;
         upstream.set_nodelay(true)?;
         let mut writer = upstream.try_clone()?;
         write_request(&mut writer, "POST", target, headers, body)?;
@@ -1437,36 +1301,20 @@ fn relay_create_stream(ctx: &RouterCtx, request: &Request) -> Outcome {
     let key = stream_key(&request.body, "id");
     let order = ctx.route_order(&key);
     if !ctx.replicated() {
-        let mut alive = || true;
-        return match forward_idempotent(ctx, &order, "POST", "/v1/streams", &[], body, &mut alive) {
-            Ok(Some((status, body))) => Outcome::Respond { status, body },
-            Ok(None) => unreachable!("alive() is constant true"),
-            Err(e) => e.into(),
-        };
+        return forward_idempotent(ctx, &order, "POST", "/v1/streams", &[], body, &mut || true);
     }
     let want = ctx.config.replication_factor.min(ctx.backends.len());
     let mut responses: Vec<(usize, u16, String)> = Vec::new();
     // Walk the ring past transport failures: a dead member's slot
     // falls to the next successor, keeping the set at full strength
     // when enough backends survive.
-    for admit_draining in [false, true] {
-        for &idx in &order {
-            if responses.len() == want {
-                break;
-            }
-            let backend = &ctx.backends[idx];
-            let eligible = if admit_draining {
-                backend.healthy.load(Ordering::Relaxed) && backend.draining()
-            } else {
-                backend.available()
-            };
-            if !eligible {
-                continue;
-            }
-            match backend.pool.request("POST", "/v1/streams", &[], body) {
-                Ok((status, response)) => responses.push((idx, status, response)),
-                Err(_) => backend.healthy.store(false, Ordering::Relaxed),
-            }
+    for (idx, backend) in ctx.candidates(&order) {
+        if responses.len() == want {
+            break;
+        }
+        match backend.pool.request("POST", "/v1/streams", &[], body) {
+            Ok((status, response)) => responses.push((idx, status, response)),
+            Err(_) => backend.healthy.store(false, Ordering::Relaxed),
         }
     }
     let Some(&(_, first_status, ref first_body)) = responses.first() else {
@@ -1530,16 +1378,20 @@ fn relay_create_stream(ctx: &RouterCtx, request: &Request) -> Outcome {
     ApiError::bad_gateway("replicas diverged creating the stream").into()
 }
 
-/// Scoped `GET /v1/streams/{id}`: relayed along the stream's ring
-/// order, so it lands on the replica that hosts it.
-fn relay_stream_scoped(ctx: &RouterCtx, method: &str, id: &str, path: &str) -> Outcome {
-    let order = ctx.route_order(id);
-    let mut alive = || true;
-    match forward_idempotent(ctx, &order, method, path, &[], "", &mut alive) {
-        Ok(Some((status, body))) => Outcome::Respond { status, body },
-        Ok(None) => unreachable!("alive() is constant true"),
-        Err(e) => e.into(),
-    }
+/// Relays a `GET` along `key`'s ring order: a stream id for `GET
+/// /v1/streams/{id}`, so it lands on a replica that hosts the stream;
+/// the path otherwise, so repeated calls stick while the fleet is
+/// stable.
+fn relay_get(ctx: &RouterCtx, key: &str, path: &str) -> Outcome {
+    forward_idempotent(
+        ctx,
+        &ctx.route_order(key),
+        "GET",
+        path,
+        &[],
+        "",
+        &mut || true,
+    )
 }
 
 /// `DELETE /v1/streams/{id}`: with replication on, scoped to the
@@ -1555,12 +1407,12 @@ fn relay_stream_scoped(ctx: &RouterCtx, method: &str, id: &str, path: &str) -> O
 /// success. A successful replicated delete is tombstoned so the
 /// repair pass purges copies on members it could not reach (dead now,
 /// back later) instead of adopting them back.
-fn relay_delete_stream(ctx: &RouterCtx, request: &Request, id: &str, path: &str) -> Outcome {
+fn relay_delete_stream(ctx: &RouterCtx, request: &Request, id: &str) -> Outcome {
     let Ok(body) = std::str::from_utf8(&request.body) else {
         return ApiError::bad_request("body is not UTF-8").into();
     };
     let targets = delete_targets(ctx, id);
-    let outcome = broadcast(ctx, &targets, "DELETE", path, &[], body, true);
+    let outcome = broadcast(ctx, &targets, "DELETE", request.path(), &[], body, true);
     if ctx.replicated() {
         if let Outcome::Respond {
             status: 200..=299, ..
@@ -1600,31 +1452,19 @@ fn delete_targets(ctx: &RouterCtx, id: &str) -> Vec<usize> {
     targets
 }
 
-/// Relays a `GET` from the first live backend (ring order from the
-/// path, so repeated calls stick while the fleet is stable).
-fn relay_get(ctx: &RouterCtx, path: &str) -> Outcome {
-    let order = ctx.route_order(path);
-    let mut alive = || true;
-    match forward_idempotent(ctx, &order, "GET", path, &[], "", &mut alive) {
-        Ok(Some((status, body))) => Outcome::Respond { status, body },
-        Ok(None) => unreachable!("alive() is constant true"),
-        Err(e) => e.into(),
-    }
-}
-
 /// Cleans are mutations: broadcast to the stream's mutation targets —
 /// the effective replica set with replication on, every healthy
 /// backend (draining included, so a drained backend stays
 /// byte-identical for its undrain) without. Never retried; divergent
 /// replica outcomes are a `502`, not a guess.
-fn relay_clean(ctx: &RouterCtx, request: &Request, id: &str, path: &str) -> Outcome {
+fn relay_clean(ctx: &RouterCtx, request: &Request, id: &str) -> Outcome {
     let Ok(body) = std::str::from_utf8(&request.body) else {
         return ApiError::bad_request("body is not UTF-8").into();
     };
     let tenant = request.header("x-tenant");
     let headers: Vec<(&str, &str)> = tenant.map(|t| ("x-tenant", t)).into_iter().collect();
     let targets = mutation_targets(ctx, id);
-    broadcast(ctx, &targets, "POST", path, &headers, body, false)
+    broadcast(ctx, &targets, "POST", request.path(), &headers, body, false)
 }
 
 /// The backends a mutation on `id` must reach: the effective replica
@@ -1762,8 +1602,6 @@ mod tests {
             backends,
             ring,
             config: RouterConfig::new(),
-            shutdown: AtomicBool::new(false),
-            live: LiveConnections::default(),
             prober_bed: (Mutex::new(false), Condvar::new()),
             repair_bed: (Mutex::new(false), Condvar::new()),
             tombstones: Mutex::new(BTreeSet::new()),

@@ -1,6 +1,5 @@
-//! The HTTP server: a blocking accept loop over
-//! [`std::net::TcpListener`], bounded connection-handler threads, and
-//! the route table onto the serving layer.
+//! The HTTP server: the route table onto the serving layer, behind the
+//! connection front it shares with the [`router`](super::router).
 //!
 //! ## Threading model
 //!
@@ -8,12 +7,13 @@
 //! [`ServerConfig::max_connections`]; excess connections get `503`),
 //! **not** on the solver [`WorkerPool`](fc_core::WorkerPool): a handler
 //! spends its life blocked — reading a socket or waiting on a
-//! [`RequestHandle`] — and parking those waits on the pool that must
+//! [`SweepHandle`] — and parking those waits on the pool that must
 //! *complete* them would deadlock it at saturation. What the accept
-//! loop feeds the pool is the requests themselves: every route lands in
-//! [`PlannerService::submit`] / `submit_sweep`, so solver work rides
-//! the same lanes, quotas, and cancellation as in-process callers, and
-//! plans served over the wire are byte-identical to in-process plans.
+//! loop feeds the pool is the requests themselves: every solve route
+//! lands in [`PlannerService::submit_sweep`] (a recommend is a
+//! one-point sweep), so solver work rides the same lanes, quotas, and
+//! cancellation as in-process callers, and plans served over the wire
+//! are byte-identical to in-process plans.
 //!
 //! ## Request lifecycle on the wire
 //!
@@ -22,7 +22,7 @@
 //!   is `429` with nothing queued.
 //! * While a solve is in flight the handler probes the client socket
 //!   every [`ServerConfig::disconnect_poll`]
-//!   ([`RequestHandle::wait_or_cancel`]): a client that hangs up
+//!   ([`SweepHandle::wait_or_cancel`]): a client that hangs up
 //!   cancels its request — observable in
 //!   [`ServiceStats::cancelled`](fc_core::planner::service::ServiceStats) —
 //!   instead of burning worker time on an unobservable plan.
@@ -51,32 +51,27 @@
 //! server with the same topology.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 
 use fc_core::planner::cache::snapshot::{
     restore_snapshot, restore_stream_bytes, snapshot_stream_bytes, stream_entry_count,
     write_snapshot,
 };
-use fc_core::planner::service::{
-    PlannerService, PointOutcome, RequestHandle, SweepHandle, TenantId, WaitOutcome,
-};
+use fc_core::planner::service::{PlannerService, PointOutcome, SweepHandle, TenantId};
 use fc_core::planner::Fnv1a;
-use fc_core::{CoreError, Plan};
+use fc_core::CoreError;
 
 use super::api::{
     decode_body, plan_json, stats_json, AdoptRequest, ApiError, CleanRequest, CleanResponse,
     CreateStreamRequest, RecommendRequest, SnapshotTransfer, StreamInfo, SweepRequest,
 };
-use super::http::{
-    finish_chunked, read_request, write_chunk, write_chunked_head, write_response, HttpError,
-    Request,
-};
+use super::front::{client_connected, Call, Front, Limits, Outcome, Route};
+use super::http::{finish_chunked, write_chunk, write_chunked_head, Request};
 use super::json::Json;
 use crate::builder::SessionBuilder;
 use crate::serve::ClaimStream;
@@ -162,47 +157,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Tracks live connection handlers so shutdown can drain them.
-/// Shared with the [`router`](super::router) front, whose accept loop
-/// has the same drain obligation.
-#[derive(Default)]
-pub(crate) struct LiveConnections {
-    count: Mutex<usize>,
-    drained: Condvar,
-}
-
-impl LiveConnections {
-    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, usize> {
-        self.count.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Claims a slot, or reports saturation.
-    pub(crate) fn try_enter(&self, cap: usize) -> bool {
-        let mut count = self.lock();
-        if *count >= cap {
-            false
-        } else {
-            *count += 1;
-            true
-        }
-    }
-
-    pub(crate) fn exit(&self) {
-        *self.lock() -= 1;
-        self.drained.notify_all();
-    }
-
-    pub(crate) fn wait_drained(&self) {
-        let mut count = self.lock();
-        while *count > 0 {
-            count = self
-                .drained
-                .wait(count)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
 /// Shared state of a running server.
 struct ServerCtx {
     service: PlannerService,
@@ -212,8 +166,6 @@ struct ServerCtx {
     /// the registry lock is never held across a solve.
     streams: RwLock<HashMap<String, Arc<RwLock<ClaimStream>>>>,
     config: ServerConfig,
-    shutdown: AtomicBool,
-    live: LiveConnections,
     /// Operator-set drain flag, reported through `GET /v1/health` so a
     /// routing front rehashes new work away while in-flight finishes.
     draining: AtomicBool,
@@ -265,8 +217,8 @@ fn stream_scope_fingerprint(id: &str) -> u64 {
 ///
 /// | route | maps to |
 /// |---|---|
-/// | `POST /v1/recommend` | [`ClaimStream::submit`] → [`PlannerService::submit`] |
-/// | `POST /v1/sweep` | [`ClaimStream::submit_sweep`] → [`PlannerService::submit_sweep`] (`?stream=1` streams each budget point as a chunk) |
+/// | `POST /v1/recommend` | [`ClaimStream::submit_sweep_as`] with one budget point |
+/// | `POST /v1/sweep` | [`ClaimStream::submit_sweep_as`] → [`PlannerService::submit_sweep`] (`?stream=1` streams each budget point as a chunk) |
 /// | `POST /v1/streams` | create a stream from an uploaded dataset ([`CreateStreamRequest`]) |
 /// | `GET /v1/streams/{id}` | one stream's summary ([`StreamInfo`]) |
 /// | `DELETE /v1/streams/{id}` | remove a stream |
@@ -317,7 +269,6 @@ impl PlannerServer {
     /// the bound address and owns graceful shutdown.
     pub fn serve(self, addr: impl ToSocketAddrs) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         let scope = scope_fingerprint(&self.streams);
         // Warm boot: rehydrate the store from the snapshot when one is
         // configured and valid. Every failure (missing file, torn
@@ -329,24 +280,20 @@ impl PlannerServer {
                 .unwrap_or(0),
             None => 0,
         };
+        let limits = Limits {
+            max_body_bytes: self.config.max_body_bytes,
+            max_connections: self.config.max_connections,
+            read_timeout: self.config.read_timeout,
+        };
         let ctx = Arc::new(ServerCtx {
             service: self.service,
             streams: RwLock::new(self.streams),
             config: self.config,
-            shutdown: AtomicBool::new(false),
-            live: LiveConnections::default(),
             draining: AtomicBool::new(false),
             restored,
         });
-        let accept_ctx = Arc::clone(&ctx);
-        let accept = std::thread::Builder::new()
-            .name("fc-net-accept".into())
-            .spawn(move || accept_loop(listener, accept_ctx))?;
-        Ok(ServerHandle {
-            addr,
-            ctx,
-            accept: Some(accept),
-        })
+        let front = Front::serve("fc-net", listener, limits, Arc::clone(&ctx), ROUTES)?;
+        Ok(ServerHandle { ctx, front })
     }
 }
 
@@ -365,15 +312,14 @@ impl std::fmt::Debug for PlannerServer {
 /// Dropping the handle shuts the server down (draining in-flight
 /// requests); call [`ServerHandle::shutdown`] to do it explicitly.
 pub struct ServerHandle {
-    addr: SocketAddr,
     ctx: Arc<ServerCtx>,
-    accept: Option<JoinHandle<()>>,
+    front: Front<ServerCtx>,
 }
 
 impl ServerHandle {
     /// The bound address (resolves port 0 to the real ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// The service behind the server (stats, quotas, store).
@@ -390,14 +336,9 @@ impl ServerHandle {
     }
 
     fn shutdown_inner(&mut self) {
-        let Some(accept) = self.accept.take() else {
+        if !self.front.shutdown() {
             return;
-        };
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        let _ = accept.join();
-        self.ctx.live.wait_drained();
+        }
         // Every in-flight request has resolved: the store is settled,
         // so persist it for a warm successor. Best-effort — a failed
         // write costs the successor a cold start, nothing more. The
@@ -417,203 +358,67 @@ impl Drop for ServerHandle {
 impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerHandle")
-            .field("addr", &self.addr)
-            .field("live_connections", &*self.ctx.live.lock())
+            .field("addr", &self.addr())
+            .field("live_connections", &self.front.live_connections())
             .finish()
     }
 }
 
-/// RAII claim on a [`LiveConnections`] slot: released on drop, so a
-/// panicking handler (or a failed thread spawn, which drops the
-/// closure unrun) still frees its slot. Leaking one would wedge
-/// [`LiveConnections::wait_drained`] — and, once `max_connections`
-/// leaks accumulate, turn the server into a permanent `503`.
-struct ConnSlot(Arc<ServerCtx>);
-
-impl ConnSlot {
-    /// Claims a slot, or `None` at the connection cap.
-    fn try_claim(ctx: &Arc<ServerCtx>) -> Option<Self> {
-        ctx.live
-            .try_enter(ctx.config.max_connections)
-            .then(|| Self(Arc::clone(ctx)))
-    }
-}
-
-impl Drop for ConnSlot {
-    fn drop(&mut self) {
-        self.0.live.exit();
-    }
-}
-
-fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
-    for stream in listener.incoming() {
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(sock) = stream else { continue };
-        let Some(slot) = ConnSlot::try_claim(&ctx) else {
-            refuse_saturated(sock, &ctx.config);
-            continue;
-        };
-        let conn_ctx = Arc::clone(&ctx);
-        let _ = std::thread::Builder::new()
-            .name("fc-net-conn".into())
-            .spawn(move || {
-                let _slot = slot;
-                handle_connection(sock, &conn_ctx);
-            });
-    }
-}
-
-/// Writes the saturation `503` on a short-lived detached thread, with
-/// a write timeout much shorter than a handler's: a refused client
-/// that never reads must stall only its refusal thread. Writing the
-/// refusal synchronously on the accept thread would let one slow
-/// client block *every* accept for up to the full write timeout —
-/// under a sustained 503 storm, a self-inflicted outage.
-fn refuse_saturated(mut sock: TcpStream, config: &ServerConfig) {
-    const REFUSAL_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
-    let timeout = config.read_timeout.min(REFUSAL_WRITE_TIMEOUT);
-    let body = ApiError {
-        status: 503,
-        message: "connection limit reached".into(),
-    }
-    .body();
-    // Spawn failure (thread exhaustion) still refuses — dropping the
-    // socket just skips the courtesy body.
-    let _ = std::thread::Builder::new()
-        .name("fc-net-refuse".into())
-        .spawn(move || {
-            let _ = sock.set_write_timeout(Some(timeout));
-            let _ = write_response(&mut sock, 503, &body, true);
-        });
-}
-
-/// Serves one connection: a keep-alive loop of read → dispatch →
-/// respond. Returns (closing the socket) on client close, malformed
-/// framing, write failure, or shutdown.
-fn handle_connection(sock: TcpStream, ctx: &ServerCtx) {
-    let _ = sock.set_read_timeout(Some(ctx.config.read_timeout));
-    let _ = sock.set_write_timeout(Some(ctx.config.read_timeout));
-    let _ = sock.set_nodelay(true);
-    let Ok(read_half) = sock.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = sock;
-    loop {
-        let request = match read_request(&mut reader, ctx.config.max_body_bytes) {
-            Ok(request) => request,
-            Err(HttpError::Closed) | Err(HttpError::Io(_)) => return,
-            // Idle past the keep-alive window: reap the connection —
-            // a silent client must not pin a connection slot (and
-            // block shutdown) indefinitely. Reconnecting is cheap.
-            Err(HttpError::IdleTimeout) => return,
-            Err(HttpError::Malformed { status, reason }) => {
-                // Answer what is answerable, then close: past a framing
-                // error the byte stream is unparseable.
-                let body = ApiError {
-                    status,
-                    message: reason.to_string(),
-                }
-                .body();
-                let _ = write_response(&mut writer, status, &body, true);
-                return;
-            }
-        };
-        let close_after = request.close || ctx.shutdown.load(Ordering::SeqCst);
-        match dispatch(ctx, &request, &writer) {
-            Outcome::Respond { status, body } => {
-                if write_response(&mut writer, status, &body, close_after).is_err() {
-                    return;
-                }
-            }
-            // A chunked response went out with `connection: close`;
-            // the keep-alive loop must honor it regardless of how the
-            // stream ended.
-            Outcome::Streamed => return,
-            // The client is gone; there is nobody to answer.
-            Outcome::ClientGone => return,
-        }
-        if close_after {
-            return;
-        }
-    }
-}
-
-/// What a route handler decided.
-enum Outcome {
-    Respond {
-        status: u16,
-        body: String,
-    },
-    /// The route wrote a chunked response directly to the socket
-    /// (complete or aborted); the connection closes either way.
-    Streamed,
-    ClientGone,
-}
-
-impl Outcome {
-    fn ok(body: Json) -> Self {
-        Self::Respond {
-            status: 200,
-            body: body.to_string(),
-        }
-    }
-}
-
-impl From<ApiError> for Outcome {
-    fn from(e: ApiError) -> Self {
-        Self::Respond {
-            status: e.status,
-            body: e.body(),
-        }
-    }
-}
-
-fn dispatch(ctx: &ServerCtx, request: &Request, sock: &TcpStream) -> Outcome {
-    let path = request.path().to_string();
-    let segments: Vec<&str> = path.strip_prefix('/').unwrap_or(&path).split('/').collect();
-    let method = request.method.as_str();
-    match (method, segments.as_slice()) {
-        ("GET", ["v1", "stats"]) => Outcome::ok(stats_json(
-            &ctx.service.stats(),
-            &ctx.service.store().stats(),
-            &ctx.service.tenant_usages(),
-        )),
-        ("GET", ["v1", "streams"]) => {
-            let streams = ctx.streams();
-            let mut ids: Vec<&String> = streams.keys().collect();
-            ids.sort_unstable();
-            Outcome::ok(Json::obj([(
-                "streams",
-                Json::Arr(ids.iter().map(|id| Json::Str((*id).clone())).collect()),
-            )]))
-        }
-        ("GET", ["v1", "streams", id]) => stream_info_route(ctx, id),
-        ("GET", ["v1", "streams", id, "snapshot"]) => stream_snapshot_route(ctx, id),
-        ("POST", ["v1", "streams", id, "adopt"]) => adopt_stream_route(ctx, request, id),
-        ("GET", ["v1", "health"]) => Outcome::ok(health_json(ctx)),
-        ("POST", ["v1", "recommend"]) => solve_route(ctx, request, sock, false),
-        ("POST", ["v1", "sweep"]) => solve_route(ctx, request, sock, true),
-        ("POST", ["v1", "streams"]) => create_stream_route(ctx, request),
-        ("DELETE", ["v1", "streams", id]) => delete_stream_route(ctx, id),
-        ("POST", ["v1", "streams", id, "clean"]) => clean_route(ctx, request, id),
-        ("POST", ["v1", "admin", "drain"]) => set_draining(ctx, true),
-        ("POST", ["v1", "admin", "undrain"]) => set_draining(ctx, false),
-        ("POST", ["v1", "admin", "snapshot"]) => snapshot_route(ctx),
-        // Known paths with the wrong verb are 405, not 404.
-        (_, ["v1", "stats" | "streams" | "recommend" | "sweep" | "health"])
-        | (_, ["v1", "streams", _])
-        | (_, ["v1", "streams", _, "clean" | "snapshot" | "adopt"])
-        | (_, ["v1", "admin", "drain" | "undrain" | "snapshot"]) => ApiError {
-            status: 405,
-            message: format!("method {method} not allowed on {path}"),
-        }
-        .into(),
-        _ => ApiError::not_found(format!("no route for {path}")).into(),
-    }
-}
+/// The route table (see [`PlannerServer`]); the shared front answers
+/// `405` for a known path under another method and `404` otherwise.
+const ROUTES: &[Route<ServerCtx>] = &[
+    ("GET", &["v1", "stats"], |ctx, _| {
+        let service = &ctx.service;
+        Outcome::ok(stats_json(
+            &service.stats(),
+            &service.store().stats(),
+            &service.tenant_usages(),
+        ))
+    }),
+    ("GET", &["v1", "streams"], |ctx, _| {
+        let streams = ctx.streams();
+        let mut ids: Vec<&String> = streams.keys().collect();
+        ids.sort_unstable();
+        let ids = ids.iter().map(|id| Json::Str((*id).clone())).collect();
+        Outcome::ok(Json::obj([("streams", Json::Arr(ids))]))
+    }),
+    ("GET", &["v1", "streams", "*"], |ctx, call| {
+        stream_info_route(ctx, call.params[0])
+    }),
+    ("GET", &["v1", "streams", "*", "snapshot"], |ctx, call| {
+        stream_snapshot_route(ctx, call.params[0])
+    }),
+    ("POST", &["v1", "streams", "*", "adopt"], |ctx, call| {
+        adopt_stream_route(ctx, call.request, call.params[0])
+    }),
+    ("GET", &["v1", "health"], |ctx, _| {
+        Outcome::ok(health_json(ctx))
+    }),
+    ("POST", &["v1", "recommend"], |ctx, call| {
+        solve_route(ctx, call, false)
+    }),
+    ("POST", &["v1", "sweep"], |ctx, call| {
+        solve_route(ctx, call, true)
+    }),
+    ("POST", &["v1", "streams"], |ctx, call| {
+        create_stream_route(ctx, call.request)
+    }),
+    ("DELETE", &["v1", "streams", "*"], |ctx, call| {
+        delete_stream_route(ctx, call.params[0])
+    }),
+    ("POST", &["v1", "streams", "*", "clean"], |ctx, call| {
+        clean_route(ctx, call.request, call.params[0])
+    }),
+    ("POST", &["v1", "admin", "drain"], |ctx, _| {
+        set_draining(ctx, true)
+    }),
+    ("POST", &["v1", "admin", "undrain"], |ctx, _| {
+        set_draining(ctx, false)
+    }),
+    ("POST", &["v1", "admin", "snapshot"], |ctx, _| {
+        snapshot_route(ctx)
+    }),
+];
 
 /// `POST /v1/streams`: builds a session from the uploaded dataset and
 /// registers it as a live stream. The payload arrives fully validated
@@ -986,87 +791,58 @@ fn typed_request<T>(
     Ok((decode(&body)?, stream))
 }
 
-fn solve_route(ctx: &ServerCtx, request: &Request, sock: &TcpStream, sweep: bool) -> Outcome {
+/// `POST /v1/recommend` and `/v1/sweep`: a recommend is a one-point
+/// sweep, so both submit through [`ClaimStream::submit_sweep_as`] and
+/// wait on the same handle, probing the client socket — a hangup
+/// cancels the request ([`SweepHandle::wait_or_cancel`], the
+/// disconnect-driven cancel hook).
+fn solve_route(ctx: &ServerCtx, call: &Call<'_>, sweep: bool) -> Outcome {
+    let request = call.request;
     let tenant = request.header("x-tenant").map(TenantId::from);
+    let decoded = if sweep {
+        typed_request(ctx, request, |body| {
+            SweepRequest::from_json(body).map(|req| (req.spec, req.budgets))
+        })
+    } else {
+        typed_request(ctx, request, |body| {
+            RecommendRequest::from_json(body).map(|req| (req.spec, vec![req.budget]))
+        })
+    };
+    let ((spec, budgets), stream) = match decoded {
+        Ok(parts) => parts,
+        Err(e) => return e.into(),
+    };
     // Hold the stream lock only to *submit* (lowering is memoized and
     // fast); a concurrent `clean` therefore waits behind submissions,
     // never behind solves.
-    if sweep {
-        let (req, stream) = match typed_request(ctx, request, SweepRequest::from_json) {
-            Ok(parts) => parts,
-            Err(e) => return e.into(),
-        };
-        let guard = stream.read().unwrap_or_else(PoisonError::into_inner);
-        let total_cost = guard.session().data().total_cost();
-        let tenant = tenant.unwrap_or_else(|| guard.tenant().clone());
-        let budgets = match req
-            .budgets
-            .iter()
-            .map(|b| b.resolve(total_cost))
-            .collect::<Result<Vec<_>, _>>()
-        {
-            Ok(budgets) => budgets,
-            Err(e) => return e.into(),
-        };
-        let handle = guard.submit_sweep_as(tenant, &req.spec, &budgets);
-        drop(guard);
-        match handle {
-            Ok(handle) if request.query_param("stream").is_some() => {
-                stream_sweep_response(ctx, sock, handle)
-            }
-            Ok(handle) => await_sweep(ctx, sock, handle),
-            Err(e) => ApiError::from(e).into(),
-        }
-    } else {
-        let (req, stream) = match typed_request(ctx, request, RecommendRequest::from_json) {
-            Ok(parts) => parts,
-            Err(e) => return e.into(),
-        };
-        let guard = stream.read().unwrap_or_else(PoisonError::into_inner);
-        let total_cost = guard.session().data().total_cost();
-        let tenant = tenant.unwrap_or_else(|| guard.tenant().clone());
-        let budget = match req.budget.resolve(total_cost) {
-            Ok(budget) => budget,
-            Err(e) => return e.into(),
-        };
-        let handle = guard.submit_as(tenant, req.spec, budget);
-        drop(guard);
-        match handle {
-            Ok(handle) => await_handle(ctx, sock, handle, |plan: &Plan| plan_json(plan)),
-            Err(e) => ApiError::from(e).into(),
-        }
+    let guard = stream.read().unwrap_or_else(PoisonError::into_inner);
+    let total_cost = guard.session().data().total_cost();
+    let tenant = tenant.unwrap_or_else(|| guard.tenant().clone());
+    let budgets = match budgets
+        .iter()
+        .map(|b| b.resolve(total_cost))
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(budgets) => budgets,
+        Err(e) => return e.into(),
+    };
+    let handle = guard.submit_sweep_as(tenant, &spec, &budgets);
+    drop(guard);
+    let handle = match handle {
+        Ok(handle) => handle,
+        Err(e) => return ApiError::from(e).into(),
+    };
+    if sweep && request.query_param("stream").is_some() {
+        return stream_sweep_response(ctx, call.sock, handle);
     }
-}
-
-/// Waits for a handle while probing the client socket; a hangup
-/// cancels the request ([`RequestHandle::wait_or_cancel`] — the
-/// disconnect-driven cancel hook).
-fn await_handle<T>(
-    ctx: &ServerCtx,
-    sock: &TcpStream,
-    handle: RequestHandle<T>,
-    encode: impl FnOnce(&T) -> Json,
-) -> Outcome {
-    match handle.wait_or_cancel(ctx.config.disconnect_poll, || client_connected(sock)) {
-        WaitOutcome::Ready(Ok(value)) => Outcome::ok(encode(&value)),
-        WaitOutcome::Ready(Err(e)) => ApiError::from(e).into(),
-        WaitOutcome::Cancelled => Outcome::ClientGone,
-        // This wait is the handle's only consumer.
-        WaitOutcome::TimedOut | WaitOutcome::Taken => ApiError::from(CoreError::Cancelled).into(),
-    }
-}
-
-/// The buffered sweep wait: like [`await_handle`], over the
-/// aggregate side of a [`SweepHandle`].
-fn await_sweep(ctx: &ServerCtx, sock: &TcpStream, handle: SweepHandle) -> Outcome {
-    match handle.wait_or_cancel(ctx.config.disconnect_poll, || client_connected(sock)) {
-        WaitOutcome::Ready(Ok(plans)) => Outcome::ok(Json::obj([(
+    match handle.wait_or_cancel(ctx.config.disconnect_poll, || client_connected(call.sock)) {
+        Ok(plans) if sweep => Outcome::ok(Json::obj([(
             "plans",
             Json::Arr(plans.iter().map(plan_json).collect()),
         )])),
-        WaitOutcome::Ready(Err(e)) => ApiError::from(e).into(),
-        WaitOutcome::Cancelled => Outcome::ClientGone,
-        WaitOutcome::TimedOut | WaitOutcome::Taken => ApiError::from(CoreError::Cancelled).into(),
+        Ok(plans) => Outcome::ok(plan_json(&plans[0])),
+        Err(CoreError::Cancelled) => Outcome::ClientGone,
+        Err(e) => ApiError::from(e).into(),
     }
 }
 
@@ -1147,83 +923,5 @@ fn clean_route(ctx: &ServerCtx, request: &Request, id: &str) -> Outcome {
             .to_json(),
         ),
         Err(e) => ApiError::from(e).into(),
-    }
-}
-
-/// Probes whether the client half of `sock` is still there: a
-/// non-blocking `peek` distinguishes "no bytes yet" (connected) from
-/// EOF/reset (gone). Pipelined request bytes also read as connected.
-/// Shared with the [`router`](super::router), which probes its client
-/// the same way while relaying upstream.
-pub(crate) fn client_connected(sock: &TcpStream) -> bool {
-    if sock.set_nonblocking(true).is_err() {
-        return false;
-    }
-    let mut probe = [0u8; 1];
-    let connected = match sock.peek(&mut probe) {
-        Ok(0) => false, // orderly shutdown
-        Ok(_) => true,  // pipelined bytes waiting
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => true,
-        Err(_) => false, // reset
-    };
-    let _ = sock.set_nonblocking(false);
-    connected
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fc_core::planner::service::ServiceOptions;
-    use fc_core::SolverRegistry;
-
-    fn test_ctx(max_connections: usize) -> Arc<ServerCtx> {
-        let service = PlannerService::new(
-            Arc::new(SolverRegistry::with_defaults()),
-            ServiceOptions::new(),
-        );
-        Arc::new(ServerCtx {
-            service,
-            streams: RwLock::new(HashMap::new()),
-            config: ServerConfig::new().with_max_connections(max_connections),
-            shutdown: AtomicBool::new(false),
-            live: LiveConnections::default(),
-            draining: AtomicBool::new(false),
-            restored: 0,
-        })
-    }
-
-    /// Regression for the handler-thread slot leak: a panicking
-    /// handler must still release its connection slot (via
-    /// [`ConnSlot`]'s drop), or `wait_drained` wedges shutdown and
-    /// repeated leaks turn the cap into a permanent `503`.
-    #[test]
-    fn conn_slot_released_even_when_the_holder_panics() {
-        let ctx = test_ctx(1);
-        let slot = ConnSlot::try_claim(&ctx).expect("cap of one, nothing live");
-        assert!(
-            ConnSlot::try_claim(&ctx).is_none(),
-            "second claim must be refused at the cap"
-        );
-        let handler = std::thread::spawn(move || {
-            let _slot = slot;
-            panic!("handler blew up mid-connection");
-        });
-        assert!(handler.join().is_err(), "the handler must have panicked");
-        let reclaimed =
-            ConnSlot::try_claim(&ctx).expect("the panicked handler's slot must have been released");
-        drop(reclaimed);
-        // With every slot released, the drain returns immediately.
-        ctx.live.wait_drained();
-    }
-
-    #[test]
-    fn conn_slot_released_when_spawn_never_runs_the_closure() {
-        let ctx = test_ctx(2);
-        let slot = ConnSlot::try_claim(&ctx).expect("slot");
-        // A failed `Builder::spawn` drops the unrun closure — and with
-        // it the captured slot. Model that by dropping directly.
-        drop(slot);
-        ctx.live.wait_drained();
-        assert!(ConnSlot::try_claim(&ctx).is_some());
     }
 }

@@ -4,11 +4,9 @@
 //! claim-quality measure to target ([`Measure`]), *what* to do with it
 //! (a [`Goal`] — `MinVar` to ascertain, `MaxPr` to counter), and *how*
 //! ([`Strategy`] — the paper's automatic routing, or any named strategy
-//! from the [`fc_core::SolverRegistry`]). The four hard-wired arms of
-//! the legacy [`Objective`](crate::session::Objective) enum are all
-//! expressible (see its `From` impl), plus every combination they could
-//! not: Gaussian instances, strategy overrides, MaxPr on any measure
-//! with an affine form.
+//! from the [`fc_core::SolverRegistry`]). Any combination is
+//! expressible: Gaussian instances, strategy overrides, MaxPr on any
+//! measure with an affine form.
 
 pub use fc_core::planner::Goal;
 

@@ -7,9 +7,10 @@
 //! object — it holds a dataset open across requests and connects it to
 //! a shared [`PlannerService`]:
 //!
-//! * [`ClaimStream::submit`] / [`ClaimStream::submit_sweep`] hand
-//!   requests to the service and return [`RequestHandle`]s
-//!   immediately; lowered [`Problem`]s are memoized per
+//! * [`ClaimStream::submit_sweep`] hands a budget sweep to the service
+//!   and returns its [`SweepHandle`] immediately;
+//!   [`ClaimStream::submit`] is the one-point case. Lowered
+//!   [`Problem`]s are memoized per
 //!   (measure, goal), so a stream of claims over the same measure pays
 //!   the lowering once.
 //! * [`ClaimStream::mark_cleaned`] applies a cleaning outcome (pin
@@ -43,7 +44,7 @@ use std::sync::{Arc, Mutex};
 use fc_core::planner::service::{
     PlannerService, RequestHandle, SolveRequest, SweepHandle, SweepRequest, TenantId,
 };
-use fc_core::{Budget, CacheKey, Plan, Problem, Result, Selection};
+use fc_core::{Budget, CacheKey, Problem, Result, Selection};
 
 use crate::planner::{Goal, Measure, ObjectiveSpec};
 use crate::session::CleaningSession;
@@ -144,55 +145,38 @@ impl ClaimStream {
         Ok((problem, key))
     }
 
-    /// Submits one objective at one budget; returns immediately with a
-    /// handle (see [`RequestHandle`]). Specs that fail to *lower* (bad
-    /// query scope, unsupported goal) and submits past the stream
-    /// tenant's quota ([`fc_core::CoreError::QuotaExceeded`]) are
-    /// rejected here as `Err` — before anything is queued — while
-    /// solve-time failures (unknown strategy, solver refusal) resolve
-    /// through the handle. Dropping the handle (or calling
-    /// [`RequestHandle::cancel`]) abandons the request without burning
-    /// worker time.
-    pub fn submit(
-        &self,
-        spec: impl Into<ObjectiveSpec>,
-        budget: Budget,
-    ) -> Result<RequestHandle<Plan>> {
-        self.submit_as(self.tenant.clone(), spec, budget)
-    }
-
-    /// [`ClaimStream::submit`], accounted to `tenant` instead of the
-    /// stream's own. The network front uses this to map a per-request
-    /// tenant header onto one shared stream; library callers usually
-    /// want [`ClaimStream::with_tenant`] instead.
-    pub fn submit_as(
-        &self,
-        tenant: impl Into<TenantId>,
-        spec: impl Into<ObjectiveSpec>,
-        budget: Budget,
-    ) -> Result<RequestHandle<Plan>> {
+    /// Submits one objective at one budget — a one-point
+    /// [`ClaimStream::submit_sweep`] whose [`RequestHandle::wait`]
+    /// yields the one plan.
+    pub fn submit(&self, spec: impl Into<ObjectiveSpec>, budget: Budget) -> Result<RequestHandle> {
         let spec = spec.into();
         let (problem, key) = self.problem_for(&spec)?;
         self.service.submit(
             SolveRequest::new(spec.strategy.key(), problem, budget)
                 .with_key(key)
-                .with_tenant(tenant),
+                .with_tenant(self.tenant.clone()),
         )
     }
 
-    /// Submits one objective across a budget sweep (decomposed by the
-    /// service into per-point tasks, so interactive claims interleave —
-    /// and so cancelling the returned handle stops the sweep after the
-    /// point currently being solved). The returned [`SweepHandle`]
-    /// streams each plan as its budget point completes
-    /// ([`SweepHandle::wait_next_point`], ascending budget order) or
-    /// resolves the whole grid at once ([`SweepHandle::wait`]).
+    /// Submits one objective across a budget sweep; returns immediately
+    /// with a handle that streams each plan as its budget point
+    /// completes ([`SweepHandle::wait_next_point`], ascending budget
+    /// order) or resolves the whole grid at once
+    /// ([`SweepHandle::wait`]). Specs that fail to *lower* (bad query
+    /// scope, unsupported goal) and submits past the stream tenant's
+    /// quota ([`fc_core::CoreError::QuotaExceeded`]) are rejected here
+    /// as `Err` — before anything is queued — while solve-time failures
+    /// (unknown strategy, solver refusal) resolve through the handle.
+    /// Dropping the handle (or calling [`SweepHandle::cancel`])
+    /// abandons the request, stopping after the point being solved.
     pub fn submit_sweep(&self, spec: &ObjectiveSpec, budgets: &[Budget]) -> Result<SweepHandle> {
         self.submit_sweep_as(self.tenant.clone(), spec, budgets)
     }
 
     /// [`ClaimStream::submit_sweep`], accounted to `tenant` instead of
-    /// the stream's own (see [`ClaimStream::submit_as`]).
+    /// the stream's own. The network front uses this to map a
+    /// per-request tenant header onto one shared stream; library
+    /// callers usually want [`ClaimStream::with_tenant`] instead.
     pub fn submit_sweep_as(
         &self,
         tenant: impl Into<TenantId>,

@@ -106,65 +106,6 @@ impl From<GaussianInstance> for DataModel {
     }
 }
 
-/// Legacy objective enum, superseded by [`ObjectiveSpec`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use ObjectiveSpec (ascertain/find_counter constructors); Objective converts via From"
-)]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Objective {
-    /// MinVar on the fairness measure (`bias`).
-    AscertainFairness,
-    /// MinVar on the uniqueness measure (`dup`).
-    AscertainUniqueness,
-    /// MinVar on the robustness measure (`frag`).
-    AscertainRobustness,
-    /// MaxPr: maximize the chance that cleaning surfaces a
-    /// counterargument — the bias dropping by more than `tau`.
-    FindCounter {
-        /// Surprise threshold `τ ≥ 0`.
-        tau: f64,
-    },
-}
-
-#[allow(deprecated)]
-impl From<Objective> for ObjectiveSpec {
-    fn from(o: Objective) -> Self {
-        match o {
-            Objective::AscertainFairness => ObjectiveSpec::ascertain(Measure::Bias),
-            Objective::AscertainUniqueness => ObjectiveSpec::ascertain(Measure::Dup),
-            Objective::AscertainRobustness => ObjectiveSpec::ascertain(Measure::Frag),
-            Objective::FindCounter { tau } => ObjectiveSpec::find_counter(tau),
-        }
-    }
-}
-
-/// Legacy recommendation shape, superseded by [`Plan`].
-#[deprecated(since = "0.2.0", note = "use Plan (recommend now returns it directly)")]
-#[derive(Debug, Clone, PartialEq)]
-pub struct Recommendation {
-    /// The objects to clean.
-    pub selection: Selection,
-    /// Objective value with no cleaning.
-    pub before: f64,
-    /// Predicted objective value after cleaning the selection.
-    pub after: f64,
-    /// Which algorithm produced the selection.
-    pub algorithm: String,
-}
-
-#[allow(deprecated)]
-impl From<Plan> for Recommendation {
-    fn from(p: Plan) -> Self {
-        Self {
-            selection: p.selection,
-            before: p.before,
-            after: p.after,
-            algorithm: p.strategy,
-        }
-    }
-}
-
 /// A fact-checking session: uncertain data + the claim under scrutiny +
 /// the solver registry serving it.
 #[derive(Clone)]
@@ -763,19 +704,6 @@ mod tests {
         assert!(plan.after >= plan.before);
         assert!(plan.after <= 1.0);
         assert_eq!(plan.strategy, "auto:greedy(convolution)");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_objective_enum_still_routes() {
-        let s = session();
-        let plan = s
-            .recommend(Objective::AscertainUniqueness, Budget::absolute(2))
-            .unwrap();
-        assert!(plan.selection.cost() <= 2);
-        let legacy: Recommendation = plan.into();
-        assert!(legacy.after <= legacy.before + 1e-12);
-        assert!(!legacy.algorithm.is_empty());
     }
 
     #[test]

@@ -4,7 +4,10 @@
 use fact_clean::prelude::*;
 use fc_claims::query::IndicatorSense;
 use fc_claims::{ClaimSet, Direction, ThresholdIndicatorQuery};
-use fc_core::algo::{greedy_max_pr_discrete, greedy_min_var_from_scratch};
+use fc_core::algo::{
+    greedy_max_pr_discrete, greedy_min_var, greedy_min_var_from_scratch, greedy_naive,
+    knapsack_optimum_min_var,
+};
 use fc_core::ev::{ev_exact, ScopedEv};
 use fc_core::maxpr::surprise_prob_exact;
 

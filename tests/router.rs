@@ -10,7 +10,10 @@
 //! and the replication edge cases: deletes reach straggler copies,
 //! tombstones keep deleted streams deleted across repair passes,
 //! divergent creates reconcile on identical leftover copies, and a
-//! capacity-bound re-warm backs off instead of looping.
+//! capacity-bound re-warm backs off instead of looping. The edge
+//! matrix of the connection front the router shares with the server
+//! (`405`/`404`, typed framing errors, the saturation `503`) closes
+//! the file.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -768,7 +771,11 @@ fn ring_order(names: &[&str], key: &str) -> Vec<usize> {
     h.write_str(key);
     let point = mix64(h.finish());
     let mut order = Vec::new();
-    for &idx in ring.range(point..).chain(ring.range(..point)).map(|(_, i)| i) {
+    for &idx in ring
+        .range(point..)
+        .chain(ring.range(..point))
+        .map(|(_, i)| i)
+    {
         if !order.contains(&idx) {
             order.push(idx);
             if order.len() == names.len() {
@@ -857,7 +864,11 @@ fn replicated_delete_reaches_straggler_copies() {
     // and a second delete is the real 404 it should be.
     let report = router.repair();
     assert_eq!(
-        report.get("transfers").and_then(Json::as_array).unwrap().len(),
+        report
+            .get("transfers")
+            .and_then(Json::as_array)
+            .unwrap()
+            .len(),
         0,
         "no donor must survive the delete: {report}"
     );
@@ -906,12 +917,20 @@ fn repair_purges_deleted_stream_copies_instead_of_resurrecting() {
 
     let report = router.repair();
     assert_eq!(
-        report.get("transfers").and_then(Json::as_array).unwrap().len(),
+        report
+            .get("transfers")
+            .and_then(Json::as_array)
+            .unwrap()
+            .len(),
         0,
         "a tombstoned stream must not be re-replicated: {report}"
     );
     assert!(
-        !report.get("purges").and_then(Json::as_array).unwrap().is_empty(),
+        !report
+            .get("purges")
+            .and_then(Json::as_array)
+            .unwrap()
+            .is_empty(),
         "the leftover copy must be purged: {report}"
     );
     assert!(
@@ -933,7 +952,11 @@ fn repair_purges_deleted_stream_copies_instead_of_resurrecting() {
     api.create_stream(&create).expect("recreate after delete");
     let report = router.repair();
     assert!(
-        report.get("purges").and_then(Json::as_array).unwrap().is_empty(),
+        report
+            .get("purges")
+            .and_then(Json::as_array)
+            .unwrap()
+            .is_empty(),
         "a recreated stream must not be purged: {report}"
     );
     api.recommend(&request, None)
@@ -1057,7 +1080,11 @@ fn capacity_bound_rewarm_backs_off_instead_of_looping() {
     let mut quiet_at = None;
     for pass in 0..4 {
         let report = router.repair();
-        let moved = report.get("transfers").and_then(Json::as_array).unwrap().len();
+        let moved = report
+            .get("transfers")
+            .and_then(Json::as_array)
+            .unwrap()
+            .len();
         if moved == 0 {
             quiet_at = Some(pass);
             break;
@@ -1069,7 +1096,11 @@ fn capacity_bound_rewarm_backs_off_instead_of_looping() {
     );
     let report = router.repair();
     assert_eq!(
-        report.get("transfers").and_then(Json::as_array).unwrap().len(),
+        report
+            .get("transfers")
+            .and_then(Json::as_array)
+            .unwrap()
+            .len(),
         0,
         "a stalled transfer must stay parked: {report}"
     );
@@ -1077,4 +1108,150 @@ fn capacity_bound_rewarm_backs_off_instead_of_looping() {
     router.shutdown();
     roomy.1.shutdown();
     starved.1.shutdown();
+}
+
+/// Sends `raw` on a fresh connection to `addr` and reads one response.
+fn exchange(addr: SocketAddr, raw: &[u8]) -> (TcpStream, u16, String) {
+    let mut sock = TcpStream::connect(addr).expect("connect");
+    sock.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    sock.write_all(raw).expect("send");
+    let (status, body) = client::read_response(&mut sock).expect("response");
+    (sock, status, body)
+}
+
+#[test]
+fn router_front_answers_405_404_and_typed_framing_errors() {
+    let (_service, backend) = boot_backend(&["crime"]);
+    let router = boot_router(&[("a", backend.addr())]);
+    let addr = router.addr();
+    let route_cases: &[(&str, u16, &str)] = &[
+        ("GET /v1/recommend", 405, "wrong verb on a solve route"),
+        ("PUT /v1/streams/crime", 405, "wrong verb on a stream route"),
+        ("GET /v1/admin/repair", 405, "wrong verb on an admin route"),
+        (
+            "DELETE /v1/topology",
+            405,
+            "wrong verb on a router-only route",
+        ),
+        ("GET /v1/nope", 404, "unknown path"),
+        (
+            "POST /v1/admin/backends/a/explode",
+            404,
+            "unknown admin verb",
+        ),
+    ];
+    for &(line, want, what) in route_cases {
+        let raw = format!("{line} HTTP/1.1\r\ncontent-length: 0\r\n\r\n");
+        let (mut sock, status, body) = exchange(addr, raw.as_bytes());
+        assert_eq!(status, want, "{what}: {body}");
+        assert!(
+            Json::parse(&body).unwrap().get("error").is_some(),
+            "{what}: error body is typed JSON: {body}"
+        );
+        // A route-level refusal keeps the connection alive.
+        sock.write_all(b"GET /v1/health HTTP/1.1\r\n\r\n")
+            .expect("send on the kept-alive connection");
+        let (status, body) = client::read_response(&mut sock).expect("health");
+        assert_eq!(status, 200, "{what}: keep-alive after the refusal: {body}");
+    }
+
+    let huge = format!(
+        "GET /v1/health HTTP/1.1\r\nx-pad: {}\r\n\r\n",
+        "a".repeat(fact_clean::net::http::MAX_HEADER_BYTES)
+    );
+    let framing_cases: &[(&[u8], u16, &str)] = &[
+        (b"total garbage\r\n\r\n", 400, "garbage request line"),
+        (huge.as_bytes(), 431, "oversize headers"),
+    ];
+    for &(raw, want, what) in framing_cases {
+        let (mut sock, status, body) = exchange(addr, raw);
+        assert_eq!(status, want, "{what}: {body}");
+        assert!(
+            Json::parse(&body).unwrap().get("error").is_some(),
+            "{what}: error body is typed JSON: {body}"
+        );
+        // Past a framing error the byte stream is unparseable: the
+        // router closes the connection instead of reading on.
+        let mut rest = [0u8; 16];
+        match sock.read(&mut rest) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("{what}: connection stayed open: {other:?}"),
+        }
+    }
+
+    // The listener survives all of it.
+    let (status, _) = client::get(addr, "/v1/health").expect("health");
+    assert_eq!(status, 200);
+    router.shutdown();
+    backend.shutdown();
+}
+
+#[test]
+fn saturated_router_refuses_promptly_and_recovers() {
+    let (service, backend) = boot_slow_backend(Duration::from_millis(1500));
+    let router = RouterServer::new()
+        .with_config(
+            RouterConfig::new()
+                .with_probe_interval(Duration::from_millis(25))
+                .with_read_timeout(Duration::from_millis(500))
+                .with_max_connections(1),
+        )
+        .with_backend("a", backend.addr().to_string())
+        .serve("127.0.0.1:0")
+        .expect("bind router");
+    let addr = router.addr();
+    // Occupy the single slot with a slow relayed solve.
+    let holder = std::thread::spawn(move || {
+        client::post(
+            addr,
+            "/v1/recommend",
+            r#"{"stream":"crime","measure":"dup","strategy":"slow","budget":2}"#,
+            &[],
+        )
+    });
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while service.stats().submitted == 0 {
+        assert!(Instant::now() < deadline, "slow request never arrived");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // Refused clients that never read their 503 linger while further
+    // refusals happen — the 503 storm case.
+    let silent: Vec<TcpStream> = (0..3)
+        .filter_map(|_| TcpStream::connect(addr).ok())
+        .collect();
+    for i in 0..3 {
+        let started = Instant::now();
+        let mut sock = TcpStream::connect(addr).expect("connect while saturated");
+        sock.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let (status, body) = client::read_response(&mut sock).expect("refusal response");
+        assert_eq!(status, 503, "refusal {i}: {body}");
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "refusal {i} was not prompt: {:?}",
+            started.elapsed()
+        );
+    }
+    drop(silent);
+
+    // The in-flight relay is unaffected by the storm…
+    let (status, body) = holder.join().expect("holder thread").expect("holder");
+    assert_eq!(status, 200, "in-flight request failed: {body}");
+    // …and its slot frees once the router notices the closed
+    // connection; retry through that window (a leaked slot keeps this
+    // failing until the deadline).
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let (status, body) = loop {
+        match client::post(addr, "/v1/recommend", &crime_request().encode(), &[]) {
+            Ok((503, _)) | Err(_) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Ok(response) => break response,
+            Err(e) => panic!("router never recovered: {e}"),
+        }
+    };
+    assert_eq!(status, 200, "post-storm request failed: {body}");
+    router.shutdown();
+    backend.shutdown();
 }

@@ -462,18 +462,16 @@ fn superseded_sweep_cancels_cleanly_across_a_cleaning_step() {
         .collect();
     stream.mark_cleaned(&objects, &revealed).unwrap();
     let landed = stale_sweep.cancel();
-    match stale_sweep.try_wait() {
-        WaitOutcome::Cancelled => {
+    assert_eq!(stale_sweep.is_cancelled(), landed);
+    match stale_sweep.wait() {
+        Err(fc_core::CoreError::Cancelled) => {
             assert!(landed, "a Cancelled outcome implies the cancel landed")
         }
-        WaitOutcome::Ready(plans) => {
+        plans => {
             // Lost the race: the sweep completed before the cancel —
             // then (and only then) the real result surfaces.
             assert!(!landed, "a cancelled handle must never surface a result");
             plans.unwrap();
-        }
-        outcome @ (WaitOutcome::TimedOut | WaitOutcome::Taken) => {
-            panic!("a resolved handle cannot report {outcome:?}")
         }
     }
 
