@@ -90,7 +90,7 @@ impl Args {
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
-                // `--quick` is the other smoke binaries' spelling.
+                // `--quick` is the fig binaries' spelling.
                 "--smoke" | "--quick" => parsed.smoke = true,
                 "--write-fixture" => parsed.write_fixture = true,
                 "--router" => parsed.router = true,

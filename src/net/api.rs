@@ -1104,8 +1104,12 @@ impl CreateStreamRequest {
             .and_then(Json::as_str)
             .map(str::to_string)
             .ok_or_else(|| ApiError::bad_request("missing \"id\" (the new stream's id)"))?;
-        if id.is_empty() {
-            return Err(ApiError::bad_request("\"id\" must be non-empty"));
+        // The id is a URL path segment in every later route.
+        let path_safe = |c: char| c.is_ascii_alphanumeric() || "._~-".contains(c);
+        if id.is_empty() || !id.chars().all(path_safe) {
+            return Err(ApiError::bad_request(
+                "\"id\" must be non-empty [A-Za-z0-9._~-] (it is a URL path segment)",
+            ));
         }
         let tenant = match body.get("tenant") {
             None => None,
@@ -1643,10 +1647,28 @@ mod tests {
             )
             .to_string()
         };
+        let with_id = |id: &str| {
+            Json::Obj(
+                fields
+                    .iter()
+                    .map(|(k, v)| match k.as_str() {
+                        "id" => (k.clone(), Json::Str(id.to_string())),
+                        _ => (k.clone(), v.clone()),
+                    })
+                    .collect::<Vec<_>>(),
+            )
+            .to_string()
+        };
         for (body, needle) in [
             (without("id"), "\"id\""),
             (without("data"), "\"data\""),
             (without("claims"), "\"claims\""),
+            // Ids must survive as one URL path segment.
+            (with_id(""), "\"id\""),
+            (with_id("a/b"), "\"id\""),
+            (with_id("a b"), "\"id\""),
+            (with_id("a?x"), "\"id\""),
+            (with_id("%2F"), "\"id\""),
         ] {
             let err = decode_body(&body, CreateStreamRequest::from_json).unwrap_err();
             assert_eq!(err.status, 400, "{body}");

@@ -137,6 +137,23 @@ pub fn read_response(sock: &mut TcpStream) -> io::Result<(u16, String)> {
     Ok((status, body))
 }
 
+/// Connects to `addr`, bounding each address's connect by `timeout`
+/// when one is given — a host that drops SYNs fails within it instead
+/// of after the OS's minutes of retries.
+fn connect(addr: impl ToSocketAddrs, timeout: Option<Duration>) -> io::Result<TcpStream> {
+    let Some(timeout) = timeout else {
+        return TcpStream::connect(addr);
+    };
+    let mut last = io::Error::new(io::ErrorKind::InvalidInput, "no address to connect to");
+    for addr in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&addr, timeout) {
+            Ok(sock) => return Ok(sock),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
 /// One keep-alive connection: request/response exchanges in lockstep,
 /// with the read buffer held across responses so framing never loses
 /// bytes between exchanges.
@@ -148,11 +165,11 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// Connects to `addr`. `timeout` bounds every read and write on
-    /// the connection (default: a generous 120s on reads, unbounded
-    /// writes).
+    /// Connects to `addr`. `timeout` bounds the connect and every read
+    /// and write on the connection (default: a generous 120s on reads,
+    /// unbounded connect and writes).
     pub fn connect(addr: impl ToSocketAddrs, timeout: Option<Duration>) -> io::Result<Self> {
-        let sock = TcpStream::connect(addr)?;
+        let sock = connect(addr, timeout)?;
         sock.set_read_timeout(timeout.or(Some(DEFAULT_RESPONSE_TIMEOUT)))?;
         sock.set_write_timeout(timeout)?;
         sock.set_nodelay(true)?;

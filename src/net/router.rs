@@ -25,15 +25,15 @@
 //!   or the backend advertises it (`draining: true` in its health
 //!   body). Draining backends receive no new streams — requests
 //!   rehash to the next live replica — but keep finishing whatever is
-//!   in flight on them, and cleans still broadcast to them so their
-//!   state stays byte-identical for an undrain.
+//!   in flight on them, and cleans still reach the streams they hold
+//!   so their state stays byte-identical for an undrain.
 //! * **Bounded retry for idempotent reads** — recommend, sweep, and
 //!   the `GET` routes are safe to re-execute, so a transport error
 //!   marks the backend unhealthy and retries the next distinct
 //!   replica on the ring, each backend at most once. Cleans are
-//!   mutations: they are **broadcast** to every healthy backend (so
-//!   replicas stay byte-identical) and never retried; divergent
-//!   outcomes surface as `502`.
+//!   mutations: they are **broadcast** to every copy of the stream (see
+//!   *Replica sets*) and never retried; divergent outcomes surface as
+//!   `502`.
 //! * **Cancellation relays** — while a solve is in flight upstream the
 //!   router probes its own client socket; a hangup drops the upstream
 //!   connection, which the backend's disconnect probe turns into a
@@ -51,32 +51,32 @@
 //!   the uploaded dataset's `id` onto the ring, so a created stream
 //!   lands exactly where later solves for it will route; if that
 //!   replica dies, re-creating the stream lands on the next one — the
-//!   same replica the solves now route to. `GET`/`DELETE
-//!   /v1/streams/{id}` follow the same order (without replication,
-//!   deletes broadcast fleet-wide, since failovers may have left
-//!   copies on several replicas).
-//! * **Per-stream replication** — with
-//!   [`RouterConfig::replication_factor`] `>= 2`, each stream's home
-//!   is a *replica set*: the first R distinct, usable backends of its
-//!   ring walk. Creates fan out to the whole set (unanimity required;
-//!   a `409` member holding an identical-definition leftover copy is
+//!   same replica the solves now route to. `GET /v1/streams/{id}`
+//!   follows the same order.
+//! * **Replica sets** — each stream's home is a *replica set*: the
+//!   first [`RouterConfig::replication_factor`] distinct, usable
+//!   backends of its ring walk (one backend at the default `R = 1`).
+//!   Creates fan out to the whole set (unanimity required; a `409`
+//!   member holding an identical-definition leftover copy is
 //!   reconciled via an empty-slice adopt, any other divergence is a
-//!   `502`), cleans scope to it, deletes reach the set plus every
-//!   known straggler copy and leave a tombstone, and reads prefer the
-//!   primary but fail over to secondaries that already host the
-//!   stream — same session, byte-identical plans, no recreate
-//!   round-trip. A background repair pass (or `POST /v1/admin/repair`
-//!   for a synchronous one) re-replicates under-replicated streams
-//!   onto the next ring successor and re-warms cold secondaries by
-//!   relaying `GET /v1/streams/{id}/snapshot` bodies into `POST
+//!   `502`). Cleans and deletes share one target rule: the set plus
+//!   every healthy backend whose probed residency holds the stream, so
+//!   a copy outside the set — left by ring churn, or registered on a
+//!   backend up front — is never skipped. A delete leaves a tombstone.
+//!   Reads prefer the primary but fail over to secondaries that
+//!   already host the stream — same session, byte-identical plans, no
+//!   recreate round-trip. A background repair pass (or `POST
+//!   /v1/admin/repair` for a synchronous one) re-replicates
+//!   under-replicated streams onto the next ring successor and
+//!   re-warms cold secondaries by relaying `GET
+//!   /v1/streams/{id}/snapshot` bodies into `POST
 //!   /v1/streams/{id}/adopt` — so a failover lands on a warm replica
 //!   (`store_misses == 0`). The pass prefers in-set donors, purges
 //!   lingering copies of tombstoned (deleted) streams instead of
 //!   adopting them back, and backs off a re-warm that restored
 //!   nothing (a capacity-bound target) until the donor grows warmer.
-//!   Replication expects ring-governed placement: streams enter the
-//!   fleet through the router, not by pre-installing them on
-//!   arbitrary backends.
+//!   [`RouterServer::serve`] probes every backend once before it
+//!   accepts, so residency is known from the first request.
 //!
 //! Aggregate observability: `GET /v1/stats` sums the per-backend
 //! stats into the single-box shape (sums preserve the invariants the
@@ -128,15 +128,14 @@ pub struct RouterConfig {
     /// Health-probe cadence (and the worst-case latency for noticing a
     /// dead or drained backend without traffic). Default: 250ms.
     pub probe_interval: Duration,
-    /// How many distinct ring backends host each stream. `1` (the
-    /// default) is the classic one-stream-one-host placement; `2+`
-    /// fans stream creates out to a replica set, scopes mutations to
-    /// it, and arms the background repair pass that re-replicates and
-    /// re-warms under-replicated streams via snapshot transfer.
+    /// How many distinct ring backends host each stream: the size of
+    /// its replica set. Creates fan out to the set; cleans and deletes
+    /// reach the set plus every healthy backend whose probed residency
+    /// holds the stream; the repair pass keeps the set at strength via
+    /// snapshot transfer. Default: 1, a replica set of one.
     pub replication_factor: usize,
-    /// Background repair-pass cadence (only runs with
-    /// `replication_factor >= 2`; `POST /v1/admin/repair` forces a
-    /// synchronous pass regardless). Default: 1s.
+    /// Background repair-pass cadence (`POST /v1/admin/repair` forces
+    /// a synchronous pass). Default: 1s.
     pub repair_interval: Duration,
 }
 
@@ -216,8 +215,8 @@ struct Backend {
     name: String,
     addr: SocketAddr,
     pool: Arc<ClientPool>,
-    /// Cleared by a transport failure or failed probe, restored by the
-    /// next successful probe. Starts optimistic.
+    /// Set by a successful probe (the first runs before the router
+    /// accepts), cleared by a transport failure or failed probe.
     healthy: AtomicBool,
     /// Operator-set on the router (`/v1/admin/backends/{name}/drain`).
     draining: AtomicBool,
@@ -248,18 +247,15 @@ struct RouterCtx {
     /// ring point → backend index.
     ring: BTreeMap<u64, usize>,
     config: RouterConfig,
-    /// Wakes the prober early on shutdown.
-    prober_bed: (Mutex<bool>, Condvar),
-    /// Wakes the repair thread early on shutdown.
-    repair_bed: (Mutex<bool>, Condvar),
-    /// Streams deleted while replication is on. The repair pass
-    /// consults these so a copy the delete could not reach (a member
-    /// dead at delete time, revived later; a straggler outside the
-    /// current set) is purged rather than re-replicated — without the
+    /// Set on shutdown; wakes the prober and repair threads early.
+    stopping: (Mutex<bool>, Condvar),
+    /// Deleted streams. The repair pass consults these so a copy the
+    /// delete could not reach (a member dead at delete time, revived
+    /// later) is purged rather than re-replicated — without the
     /// tombstone the pass would use the leftover copy as a donor and
     /// silently resurrect the stream. A tombstone is dropped when the
-    /// id is re-created, or once a fully-healthy fleet reports no
-    /// copy left.
+    /// id is re-created, or once a fully-healthy fleet reports no copy
+    /// left.
     tombstones: Mutex<BTreeSet<String>>,
     /// Re-warm attempts that made no progress: `(stream id, target
     /// backend name)` → the donor's warm count when an adopt-merge
@@ -330,14 +326,6 @@ impl RouterCtx {
                 })
         })
     }
-
-    /// Whether per-stream replication is on (`replication_factor >=
-    /// 2`). With it off, mutations keep the legacy fleet-wide
-    /// broadcast: without ring-governed placement, failover recreates
-    /// can strand stream copies on any backend.
-    fn replicated(&self) -> bool {
-        self.config.replication_factor >= 2
-    }
 }
 
 /// FNV-1a has weak avalanche on short inputs — a backend's 64 vnode
@@ -370,10 +358,10 @@ fn vnode_points(name: &str) -> impl Iterator<Item = u64> + '_ {
 /// |---|---|
 /// | `POST /v1/recommend`, `/v1/sweep` | hash the body's stream id → forward, retrying the next replica on transport error |
 /// | `POST /v1/sweep?stream=1` | same routing, relayed chunk-by-chunk as points complete upstream |
-/// | `POST /v1/streams` | hash the body's `id` → create on that replica (next one if it is down); with replication, fan out to the whole replica set |
+/// | `POST /v1/streams` | hash the body's `id` → create on every member of its replica set (a dead member's slot falls to the next ring backend); `502` on divergent outcomes |
 /// | `GET /v1/streams/{id}` | relayed from the stream's replica (ring order, failing over to secondaries) |
-/// | `DELETE /v1/streams/{id}` | broadcast to the stream's replica set plus known straggler copies (fleet-wide without replication); unanimous `404` relays as `404`; tombstoned for the repair pass |
-/// | `POST /v1/streams/{id}/clean` | broadcast to the stream's replica set (fleet-wide without replication); `502` on divergent outcomes |
+/// | `DELETE /v1/streams/{id}` | broadcast to the stream's replica set plus every probed holder; unanimous `404` relays as `404`; tombstoned for the repair pass |
+/// | `POST /v1/streams/{id}/clean` | broadcast to the stream's replica set plus every probed holder; a `404` from a member with no copy is ignored, other divergent outcomes are a `502` |
 /// | `GET /v1/stats` | per-backend stats summed into the single-box shape |
 /// | `GET /v1/streams` | relayed from the first live backend |
 /// | `GET /v1/topology` | the ring: backends, health, drain flags, per-stream residency |
@@ -410,8 +398,9 @@ impl RouterServer {
         self
     }
 
-    /// Binds `addr` and starts the accept loop and the health prober
-    /// on background threads.
+    /// Probes every backend once, then binds `addr` and starts the
+    /// accept loop, the health prober and the repair pass on
+    /// background threads.
     pub fn serve(self, addr: impl ToSocketAddrs) -> io::Result<RouterHandle> {
         if self.backends.is_empty() {
             return Err(io::Error::new(
@@ -439,12 +428,16 @@ impl RouterServer {
                 name,
                 addr: pool.addr(),
                 pool,
-                healthy: AtomicBool::new(true),
+                healthy: AtomicBool::new(false),
                 draining: AtomicBool::new(false),
                 advertised_draining: AtomicBool::new(false),
                 residency: Mutex::new(Vec::new()),
             });
         }
+        // Health and residency are known before the first request:
+        // writes reach every probed holder of a stream, so a copy
+        // registered on a backend up front is never missed.
+        probe_fleet(&backends, self.config.read_timeout);
         let listener = TcpListener::bind(addr)?;
         let limits = Limits {
             max_body_bytes: self.config.max_body_bytes,
@@ -455,8 +448,7 @@ impl RouterServer {
             backends,
             ring,
             config: self.config,
-            prober_bed: (Mutex::new(false), Condvar::new()),
-            repair_bed: (Mutex::new(false), Condvar::new()),
+            stopping: (Mutex::new(false), Condvar::new()),
             tombstones: Mutex::new(BTreeSet::new()),
             repair_stalls: Mutex::new(BTreeMap::new()),
         });
@@ -538,11 +530,9 @@ impl RouterHandle {
         if !self.front.shutdown() {
             return;
         }
-        for bed_pair in [&self.ctx.prober_bed, &self.ctx.repair_bed] {
-            let (bed, alarm) = bed_pair;
-            *bed.lock().unwrap_or_else(PoisonError::into_inner) = true;
-            alarm.notify_all();
-        }
+        let (stopping, alarm) = &self.ctx.stopping;
+        *stopping.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        alarm.notify_all();
         if let Some(prober) = self.prober.take() {
             let _ = prober.join();
         }
@@ -567,43 +557,55 @@ impl std::fmt::Debug for RouterHandle {
     }
 }
 
-/// Probes every backend, sleeps, repeats; exits on shutdown. Probes
-/// run on fresh short-timeout connections, never the relay pools, so a
-/// wedged pool connection cannot blind the prober.
+/// Sleeps `interval`; `false` once the router is shutting down.
+fn nap(ctx: &RouterCtx, interval: Duration) -> bool {
+    let (stopping, alarm) = &ctx.stopping;
+    let stopping = stopping.lock().unwrap_or_else(PoisonError::into_inner);
+    let (stopping, _) = alarm
+        .wait_timeout_while(stopping, interval, |stopping| !*stopping)
+        .unwrap_or_else(PoisonError::into_inner);
+    !*stopping
+}
+
+/// Sleeps, probes every backend, repeats; exits on shutdown.
 fn prober_loop(ctx: &RouterCtx) {
-    loop {
-        for backend in &ctx.backends {
-            probe_backend(backend, ctx.config.read_timeout);
-        }
-        let (bed, alarm) = &ctx.prober_bed;
-        let mut asleep = bed.lock().unwrap_or_else(PoisonError::into_inner);
-        while !*asleep {
-            let (next, timed_out) = alarm
-                .wait_timeout(asleep, ctx.config.probe_interval)
-                .unwrap_or_else(PoisonError::into_inner);
-            asleep = next;
-            if timed_out.timed_out() {
-                break;
-            }
-        }
-        if *asleep {
-            return;
-        }
+    while nap(ctx, ctx.config.probe_interval) {
+        probe_fleet(&ctx.backends, ctx.config.read_timeout);
     }
 }
 
-/// One health probe: `GET /v1/health`, falling back to `/v1/stats` on
-/// backends without the health route. A `200` marks healthy, updates
-/// the advertised drain flag, and refreshes the backend's per-stream
-/// residency; anything else marks unhealthy.
-fn probe_backend(backend: &Backend, timeout: Duration) {
-    let exchange = Conn::connect(backend.addr, Some(timeout)).and_then(|mut conn| {
-        match conn.send("GET", "/v1/health", &[], "")? {
-            (404, _) => conn
-                .send("GET", "/v1/stats", &[], "")
-                .map(|(s, b)| (s, b, false)),
-            (status, body) => Ok((status, body, true)),
+/// Probes every backend at once, each on a fresh connection bounded by
+/// `timeout` (connect included), never the relay pools: neither a
+/// wedged pool connection nor a host that drops SYNs can blind the
+/// prober, and a fleet costs one probe's time, not one per backend.
+fn probe_fleet(backends: &[Backend], timeout: Duration) {
+    std::thread::scope(|scope| {
+        for backend in backends {
+            let probe = move || {
+                let mut conn = Conn::connect(backend.addr, Some(timeout));
+                probe_backend(backend, |path| match conn.as_mut() {
+                    Ok(conn) => conn.send("GET", path, &[], ""),
+                    Err(e) => Err(e.kind().into()),
+                });
+            };
+            let spawned = std::thread::Builder::new()
+                .name("fc-router-probe".into())
+                .spawn_scoped(scope, probe);
+            if spawned.is_err() {
+                probe();
+            }
         }
+    });
+}
+
+/// One health probe over `get`: `GET /v1/health`, falling back to
+/// `/v1/stats` on backends without the health route. A `200` marks
+/// healthy, updates the advertised drain flag, and refreshes the
+/// backend's per-stream residency; anything else marks unhealthy.
+fn probe_backend(backend: &Backend, mut get: impl FnMut(&str) -> io::Result<(u16, String)>) {
+    let exchange = get("/v1/health").and_then(|(status, body)| match status {
+        404 => get("/v1/stats").map(|(s, b)| (s, b, false)),
+        _ => Ok((status, body, true)),
     });
     match exchange {
         Ok((200, body, has_health)) => {
@@ -646,28 +648,10 @@ fn probe_backend(backend: &Backend, timeout: Duration) {
     }
 }
 
-/// Runs a repair pass each `repair_interval` while replication is on;
-/// exits on shutdown.
+/// Runs a repair pass each `repair_interval`; exits on shutdown.
 fn repairer_loop(ctx: &RouterCtx) {
-    loop {
-        let (bed, alarm) = &ctx.repair_bed;
-        let mut asleep = bed.lock().unwrap_or_else(PoisonError::into_inner);
-        while !*asleep {
-            let (next, timed_out) = alarm
-                .wait_timeout(asleep, ctx.config.repair_interval)
-                .unwrap_or_else(PoisonError::into_inner);
-            asleep = next;
-            if timed_out.timed_out() {
-                break;
-            }
-        }
-        if *asleep {
-            return;
-        }
-        drop(asleep);
-        if ctx.replicated() {
-            let _ = repair_pass(ctx);
-        }
+    while nap(ctx, ctx.config.repair_interval) {
+        let _ = repair_pass(ctx);
     }
 }
 
@@ -683,9 +667,7 @@ fn repairer_loop(ctx: &RouterCtx) {
 /// not retried until the donor grows warmer. Answers a report of what
 /// moved.
 fn repair_pass(ctx: &RouterCtx) -> Json {
-    for backend in &ctx.backends {
-        probe_backend(backend, ctx.config.read_timeout);
-    }
+    probe_fleet(&ctx.backends, ctx.config.read_timeout);
     // stream id → healthy holders as (backend index, warm entries).
     let mut hosts: BTreeMap<String, Vec<(usize, u64)>> = BTreeMap::new();
     for (idx, backend) in ctx.backends.iter().enumerate() {
@@ -741,9 +723,6 @@ fn repair_pass(ctx: &RouterCtx) -> Json {
         ])
     };
     for (id, holders) in &hosts {
-        if !ctx.replicated() {
-            break;
-        }
         if tombstoned.contains(id) {
             // The stream was deleted; every surviving copy is a
             // leftover the delete could not reach. Purge it instead of
@@ -1278,13 +1257,12 @@ fn fill_probing(
     }
 }
 
-/// `POST /v1/streams`: create the uploaded stream on the replica its
-/// `id` hashes to — the same replica later solves route to — falling
-/// over to the next one when it is down (which is also where the
-/// solves will have moved). With `replication_factor >= 2` the create
-/// fans out to the whole effective replica set: each member installs
-/// the stream, so reads can fail over to a secondary without a
-/// recreate round-trip. Unanimity is required (the canonical `400`/
+/// `POST /v1/streams`: create the uploaded stream on the effective
+/// replica set its `id` hashes to — the backends later solves route
+/// to — walking on to the next ring backend when a member is down
+/// (which is also where the solves will have moved). Each member
+/// installs the stream, so reads can fail over to a secondary without
+/// a recreate round-trip. Unanimity is required (the canonical `400`/
 /// `409` included); divergent replica answers are a `502`. A member
 /// that drops mid-fan-out is skipped — the create still succeeds on
 /// the survivors, and the repair pass restores full strength. One
@@ -1300,9 +1278,6 @@ fn relay_create_stream(ctx: &RouterCtx, request: &Request) -> Outcome {
     };
     let key = stream_key(&request.body, "id");
     let order = ctx.route_order(&key);
-    if !ctx.replicated() {
-        return forward_idempotent(ctx, &order, "POST", "/v1/streams", &[], body, &mut || true);
-    }
     let want = ctx.config.replication_factor.min(ctx.backends.len());
     let mut responses: Vec<(usize, u16, String)> = Vec::new();
     // Walk the ring past transport failures: a dead member's slot
@@ -1394,97 +1369,91 @@ fn relay_get(ctx: &RouterCtx, key: &str, path: &str) -> Outcome {
     )
 }
 
-/// `DELETE /v1/streams/{id}`: with replication on, scoped to the
-/// stream's effective replica set *plus* any healthy backend whose
-/// last probe reported a copy — ring churn (a create fanned out while
-/// a member was down, a revived host) can strand copies outside the
-/// current set, and a copy the delete misses would be re-replicated
-/// by the repair pass, resurrecting the stream. Without replication
-/// the legacy fleet-wide broadcast stays. Either way, `404`s from set
-/// members that missed the create are tolerated as long as every
-/// hosting member agreed — but when *no* member hosts the stream the
-/// unanimous `404` is relayed as a real `404`, never a silent
-/// success. A successful replicated delete is tombstoned so the
-/// repair pass purges copies on members it could not reach (dead now,
-/// back later) instead of adopting them back.
+/// `DELETE /v1/streams/{id}`: broadcast to the stream's
+/// [write targets](write_targets). `404`s from set members that missed
+/// the create are tolerated as long as every hosting member agreed —
+/// but when *no* member hosts the stream the unanimous `404` is
+/// relayed as a real `404`, never a silent success. A successful
+/// delete is tombstoned so the repair pass purges copies on members it
+/// could not reach (dead now, back later) instead of adopting them
+/// back.
 fn relay_delete_stream(ctx: &RouterCtx, request: &Request, id: &str) -> Outcome {
     let Ok(body) = std::str::from_utf8(&request.body) else {
         return ApiError::bad_request("body is not UTF-8").into();
     };
-    let targets = delete_targets(ctx, id);
-    let outcome = broadcast(ctx, &targets, "DELETE", request.path(), &[], body, true);
-    if ctx.replicated() {
-        if let Outcome::Respond {
-            status: 200..=299, ..
-        } = outcome
-        {
-            ctx.tombstones
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(id.to_string());
-        }
+    let targets = write_targets(ctx, id);
+    let outcome = broadcast(ctx, &targets, "DELETE", request.path(), &[], body, |_| true);
+    if let Outcome::Respond {
+        status: 200..=299, ..
+    } = outcome
+    {
+        ctx.tombstones
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id.to_string());
     }
     outcome
 }
 
-/// The backends a `DELETE` on `id` must reach (see
-/// [`relay_delete_stream`]): the mutation targets, widened — when
-/// replicated — by every healthy backend whose probed residency shows
-/// the stream.
-fn delete_targets(ctx: &RouterCtx, id: &str) -> Vec<usize> {
-    let mut targets = mutation_targets(ctx, id);
-    if ctx.replicated() {
-        for (idx, backend) in ctx.backends.iter().enumerate() {
-            if targets.contains(&idx) || !backend.healthy.load(Ordering::Relaxed) {
-                continue;
-            }
-            let hosts_it = backend
-                .residency
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .any(|(resident, _)| resident == id);
-            if hosts_it {
-                targets.push(idx);
-            }
-        }
-    }
-    targets
-}
-
-/// Cleans are mutations: broadcast to the stream's mutation targets —
-/// the effective replica set with replication on, every healthy
-/// backend (draining included, so a drained backend stays
-/// byte-identical for its undrain) without. Never retried; divergent
-/// replica outcomes are a `502`, not a guess.
+/// Cleans are mutations: broadcast to the stream's [write
+/// targets](write_targets) — a draining holder included, so it stays
+/// byte-identical for its undrain. A `404` from a set member the probe
+/// never saw holding the stream (it has no copy yet for the repairer
+/// to refresh) is ignored; any other disagreement among the replicas
+/// is a `502`, not a guess. Never retried.
 fn relay_clean(ctx: &RouterCtx, request: &Request, id: &str) -> Outcome {
     let Ok(body) = std::str::from_utf8(&request.body) else {
         return ApiError::bad_request("body is not UTF-8").into();
     };
     let tenant = request.header("x-tenant");
     let headers: Vec<(&str, &str)> = tenant.map(|t| ("x-tenant", t)).into_iter().collect();
-    let targets = mutation_targets(ctx, id);
-    broadcast(ctx, &targets, "POST", request.path(), &headers, body, false)
+    let targets = write_targets(ctx, id);
+    let not_a_holder = |idx: usize| !holds(&ctx.backends[idx], id);
+    broadcast(
+        ctx,
+        &targets,
+        "POST",
+        request.path(),
+        &headers,
+        body,
+        not_a_holder,
+    )
 }
 
-/// The backends a mutation on `id` must reach: the effective replica
-/// set under ring-governed placement (`replication_factor >= 2`), or
-/// every backend without it (copies may then live anywhere, so only a
-/// fleet-wide broadcast keeps replicas byte-identical).
-fn mutation_targets(ctx: &RouterCtx, id: &str) -> Vec<usize> {
-    if ctx.replicated() {
-        ctx.replica_set(&ctx.route_order(id))
-    } else {
-        (0..ctx.backends.len()).collect()
+/// The backends a clean or delete on `id` must reach: the stream's
+/// effective replica set plus every healthy backend whose probed
+/// residency holds the stream. Ring churn (a create fanned out while a
+/// member was down, a revived host) or registration on a backend up
+/// front can leave copies outside the current set; a clean that missed
+/// one would leave it stale, and a delete that missed one would let the
+/// repair pass resurrect the stream from it.
+fn write_targets(ctx: &RouterCtx, id: &str) -> Vec<usize> {
+    let mut targets = ctx.replica_set(&ctx.route_order(id));
+    for (idx, backend) in ctx.backends.iter().enumerate() {
+        let live = backend.healthy.load(Ordering::Relaxed);
+        if live && !targets.contains(&idx) && holds(backend, id) {
+            targets.push(idx);
+        }
     }
+    targets
+}
+
+/// Whether `backend`'s last probed residency lists stream `id`.
+fn holds(backend: &Backend, id: &str) -> bool {
+    backend
+        .residency
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .iter()
+        .any(|(resident, _)| resident == id)
 }
 
 /// Broadcasts a mutation to the healthy members of `targets`, never
 /// retrying. A unanimous answer (success or the same canonical
 /// rejection) is relayed as-is; anything else is a `502` — except
-/// that, with `tolerate_not_found`, `404`s from replicas that simply
-/// don't host the target are ignored as long as every replica that
-/// *does* host it agreed. A unanimous `404` (nobody hosts it) is
+/// that a `404` from a target for which `tolerates_404` holds (a
+/// replica that simply doesn't host the stream) is ignored as long as
+/// every other replica agreed. A unanimous `404` (nobody hosts it) is
 /// relayed as the `404` it is.
 fn broadcast(
     ctx: &RouterCtx,
@@ -1493,41 +1462,42 @@ fn broadcast(
     path: &str,
     headers: &[(&str, &str)],
     body: &str,
-    tolerate_not_found: bool,
+    tolerates_404: impl Fn(usize) -> bool,
 ) -> Outcome {
-    let mut responses: Vec<(u16, String)> = Vec::new();
+    let mut responses: Vec<(usize, u16, String)> = Vec::new();
     for &idx in targets {
         let backend = &ctx.backends[idx];
         if !backend.healthy.load(Ordering::Relaxed) {
             continue;
         }
         match backend.pool.request(method, path, headers, body) {
-            Ok(response) => responses.push(response),
+            Ok((status, body)) => responses.push((idx, status, body)),
             Err(_) => backend.healthy.store(false, Ordering::Relaxed),
         }
     }
-    let Some((first_status, first_body)) = responses.first().cloned() else {
+    let Some((_, first_status, first_body)) = responses.first().cloned() else {
         return ApiError::unavailable("no live backend").into();
     };
-    if responses.iter().all(|(status, _)| *status == first_status) {
+    if responses
+        .iter()
+        .all(|(_, status, _)| *status == first_status)
+    {
         // Unanimous — success or the same canonical rejection.
         return Outcome::Respond {
             status: first_status,
             body: first_body,
         };
     }
-    if tolerate_not_found {
-        let hosts: Vec<&(u16, String)> = responses
-            .iter()
-            .filter(|(status, _)| *status != 404)
-            .collect();
-        if let Some(((status, body), rest)) = hosts.split_first() {
-            if rest.iter().all(|(s, _)| s == status) {
-                return Outcome::Respond {
-                    status: *status,
-                    body: body.clone(),
-                };
-            }
+    let counted: Vec<&(usize, u16, String)> = responses
+        .iter()
+        .filter(|(idx, status, _)| *status != 404 || !tolerates_404(*idx))
+        .collect();
+    if let Some(((_, status, body), rest)) = counted.split_first() {
+        if rest.iter().all(|(_, s, _)| s == status) {
+            return Outcome::Respond {
+                status: *status,
+                body: body.clone(),
+            };
         }
     }
     ApiError::bad_gateway("replicas diverged applying the mutation").into()
@@ -1602,8 +1572,7 @@ mod tests {
             backends,
             ring,
             config: RouterConfig::new(),
-            prober_bed: (Mutex::new(false), Condvar::new()),
-            repair_bed: (Mutex::new(false), Condvar::new()),
+            stopping: (Mutex::new(false), Condvar::new()),
             tombstones: Mutex::new(BTreeSet::new()),
             repair_stalls: Mutex::new(BTreeMap::new()),
         }
@@ -1690,16 +1659,53 @@ mod tests {
     }
 
     #[test]
-    fn mutation_targets_scope_to_the_set_only_when_replicated() {
+    fn write_targets_are_the_set_plus_probed_holders_minus_the_dead() {
         let mut ctx = test_ctx(&["a", "b", "c"]);
-        assert_eq!(
-            mutation_targets(&ctx, "stream-x"),
-            vec![0, 1, 2],
-            "without replication mutations stay fleet-wide"
-        );
-        ctx.config.replication_factor = 2;
         let order = ctx.route_order("stream-x");
-        assert_eq!(mutation_targets(&ctx, "stream-x"), order[..2].to_vec());
+        let hold = |ctx: &RouterCtx, idx: usize, ids: &[&str]| {
+            *ctx.backends[idx]
+                .residency
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) =
+                ids.iter().map(|id| (id.to_string(), 1)).collect();
+        };
+        for replicas in [1, 2] {
+            ctx.config.replication_factor = replicas;
+            let set = order[..replicas].to_vec();
+            for idx in 0..3 {
+                hold(&ctx, idx, &[]);
+                ctx.backends[idx].healthy.store(true, Ordering::Relaxed);
+            }
+            // Nothing probed: the replica set alone.
+            assert_eq!(write_targets(&ctx, "stream-x"), set, "R={replicas}");
+
+            // Every probed holder joins — in-set holders once — and a
+            // holder of another stream only if it is in the set.
+            for idx in 0..3 {
+                hold(&ctx, idx, &["stream-x"]);
+            }
+            hold(&ctx, order[1], &["stream-y"]);
+            let mut want = set.clone();
+            want.push(order[2]);
+            assert_eq!(write_targets(&ctx, "stream-x"), want, "R={replicas}");
+
+            // A dead holder is not a target; a dead set member's slot
+            // falls to the next ring backend.
+            ctx.backends[order[2]]
+                .healthy
+                .store(false, Ordering::Relaxed);
+            let alive: Vec<usize> = want.iter().copied().filter(|&i| i != order[2]).collect();
+            assert_eq!(write_targets(&ctx, "stream-x"), alive, "R={replicas}");
+            ctx.backends[order[2]]
+                .healthy
+                .store(true, Ordering::Relaxed);
+            ctx.backends[order[0]]
+                .healthy
+                .store(false, Ordering::Relaxed);
+            let targets = write_targets(&ctx, "stream-x");
+            assert!(!targets.contains(&order[0]), "R={replicas}: {targets:?}");
+            assert_eq!(targets[..replicas], order[1..=replicas], "R={replicas}");
+        }
     }
 
     #[test]
@@ -1712,7 +1718,7 @@ mod tests {
         assert!(!set.contains(&outsider));
 
         // No residency anywhere: the delete stays scoped to the set.
-        assert_eq!(delete_targets(&ctx, "stream-x"), set);
+        assert_eq!(write_targets(&ctx, "stream-x"), set);
 
         // A healthy out-of-set backend reporting a copy is included —
         // a copy the delete misses would resurrect via repair.
@@ -1720,13 +1726,13 @@ mod tests {
             .residency
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = vec![("stream-x".to_string(), 3)];
-        let widened = delete_targets(&ctx, "stream-x");
+        let widened = write_targets(&ctx, "stream-x");
         assert!(widened.contains(&outsider), "straggler copy is reached");
         assert_eq!(widened.len(), set.len() + 1);
         // ...but only for the stream it actually hosts: another
         // stream's delete stays scoped to that stream's own set.
         assert_eq!(
-            delete_targets(&ctx, "stream-y"),
+            write_targets(&ctx, "stream-y"),
             ctx.replica_set(&ctx.route_order("stream-y"))
         );
 
@@ -1734,11 +1740,7 @@ mod tests {
         ctx.backends[outsider]
             .healthy
             .store(false, Ordering::Relaxed);
-        assert!(!delete_targets(&ctx, "stream-x").contains(&outsider));
-
-        // Without replication, deletes stay fleet-wide.
-        ctx.config.replication_factor = 1;
-        assert_eq!(delete_targets(&ctx, "stream-x"), vec![0, 1, 2]);
+        assert!(!write_targets(&ctx, "stream-x").contains(&outsider));
     }
 
     #[test]

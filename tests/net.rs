@@ -2,7 +2,8 @@
 //! with in-process plans, the full malformed-input matrix (each bad
 //! request yields a typed 4xx — or a cancelled request — without
 //! tearing down the listener or leaking quota), disconnect-driven
-//! cancellation, keep-alive, and graceful-shutdown drain.
+//! cancellation, keep-alive, graceful-shutdown drain, and the
+//! whole-store snapshot a graceful shutdown leaves for a warm restart.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -612,6 +613,11 @@ fn streamed_sweep_delivers_the_first_point_while_later_points_solve() {
     );
     let rest: Vec<_> = stream.map(|p| p.expect("streamed point")).collect();
     assert_eq!(rest.len(), 2, "remaining budget points all arrive");
+    assert_eq!(
+        service.stats().completed,
+        1,
+        "a fully drained streamed sweep counts as completed"
+    );
     // Budgets ascend; spent cost is monotone across the grid.
     let mut costs = vec![first.cost];
     costs.extend(rest.iter().map(|p| p.cost));
@@ -842,6 +848,50 @@ fn stream_snapshot_adopts_onto_a_peer_and_serves_warm() {
         Err(ClientError::Api(e)) => assert_eq!(e.status, 404),
         other => panic!("mismatched adopt must not install, got {other:?}"),
     }
+}
+
+/// Whole-store snapshot lifecycle: a server booted with a snapshot
+/// path persists its settled store on graceful shutdown, and a
+/// successor booted on the same path reports the restored entries in
+/// `/v1/health` and serves its first repeat request fully warm, plan
+/// bytes unchanged.
+#[test]
+fn graceful_shutdown_snapshot_boots_the_successor_warm() {
+    let dir = std::env::temp_dir().join(format!("fc-net-snapshot-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("snapshot dir");
+    let path = dir.join("store.fcsnap");
+    let boot_snapshotting = || {
+        boot_with(
+            registry_with_slow(Duration::from_millis(400)),
+            test_config().with_snapshot_path(&path),
+        )
+    };
+    let restored = |addr| {
+        let (status, body) = get(addr, "/v1/health");
+        assert_eq!(status, 200, "{body}");
+        Json::parse(&body)
+            .unwrap()
+            .get("restored_entries")
+            .and_then(Json::as_u64)
+            .expect("health reports restored_entries")
+    };
+    let recommend = r#"{"stream":"crime","measure":"dup","budget":2}"#;
+
+    let (first, _service) = boot_snapshotting();
+    assert_eq!(restored(first.addr()), 0, "no snapshot yet: a cold boot");
+    let (status, cold) = post(first.addr(), "/v1/recommend", recommend, None);
+    assert_eq!(status, 200, "{cold}");
+    assert!(served_store_misses(&cold) > 0, "the first solve is cold");
+    first.shutdown(); // persists the settled store
+
+    let (successor, _service) = boot_snapshotting();
+    assert!(restored(successor.addr()) > 0, "the successor boots warm");
+    let (status, warm) = post(successor.addr(), "/v1/recommend", recommend, None);
+    assert_eq!(status, 200, "{warm}");
+    assert_eq!(served_store_misses(&warm), 0, "first repeat is fully warm");
+    assert_eq!(served_identity(&warm), served_identity(&cold));
+    successor.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Regression for the saturation path: at `max_connections`, refused

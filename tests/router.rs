@@ -1,16 +1,18 @@
 //! Integration tests for the consistent-hash routing front: topology
 //! and health reporting, canonical error relay (the router never
-//! rewrites a backend's 4xx bytes), operator and backend-advertised
-//! drain, failover to the surviving replica, fleet-wide 503 when no
-//! backend is reachable, clean broadcast (unanimous and divergent),
-//! aggregated stats, streamed-sweep passthrough (chunk relay is
-//! byte-preserving and client hangup cancels upstream), and the
-//! wire-native stream lifecycle (create routes onto the ring, deletes
-//! broadcast, and a dead host's streams recreate on the next replica),
-//! and the replication edge cases: deletes reach straggler copies,
-//! tombstones keep deleted streams deleted across repair passes,
-//! divergent creates reconcile on identical leftover copies, and a
-//! capacity-bound re-warm backs off instead of looping. The edge
+//! rewrites a backend's 4xx bytes) and plan byte-identity, operator and
+//! backend-advertised drain, failover to the surviving replica (dead
+//! at boot or killed mid-run), fleet-wide 503 when no backend is
+//! reachable, clean broadcast (unanimous, divergent, and post-clean
+//! identity with a single box), aggregated stats, streamed-sweep
+//! passthrough (chunk relay is byte-preserving and client hangup
+//! cancels upstream), and the wire-native stream lifecycle (create
+//! routes onto the ring, a clean reaches only the stream's holders,
+//! deletes broadcast, and a dead host's streams recreate on the next
+//! replica), and the replication edge cases: deletes reach straggler
+//! copies, tombstones keep deleted streams deleted across repair
+//! passes, divergent creates reconcile on identical leftover copies,
+//! and a capacity-bound re-warm backs off instead of looping. The edge
 //! matrix of the connection front the router shares with the server
 //! (`405`/`404`, typed framing errors, the saturation `503`) closes
 //! the file.
@@ -20,7 +22,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fact_clean::net::api::{BudgetSpec, CleanRequest, CreateStreamRequest, RecommendRequest};
+use fact_clean::net::api::{
+    plan_identity_json, BudgetSpec, CleanRequest, CreateStreamRequest, RecommendRequest,
+    SweepRequest,
+};
 use fact_clean::net::client::{self, ApiClient, ClientError};
 use fact_clean::net::json::Json;
 use fact_clean::net::router::VNODES;
@@ -30,20 +35,25 @@ use fc_core::planner::Fnv1a;
 use fc_core::{EngineCache, Result as CoreResult, SolverRegistry, WorkerPool};
 
 fn session() -> CleaningSession {
-    let current = vec![9_010.0, 9_275.0, 9_300.0, 9_125.0, 9_430.0];
+    session_over(5)
+}
+
+/// The first `n` (3 to 5) objects of the test series; the claim
+/// compares the last two, each perturbation an earlier adjacent pair.
+fn session_over(n: usize) -> CleaningSession {
+    let current = [9_010.0, 9_275.0, 9_300.0, 9_125.0, 9_430.0][..n].to_vec();
     let dists: Vec<DiscreteDist> = current
         .iter()
         .map(|&u| DiscreteDist::uniform_over(&[u - 40.0, u, u + 40.0]).unwrap())
         .collect();
-    let instance = Instance::new(dists, current, vec![1; 5]).unwrap();
+    let instance = Instance::new(dists, current, vec![1; n]).unwrap();
     let claims = ClaimSet::new(
-        LinearClaim::window_comparison(3, 4, 1).unwrap(),
-        vec![
-            LinearClaim::window_comparison(2, 3, 1).unwrap(),
-            LinearClaim::window_comparison(1, 2, 1).unwrap(),
-            LinearClaim::window_comparison(0, 1, 1).unwrap(),
-        ],
-        vec![1.0; 3],
+        LinearClaim::window_comparison(n - 2, n - 1, 1).unwrap(),
+        (0..n - 2)
+            .rev()
+            .map(|i| LinearClaim::window_comparison(i, i + 1, 1).unwrap())
+            .collect(),
+        vec![1.0; n - 2],
         Direction::HigherIsStronger,
     )
     .unwrap();
@@ -143,12 +153,54 @@ fn dead_addr() -> SocketAddr {
     listener.local_addr().expect("addr")
 }
 
+/// A listener whose accept queue is full, so the kernel drops every
+/// further SYN to it: a host that is down or firewalled, as a
+/// connecting client sees it (the connect hangs rather than being
+/// refused). Keep both halves alive while the address is in use.
+#[cfg(target_os = "linux")]
+fn syn_dropping_listener() -> (TcpListener, TcpStream) {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn listen(fd: i32, backlog: i32) -> i32;
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    // SAFETY: re-`listen`ing on a socket we own only shrinks its
+    // backlog; with a backlog of 0 the queue holds one connection.
+    assert_eq!(unsafe { listen(listener.as_raw_fd(), 0) }, 0);
+    let filler = TcpStream::connect(listener.local_addr().unwrap()).expect("fill the queue");
+    (listener, filler)
+}
+
 fn crime_request() -> RecommendRequest {
     RecommendRequest {
         stream: "crime".to_string(),
         spec: ObjectiveSpec::ascertain(Measure::Dup),
         budget: BudgetSpec::Absolute(2),
     }
+}
+
+/// The mixed per-stream workload on `crime` — a dup recommend, a MaxPr
+/// recommend and a frag sweep — as the identity bytes of each plan.
+fn crime_workload(api: &ApiClient) -> Vec<String> {
+    let maxpr = RecommendRequest {
+        spec: ObjectiveSpec::find_counter(5.0),
+        budget: BudgetSpec::Absolute(3),
+        ..crime_request()
+    };
+    let frag = SweepRequest {
+        stream: "crime".to_string(),
+        spec: ObjectiveSpec::ascertain(Measure::Frag),
+        budgets: vec![BudgetSpec::Absolute(2), BudgetSpec::Absolute(4)],
+    };
+    let mut plans = vec![
+        api.recommend(&crime_request(), None).expect("dup plan"),
+        api.recommend(&maxpr, None).expect("maxpr plan"),
+    ];
+    plans.extend(api.sweep(&frag, None).expect("frag sweep"));
+    plans
+        .iter()
+        .map(|plan| plan.identity_json().to_string())
+        .collect()
 }
 
 /// Polls `/v1/topology` until `predicate` holds for the named backend.
@@ -235,20 +287,13 @@ fn relays_canonical_errors_and_identical_plans() {
     assert_eq!((via_router, &body_router), (direct, &body_direct));
     assert_eq!(via_router, 400);
 
-    // A well-formed request through the router matches a cold solve on
-    // a backend the router did not pick (identical sessions).
-    let routed = ApiClient::connect(router.addr())
-        .expect("connect router")
-        .recommend(&crime_request(), None)
-        .expect("routed plan");
-    let direct = ApiClient::connect(backend_b.addr())
-        .expect("connect backend")
-        .recommend(&crime_request(), None)
-        .expect("direct plan");
-    assert_eq!(
-        routed.identity_json().to_string(),
-        direct.identity_json().to_string()
-    );
+    // Well-formed requests through the router — dup, MaxPr and a frag
+    // sweep — match a single box with an identical session.
+    let (_reference_service, reference) = boot_backend(&["crime"]);
+    let routed = crime_workload(&ApiClient::connect(router.addr()).expect("connect router"));
+    let direct = crime_workload(&ApiClient::connect(reference.addr()).expect("connect box"));
+    assert_eq!(routed, direct);
+    reference.shutdown();
 
     router.shutdown();
     backend_a.shutdown();
@@ -257,9 +302,11 @@ fn relays_canonical_errors_and_identical_plans() {
 
 #[test]
 fn operator_drain_is_immediate_and_unknown_backend_is_404() {
-    let (_service_a, backend_a) = boot_backend(&["crime"]);
+    let (service_a, backend_a) = boot_backend(&["crime"]);
     let (_service_b, backend_b) = boot_backend(&["crime"]);
     let router = boot_router(&[("a", backend_a.addr()), ("b", backend_b.addr())]);
+    let api = ApiClient::connect(router.addr()).expect("connect");
+    let before = crime_workload(&api);
 
     let (status, _) =
         client::post(router.addr(), "/v1/admin/backends/zz/drain", "", &[]).expect("post");
@@ -274,9 +321,19 @@ fn operator_drain_is_immediate_and_unknown_backend_is_404() {
     });
 
     // Draining is a preference, not a partition: with b also present
-    // the request lands on b, but a lone draining backend still serves.
-    let api = ApiClient::connect(router.addr()).expect("connect");
-    api.recommend(&crime_request(), None).expect("routed plan");
+    // new work lands on b — a's `submitted` stays flat while traffic
+    // flows — with plan bytes unchanged.
+    let submitted = service_a.stats().submitted;
+    assert_eq!(
+        crime_workload(&api),
+        before,
+        "drain must not move plan bytes"
+    );
+    assert_eq!(
+        service_a.stats().submitted,
+        submitted,
+        "a drained backend receives no new work"
+    );
 
     let (status, _) =
         client::post(router.addr(), "/v1/admin/backends/a/undrain", "", &[]).expect("post");
@@ -316,13 +373,59 @@ fn backend_advertised_drain_reaches_the_ring() {
     backend_b.shutdown();
 }
 
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_gives_up_on_a_backend_that_drops_syns() {
+    let (_service, backend) = boot_backend(&["crime"]);
+    let (silent, _filler) = syn_dropping_listener();
+    let started = Instant::now();
+    let router = boot_router(&[
+        ("a", backend.addr()),
+        ("silent", silent.local_addr().unwrap()),
+    ]);
+    // The probe's connect is bounded by the 500 ms read timeout, not
+    // the OS's minutes of SYN retries.
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "serve() took {took:?}");
+    let (_, body) = client::get(router.addr(), "/v1/health").expect("health");
+    assert_eq!(
+        Json::parse(&body)
+            .unwrap()
+            .get("backends_live")
+            .and_then(Json::as_u64),
+        Some(1),
+        "{body}"
+    );
+    ApiClient::connect(router.addr())
+        .expect("connect")
+        .recommend(&crime_request(), None)
+        .expect("the live backend serves");
+    router.shutdown();
+    backend.shutdown();
+}
+
 #[test]
 fn fails_over_to_the_surviving_replica() {
-    let (_service, backend) = boot_backend(&["crime"]);
-    let router = boot_router(&[("live", backend.addr()), ("dead", dead_addr())]);
+    let (service_a, backend_a) = boot_backend(&["crime"]);
+    let (_service_b, backend_b) = boot_backend(&["crime"]);
+    let router = boot_router(&[
+        ("a", backend_a.addr()),
+        ("b", backend_b.addr()),
+        ("dead", dead_addr()),
+    ]);
+    // The probe at boot already knows which backend is dead.
+    let (_, body) = client::get(router.addr(), "/v1/health").expect("health");
+    assert_eq!(
+        Json::parse(&body)
+            .unwrap()
+            .get("backends_live")
+            .and_then(Json::as_u64),
+        Some(2),
+        "{body}"
+    );
 
-    // Every stream id must succeed — including ones whose ring walk
-    // starts at the dead replica.
+    // Every request must succeed, whichever replica its ring walk
+    // starts at.
     let api = ApiClient::connect(router.addr()).expect("connect");
     for i in 0..8u64 {
         let request = RecommendRequest {
@@ -333,12 +436,27 @@ fn fails_over_to_the_surviving_replica() {
         api.recommend(&request, None)
             .unwrap_or_else(|e| panic!("request {i} failed over a dead replica: {e}"));
     }
+    let before = crime_workload(&api);
+
+    // Killing the serving backend mid-run fails no idempotent request:
+    // its pooled connections go stale, and the next request over them
+    // fails over to the survivor with plan bytes unchanged — without
+    // waiting for the prober.
+    let (host, survivor) = if service_a.stats().submitted > 0 {
+        (backend_a, backend_b)
+    } else {
+        (backend_b, backend_a)
+    };
+    host.shutdown();
+    for round in 0..3 {
+        assert_eq!(crime_workload(&api), before, "round {round} after the kill");
+    }
     wait_for_backend(&router, "dead", |b| {
         b.get("healthy").and_then(Json::as_bool) == Some(false)
     });
 
     router.shutdown();
-    backend.shutdown();
+    survivor.shutdown();
 }
 
 #[test]
@@ -372,19 +490,42 @@ fn clean_broadcast_requires_unanimity() {
     };
     let applied = api.clean("crime", &clean, None).expect("broadcast clean");
     assert_eq!(applied.objects, 1);
-    // Both replicas saw the clean, not just the routed one: each had a
+    // Both holders saw the clean, not just the routed one: each had a
     // cached plan for the stream and each dropped it.
     assert!(service_a.store().stats().invalidations >= 1);
     assert!(service_b.store().stats().invalidations >= 1);
 
-    // A clean the replicas answer differently (one lacks the stream)
-    // is a divergence, surfaced as 502 rather than half-applied.
+    // After the clean the fleet plans exactly as a single box that
+    // applied the same clean.
+    let (_box_service, single_box) = boot_backend(&["crime"]);
+    let box_api = ApiClient::connect(single_box.addr()).expect("connect box");
+    box_api.clean("crime", &clean, None).expect("box clean");
+    assert_eq!(crime_workload(&api), crime_workload(&box_api));
+    single_box.shutdown();
+
+    // A clean two holders answer differently is a divergence, surfaced
+    // as 502. Here d registers `crime` over a shorter series, so
+    // cleaning object 4 is a 200 on c and a 400 on d.
     let (_service_c, backend_c) = boot_backend(&["crime"]);
-    let (_service_d, backend_d) = boot_backend(&["other"]);
+    let short_service = PlannerService::new(
+        Arc::new(SolverRegistry::with_defaults()),
+        ServiceOptions::new(),
+    );
+    let backend_d = PlannerServer::new(short_service.clone())
+        .with_config(
+            fact_clean::net::ServerConfig::new().with_read_timeout(Duration::from_millis(200)),
+        )
+        .with_stream("crime", ClaimStream::open(session_over(3), short_service))
+        .serve("127.0.0.1:0")
+        .expect("bind backend");
     let skewed = boot_router(&[("c", backend_c.addr()), ("d", backend_d.addr())]);
+    let beyond_d = CleanRequest {
+        objects: vec![4],
+        revealed: vec![9_430.0],
+    };
     let err = ApiClient::connect(skewed.addr())
         .expect("connect")
-        .clean("crime", &clean, None)
+        .clean("crime", &beyond_d, None)
         .expect_err("divergent clean must not claim success");
     match err {
         ClientError::Api(e) => assert_eq!(e.status, 502, "expected divergence: {}", e.message),
@@ -394,6 +535,125 @@ fn clean_broadcast_requires_unanimity() {
     skewed.shutdown();
     backend_c.shutdown();
     backend_d.shutdown();
+    router.shutdown();
+    backend_a.shutdown();
+    backend_b.shutdown();
+}
+
+/// At the default `R = 1` a stream created over the wire lives on one
+/// backend, and a clean through the router reaches exactly that
+/// backend: `200`, applied once, post-clean plans fresh. The other
+/// backend, which never held the stream, is not asked.
+#[test]
+fn wire_created_stream_clean_reaches_only_its_host() {
+    let (service_a, backend_a) = boot_backend(&[]);
+    let (service_b, backend_b) = boot_backend(&[]);
+    let router = RouterServer::new()
+        .with_config(
+            RouterConfig::new()
+                .with_probe_interval(Duration::from_millis(25))
+                .with_read_timeout(Duration::from_millis(500))
+                // No repair pass copies the stream onto the other
+                // backend while the host is drained below.
+                .with_repair_interval(Duration::from_secs(120)),
+        )
+        .with_backend("a", backend_a.addr().to_string())
+        .with_backend("b", backend_b.addr().to_string())
+        .serve("127.0.0.1:0")
+        .expect("bind router");
+    let api = ApiClient::connect(router.addr()).expect("connect router");
+    api.create_stream(&wire_create("wire")).expect("create");
+    let on_a = hosts_stream(backend_a.addr(), "wire");
+    assert!(on_a ^ hosts_stream(backend_b.addr(), "wire"));
+    let (host, other) = if on_a {
+        (&service_a, &service_b)
+    } else {
+        (&service_b, &service_a)
+    };
+    let (host_name, other_addr) = if on_a {
+        ("a", backend_b.addr())
+    } else {
+        ("b", backend_a.addr())
+    };
+
+    let request = RecommendRequest {
+        stream: "wire".to_string(),
+        ..crime_request()
+    };
+    let warm = api.recommend(&request, None).expect("warm the host");
+    let objects = warm.objects.clone();
+    let revealed: Vec<f64> = objects
+        .iter()
+        .map(|&i| session().instance().dist(i).mean())
+        .collect();
+    let clean = CleanRequest {
+        objects: objects.clone(),
+        revealed: revealed.clone(),
+    };
+    let applied = api.clean("wire", &clean, None).expect("clean through R=1");
+    assert_eq!(applied.objects, objects.len());
+    assert!(applied.invalidated >= 1, "the host's warm plan was dropped");
+    assert_eq!(
+        host.store().stats().invalidations,
+        applied.invalidated as u64,
+        "the clean applied once, on the host"
+    );
+    assert_eq!(other.store().stats().invalidations, 0);
+
+    let cleaned = session()
+        .after_cleaning(
+            &Selection::from_objects(objects.clone(), session().data().costs()),
+            &revealed,
+        )
+        .unwrap();
+    let expected = cleaned
+        .recommend(ObjectiveSpec::ascertain(Measure::Dup), Budget::absolute(2))
+        .unwrap();
+    let after = api.recommend(&request, None).expect("post-clean plan");
+    assert_eq!(
+        after.identity_json().to_string(),
+        plan_identity_json(&expected).to_string()
+    );
+
+    // Draining the host moves the one-member replica set onto the other
+    // backend, which has no copy. The clean still reaches the host — a
+    // probed holder — and the other's 404 is not a divergence.
+    assert!(router.set_draining(host_name, true));
+    wait_for_backend(&router, host_name, |b| {
+        b.get("streams").and_then(Json::as_array).is_some_and(|s| {
+            s.iter()
+                .any(|s| s.get("id").and_then(Json::as_str) == Some("wire"))
+        })
+    });
+    let object = (0..5).find(|i| !objects.contains(i)).unwrap();
+    let mean = session().instance().dist(object).mean();
+    let second = CleanRequest {
+        objects: vec![object],
+        revealed: vec![mean],
+    };
+    let applied = api
+        .clean("wire", &second, None)
+        .expect("clean with the host drained");
+    assert_eq!(applied.objects, 1);
+    assert!(!hosts_stream(other_addr, "wire"), "the clean made no copy");
+
+    assert!(router.set_draining(host_name, false));
+    let expected = cleaned
+        .after_cleaning(
+            &Selection::from_objects(vec![object], session().data().costs()),
+            &[mean],
+        )
+        .unwrap()
+        .recommend(ObjectiveSpec::ascertain(Measure::Dup), Budget::absolute(2))
+        .unwrap();
+    let after = api
+        .recommend(&request, None)
+        .expect("plan after both cleans");
+    assert_eq!(
+        after.identity_json().to_string(),
+        plan_identity_json(&expected).to_string()
+    );
+
     router.shutdown();
     backend_a.shutdown();
     backend_b.shutdown();
@@ -706,6 +966,18 @@ fn replicated_streams_survive_primary_loss_with_warm_failover() {
             "the secondary must serve fully warm"
         );
     }
+    let survivors_hosting = fleet
+        .iter()
+        .filter(|(_, handle)| {
+            handle
+                .as_ref()
+                .is_some_and(|h| hosts_stream(h.addr(), "wire"))
+        })
+        .count();
+    assert_eq!(
+        survivors_hosting, 1,
+        "failover must not recreate the stream"
+    );
 
     // Repair restores two-replica residency on the survivors: the
     // secondary donates onto the next ring successor.
