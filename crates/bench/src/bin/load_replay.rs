@@ -126,7 +126,10 @@ impl Args {
 /// Sleeps before delegating to greedy, so abandoned requests are still
 /// mid-solve when the server's disconnect probe fires — without it
 /// every solve finishes inside the probe interval and the recorded
-/// cancellation rate reads zero.
+/// cancellation rate reads zero. Only the first solve of a (stream
+/// version, budget) point sleeps: a repeat of a slow key is replayed
+/// from the store's plan memo, so fewer abandoned requests are still
+/// solving when their client goes away.
 struct SlowSolver {
     delegate: Arc<dyn Solver>,
     delay: Duration,

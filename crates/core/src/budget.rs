@@ -4,7 +4,7 @@ use crate::{CoreError, Result};
 use serde::{Deserialize, Serialize};
 
 /// A cleaning budget `C`: the maximum total cost of the selected set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Budget(pub u64);
 
 impl Budget {

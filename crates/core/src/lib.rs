@@ -97,6 +97,13 @@ pub enum CoreError {
     },
     /// A budget fraction was NaN or otherwise non-finite.
     NonFiniteBudgetFraction,
+    /// A revealed or updated object value was NaN or infinite.
+    NonFiniteValue {
+        /// The object the value was meant for.
+        object: usize,
+        /// The offending value.
+        value: f64,
+    },
     /// A builder was finalized before a required component was set.
     BuilderIncomplete {
         /// The missing component.
@@ -152,6 +159,9 @@ impl fmt::Display for CoreError {
             }
             Self::NonFiniteBudgetFraction => {
                 write!(f, "budget fraction must be finite")
+            }
+            Self::NonFiniteValue { object, value } => {
+                write!(f, "object {object}: value {value} is not finite")
             }
             Self::BuilderIncomplete { what } => {
                 write!(f, "builder is missing a required component: {what}")

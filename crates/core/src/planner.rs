@@ -589,7 +589,10 @@ pub struct PlanDiagnostics {
     /// chain's counts; a single serving request reports exactly its
     /// own. **Observability, not plan content**: which runner performs
     /// a lookup is scheduling-dependent, so [`Plan::divergence`]
-    /// deliberately ignores these two fields.
+    /// deliberately ignores these two fields. A plan the serving layer
+    /// replays from the store's plan memo reports exactly one warm
+    /// lookup (`store_hits: 1, store_misses: 0`), whatever the solve
+    /// that produced it reported.
     pub store_hits: u64,
     /// Persistent-store lookups that had to build (cold). See
     /// [`PlanDiagnostics::store_hits`] for semantics and the

@@ -22,6 +22,34 @@
 //!   number of scoped-table builds — a warm store serves repeat
 //!   sessions with **zero** rebuild evaluations.
 //!
+//! ## Plan memo
+//!
+//! Each entry also memoizes the finished [`Plan`]s solved under its
+//! key. A plan is a deterministic function of the entry key, the
+//! strategy, the goal and the budget (the [`Plan::divergence`] gates
+//! pin this), so the serving layer replays a stored plan instead of
+//! solving the same point again:
+//!
+//! * the memo key is (strategy name the request resolved through the
+//!   registry, goal with τ by bit pattern, [`Budget`]);
+//! * only successful plans are stored — an error, a refusal or a
+//!   contained panic is solved again next time;
+//! * an entry holds at most [`PLAN_MEMO_CAP`] plans; once full, further
+//!   plans are simply not stored, so client-chosen τ and budget values
+//!   cannot grow it without limit;
+//! * plans live and die with their entry: capacity eviction,
+//!   [`CacheStore::clear`] and [`CacheStore::invalidate_instance`]
+//!   drop them, and [`CacheStore::rekey`] carries the tables and
+//!   benefits but **clears** the plans (the moved entry now answers for
+//!   a different instance, and a plan over it is not proven equal);
+//! * snapshots carry tables and benefits only, so a restored or adopted
+//!   store starts with an empty plan memo.
+//!
+//! A memo hit counts once in [`CacheStats::plan_hits`] and once in
+//! [`CacheStats::hits`] (one lookup served warm); a memo miss counts in
+//! [`CacheStats::plan_misses`] only, and the solve that follows counts
+//! its own table lookups.
+//!
 //! ## Fingerprint caveats
 //!
 //! Fingerprints are 64-bit content hashes, not proofs of identity: a
@@ -33,12 +61,21 @@
 //! wiring [`CacheStore`] to raw [`Problem`](super::Problem)s must do
 //! the same or skip the store. Dimension mismatches are caught
 //! ([`ScopedEv::with_tables`](crate::ev::scoped::ScopedEv::with_tables)
-//! panics), value-level mismatches are not.
+//! panics), value-level mismatches are not. With the plan memo the key
+//! must also cover everything a *plan* depends on besides strategy,
+//! goal and budget (for a raw Gaussian problem, its
+//! [`MvnSemantics`](crate::ev::gaussian::MvnSemantics)).
+//!
+//! The memo trusts strategy names: every service sharing one store
+//! must mean the same solver by a strategy name, or one service can
+//! replay another's plans.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use super::{Goal, Plan};
+use crate::budget::Budget;
 use crate::ev::scoped::ScopedTables;
 use crate::instance::{GaussianInstance, Instance};
 
@@ -172,13 +209,50 @@ impl CacheKey {
     }
 }
 
+/// Most finished plans one entry memoizes (see the module docs).
+pub const PLAN_MEMO_CAP: usize = 64;
+
+/// A plan's identity within one entry: strategy, goal (τ by bit
+/// pattern) and budget.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct PlanKey {
+    strategy: Arc<str>,
+    /// `None` for MinVar, the bits of τ for MaxPr.
+    tau: Option<u64>,
+    budget: Budget,
+}
+
+impl PlanKey {
+    pub(crate) fn new(strategy: &Arc<str>, goal: Goal, budget: Budget) -> Self {
+        let tau = match goal {
+            Goal::MinVar => None,
+            Goal::MaxPr { tau } => Some(tau.to_bits()),
+        };
+        Self {
+            strategy: Arc::clone(strategy),
+            tau,
+            budget,
+        }
+    }
+}
+
 /// One cached entry: lazily built engines for an (instance, query)
-/// pair. `OnceLock` per engine kind — concurrent workers block on the
-/// first builder instead of duplicating the work.
+/// pair, plus the plans solved over them. `OnceLock` per engine kind —
+/// concurrent workers block on the first builder instead of
+/// duplicating the work. `plans` is only touched under the entry's
+/// shard lock, so a [`CacheStore::rekey`] that clears it cannot race
+/// a store into the moved entry.
 #[derive(Default)]
 struct CacheSlot {
     tables: OnceLock<Arc<ScopedTables>>,
     benefits: OnceLock<Option<Arc<Vec<f64>>>>,
+    plans: Mutex<HashMap<PlanKey, Plan>>,
+}
+
+impl CacheSlot {
+    fn plans(&self) -> MutexGuard<'_, HashMap<PlanKey, Plan>> {
+        self.plans.lock().expect("plan memo poisoned")
+    }
 }
 
 /// One lock's worth of the store.
@@ -211,6 +285,11 @@ pub struct CacheStats {
     /// Entries moved intact by [`CacheStore::rekey`] (a cleaning step
     /// whose touched objects were provably out of every claim scope).
     pub rekeys: u64,
+    /// Plan lookups served from the plan memo (each also counts in
+    /// [`CacheStats::hits`]).
+    pub plan_hits: u64,
+    /// Plan lookups that found no memoized plan (the point is solved).
+    pub plan_misses: u64,
     /// Entries currently resident.
     pub entries: usize,
 }
@@ -232,6 +311,8 @@ pub struct CacheStore {
     scoped_build_evals: AtomicU64,
     invalidations: AtomicU64,
     rekeys: AtomicU64,
+    plan_hits: AtomicU64,
+    plan_misses: AtomicU64,
 }
 
 impl CacheStore {
@@ -264,6 +345,8 @@ impl CacheStore {
             scoped_build_evals: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
             rekeys: AtomicU64::new(0),
+            plan_hits: AtomicU64::new(0),
+            plan_misses: AtomicU64::new(0),
         }
     }
 
@@ -316,7 +399,9 @@ impl CacheStore {
     }
 
     /// Moves the entry under `old` to `new` without touching its built
-    /// engines, returning how many entries moved (0 or 1).
+    /// engines, returning how many entries moved (0 or 1). The moved
+    /// entry's memoized plans are dropped: they answered for the old
+    /// instance.
     ///
     /// This is the *delta-resolve* hook: when a cleaning step touches
     /// only objects outside every claim scope, the instance fingerprint
@@ -339,6 +424,7 @@ impl CacheStore {
             match shard.map.remove(&old) {
                 Some(slot) => {
                     shard.order.retain(|key| *key != old);
+                    slot.plans().clear();
                     slot
                 }
                 None => return 0,
@@ -348,14 +434,7 @@ impl CacheStore {
         if shard.map.contains_key(&new) {
             return 0;
         }
-        while shard.map.len() >= self.shard_capacity {
-            if let Some(evicted) = shard.order.pop_front() {
-                shard.map.remove(&evicted);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            } else {
-                break;
-            }
-        }
+        self.make_room(&mut shard);
         shard.map.insert(new, slot);
         shard.order.push_back(new);
         self.rekeys.fetch_add(1, Ordering::Relaxed);
@@ -372,6 +451,8 @@ impl CacheStore {
             scoped_build_evals: self.scoped_build_evals.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             rekeys: self.rekeys.load(Ordering::Relaxed),
+            plan_hits: self.plan_hits.load(Ordering::Relaxed),
+            plan_misses: self.plan_misses.load(Ordering::Relaxed),
             entries: self.len(),
         }
     }
@@ -381,25 +462,73 @@ impl CacheStore {
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 
-    /// The slot for `key`, inserting (and possibly evicting) under the
-    /// shard lock. Engine builds happen *outside* this lock.
-    fn slot(&self, key: CacheKey) -> Arc<CacheSlot> {
-        let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
+    /// Evicts FIFO until `shard` has room for one more entry.
+    fn make_room(&self, shard: &mut Shard) {
+        while shard.map.len() >= self.shard_capacity {
+            let Some(old) = shard.order.pop_front() else {
+                break;
+            };
+            shard.map.remove(&old);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The slot for `key` in its (locked) shard, inserting (and
+    /// possibly evicting) when absent.
+    fn slot_in(&self, shard: &mut Shard, key: CacheKey) -> Arc<CacheSlot> {
         if let Some(slot) = shard.map.get(&key) {
             return Arc::clone(slot);
         }
-        while shard.map.len() >= self.shard_capacity {
-            if let Some(old) = shard.order.pop_front() {
-                shard.map.remove(&old);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            } else {
-                break;
-            }
-        }
+        self.make_room(shard);
         let slot = Arc::new(CacheSlot::default());
         shard.map.insert(key, Arc::clone(&slot));
         shard.order.push_back(key);
         slot
+    }
+
+    /// The slot for `key`, inserting (and possibly evicting) under the
+    /// shard lock. Engine builds happen *outside* this lock.
+    fn slot(&self, key: CacheKey) -> Arc<CacheSlot> {
+        let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
+        self.slot_in(&mut shard, key)
+    }
+
+    /// The plan memoized under (`key`, `plan`), if any, reporting one
+    /// warm store lookup in its diagnostics (`store_hits: 1,
+    /// store_misses: 0`); every other field is the stored plan's.
+    pub(crate) fn plan(&self, key: CacheKey, plan: &PlanKey) -> Option<Plan> {
+        let found = {
+            let shard = self.shard_of(key).lock().expect("cache shard poisoned");
+            shard
+                .map
+                .get(&key)
+                .and_then(|slot| slot.plans().get(plan).cloned())
+        };
+        match found {
+            Some(mut found) => {
+                self.plan_hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                found.diagnostics.store_hits = 1;
+                found.diagnostics.store_misses = 0;
+                Some(found)
+            }
+            None => {
+                self.plan_misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Memoizes a successfully solved `plan` under (`key`,
+    /// `plan_key`), unless the entry already holds [`PLAN_MEMO_CAP`]
+    /// plans.
+    pub(crate) fn memoize_plan(&self, key: CacheKey, plan_key: PlanKey, plan: Plan) {
+        let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
+        let slot = self.slot_in(&mut shard, key);
+        let mut plans = slot.plans();
+        if plans.len() < PLAN_MEMO_CAP {
+            plans.insert(plan_key, plan);
+        }
     }
 
     /// The scoped tables for `key`, building them with `build` on the
@@ -567,12 +696,17 @@ mod tests {
         let store = CacheStore::with_shards(2, 1);
         let inst = instance(0.0);
         let q = query();
+        store.memoize_plan(CacheKey::new(0, 0), at(1), plan(1));
         for i in 0..3u64 {
             store.tables(CacheKey::new(i, 0), || ScopedTables::build(&inst, &q));
         }
         let stats = store.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
+        assert!(
+            store.plan(CacheKey::new(0, 0), &at(1)).is_none(),
+            "plans are evicted with their entry"
+        );
         // The evicted (oldest) key rebuilds; the resident ones hit.
         store.tables(CacheKey::new(2, 0), || {
             panic!("resident key must not rebuild")
@@ -635,8 +769,10 @@ mod tests {
         let old = CacheKey::new(fp_old, 1);
         let new = CacheKey::new(fp_new, 1);
         let built = store.tables(old, || ScopedTables::build(&inst, &q));
+        store.memoize_plan(old, at(1), plan(1));
         assert_eq!(store.rekey(old, new), 1);
         assert_eq!(store.stats().rekeys, 1);
+        assert!(store.plan(new, &at(1)).is_none(), "rekey clears the plans");
         // The moved entry serves the new key warm, and the old key is gone.
         let carried = store.tables(new, || panic!("rekeyed entry must stay warm"));
         assert!(Arc::ptr_eq(&built, &carried));
@@ -651,6 +787,61 @@ mod tests {
         let kept = store.tables(new, || panic!("occupied target must be kept"));
         assert!(Arc::ptr_eq(&built, &kept));
         assert_eq!(store.len(), 1);
+    }
+
+    fn plan(budget: u64) -> Plan {
+        Plan {
+            selection: crate::Selection::from_objects(vec![0], &[1, 1, 2]),
+            goal: Goal::MinVar,
+            before: 1.0,
+            after: 0.5,
+            strategy: "greedy".into(),
+            diagnostics: crate::planner::PlanDiagnostics {
+                engine_evals: budget,
+                candidates: 3,
+                store_hits: 4,
+                store_misses: 2,
+            },
+        }
+    }
+
+    /// A greedy MinVar plan key at `budget`.
+    fn at(budget: u64) -> PlanKey {
+        PlanKey::new(&Arc::from("greedy"), Goal::MinVar, Budget::absolute(budget))
+    }
+
+    #[test]
+    fn plan_memo_replays_counts_and_caps() {
+        let store = CacheStore::new(8);
+        let key = CacheKey::new(1, 2);
+        assert!(store.plan(key, &at(1)).is_none(), "empty memo misses");
+        store.memoize_plan(key, at(1), plan(1));
+        let hit = store.plan(key, &at(1)).expect("memoized");
+        assert_eq!(hit.divergence(&plan(1)), None);
+        assert_eq!(
+            (hit.diagnostics.store_hits, hit.diagnostics.store_misses),
+            (1, 0)
+        );
+        // Goal (τ by bits) and strategy are part of the identity.
+        let max_pr = PlanKey::new(
+            &Arc::from("greedy"),
+            Goal::MaxPr { tau: 0.0 },
+            Budget::absolute(1),
+        );
+        let auto = PlanKey::new(&Arc::from("auto"), Goal::MinVar, Budget::absolute(1));
+        assert!(store.plan(key, &max_pr).is_none());
+        assert!(store.plan(key, &auto).is_none());
+        let stats = store.stats();
+        assert_eq!((stats.plan_hits, stats.plan_misses), (1, 3));
+        assert_eq!(stats.hits, 1, "a memo hit is one warm lookup");
+        // More distinct budgets than the cap leave the memo at the cap.
+        for b in 0..2 * PLAN_MEMO_CAP as u64 {
+            store.memoize_plan(key, at(b), plan(b));
+        }
+        let slot = store.slot(key);
+        assert_eq!(slot.plans().len(), PLAN_MEMO_CAP);
+        assert!(store.plan(key, &at(1)).is_some(), "early plans stay");
+        assert!(store.plan(key, &at(2 * PLAN_MEMO_CAP as u64 - 1)).is_none());
     }
 
     #[test]

@@ -47,6 +47,16 @@
 //! [`PlanDiagnostics`](super::PlanDiagnostics), which
 //! [`Plan::divergence`] deliberately ignores.
 //!
+//! The same determinism makes finished plans reusable: a point whose
+//! (store key, strategy name, goal, budget) was already solved without
+//! error is replayed from the [`CacheStore`]'s plan memo instead of
+//! solved again (see the [cache module docs](super::cache)). A replayed
+//! plan is the stored plan byte for byte, `engine_evals` and
+//! `candidates` included, except that it reports one warm store lookup
+//! (`store_hits: 1, store_misses: 0`). Errors and contained panics are
+//! never memoized. Requests without a key memoize into their private
+//! store, so only repeated budgets within one sweep replay.
+//!
 //! Panics inside a request are contained: the worker survives and the
 //! point resolves to [`CoreError::WorkerPanicked`].
 //!
@@ -88,7 +98,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use super::cache::{CacheKey, CacheStore};
+use super::cache::{CacheKey, CacheStore, PlanKey};
 use super::exec::{CancelToken, ExecOptions};
 use super::pool::{TwoLaneQueue, WorkerPool};
 use super::{EngineCache, Plan, Problem, Solver, SolverRegistry};
@@ -911,6 +921,9 @@ struct SweepState {
     /// The registry lookup; a failed one resolves every point with its
     /// error.
     solver: Result<Arc<dyn Solver>>,
+    /// The strategy name the solver was looked up by — the plan memo's
+    /// strategy identity.
+    strategy: Arc<str>,
     problem: Arc<Problem>,
     budgets: Vec<Budget>,
     /// Where the points share prefix work: the service store under the
@@ -930,9 +943,11 @@ impl SweepState {
     /// Solves every `chains`-th point from `chain`, in budget order, on
     /// one engine cache — a multi-point chain carries the greedy
     /// trajectory memo from point to point, with plans byte-identical
-    /// to independent solves (see [`super::exec::SweepMode`]). Once the
-    /// request is cancelled the remaining points are skipped, so
-    /// abandoning a 50-point sweep stops after the point being solved.
+    /// to independent solves (see [`super::exec::SweepMode`]). A point
+    /// whose plan the store has memoized is replayed instead of solved,
+    /// and a point solved without error is memoized. Once the request
+    /// is cancelled the remaining points are skipped, so abandoning a
+    /// 50-point sweep stops after the point being solved.
     fn run_chain(&self, chain: usize, chains: usize) {
         let mut running = None;
         let mut cache = None;
@@ -944,25 +959,46 @@ impl SweepState {
             if self.lane != Lane::Inline {
                 running.get_or_insert_with(|| RunningGuard::enter(&self.inner.stats, self.lane));
             }
+            let budget = self.budgets[index];
             let result = match &self.solver {
-                Ok(solver) => catch_unwind(AssertUnwindSafe(|| {
-                    let cache = cache.get_or_insert_with(|| self.engine_cache());
-                    solver.solve_with_cache(&self.problem, self.budgets[index], cache)
-                }))
-                .unwrap_or_else(|payload| {
-                    self.inner.stats.panics.fetch_add(1, Ordering::Relaxed);
-                    // The panic may have torn the resume chain
-                    // mid-update; the next point starts from a fresh
-                    // cache.
-                    cache = None;
-                    Err(CoreError::WorkerPanicked {
-                        detail: panic_detail(payload.as_ref()),
+                Ok(solver) => self.memoized(budget, || {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        let cache = cache.get_or_insert_with(|| self.engine_cache());
+                        solver.solve_with_cache(&self.problem, budget, cache)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        self.inner.stats.panics.fetch_add(1, Ordering::Relaxed);
+                        // The panic may have torn the resume chain
+                        // mid-update; the next point starts from a fresh
+                        // cache.
+                        cache = None;
+                        Err(CoreError::WorkerPanicked {
+                            detail: panic_detail(payload.as_ref()),
+                        })
                     })
                 }),
                 Err(e) => Err(e.clone()),
             };
             self.finish_point(index, Some(result));
         }
+    }
+
+    /// The store's memoized plan for `budget`, or the result of
+    /// `solve`, memoized when it is a plan. A request without a store
+    /// just solves.
+    fn memoized(&self, budget: Budget, solve: impl FnOnce() -> Result<Plan>) -> Result<Plan> {
+        let Some((store, key)) = &self.store else {
+            return solve();
+        };
+        let plan_key = PlanKey::new(&self.strategy, self.problem.goal(), budget);
+        if let Some(plan) = store.plan(*key, &plan_key) {
+            return Ok(plan);
+        }
+        let result = solve();
+        if let Ok(plan) = &result {
+            store.memoize_plan(*key, plan_key, plan.clone());
+        }
+        result
     }
 
     fn engine_cache(&self) -> EngineCache<'_> {
@@ -1225,6 +1261,7 @@ impl PlannerService {
         inner.acquire_quota(&request.tenant, estimate)?;
         inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
         let solver = inner.registry.get(&request.strategy);
+        let strategy = Arc::from(request.strategy);
         // A failed lookup and an empty grid resolve at submit like a
         // small request, so the lane counters always sum to
         // `submitted`.
@@ -1251,6 +1288,7 @@ impl PlannerService {
             lane,
             cancel: CancelToken::new(),
             solver,
+            strategy,
             problem: request.problem,
             budgets: request.budgets,
             store,
@@ -1784,20 +1822,25 @@ mod tests {
             Arc::new(registry),
             ServiceOptions::new().with_inline_threshold(0),
         );
-        let err = svc
-            .submit(SolveRequest::new(
-                "panicky",
-                dup_problem(6, 7),
-                Budget::absolute(1),
-            ))
-            .unwrap()
-            .wait()
-            .unwrap_err();
-        assert!(
-            matches!(&err, CoreError::WorkerPanicked { detail } if detail.contains("exploded")),
-            "got {err}"
-        );
-        assert_eq!(svc.stats().panics, 1);
+        let problem = dup_problem(6, 7);
+        let key = CacheKey::new(problem.instance_fingerprint(), 1);
+        for attempt in 1..=2 {
+            let err = svc
+                .submit(
+                    SolveRequest::new("panicky", Arc::clone(&problem), Budget::absolute(1))
+                        .with_key(key),
+                )
+                .unwrap()
+                .wait()
+                .unwrap_err();
+            assert!(
+                matches!(&err, CoreError::WorkerPanicked { detail } if detail.contains("exploded")),
+                "got {err}"
+            );
+            // A contained panic is never memoized: the solver runs again.
+            assert_eq!(svc.stats().panics, attempt);
+        }
+        assert_eq!(svc.store().stats().plan_hits, 0);
         // The service (and its pool) keep serving after the panic.
         let problem = dup_problem(6, 8);
         let ok = svc
@@ -1877,6 +1920,12 @@ mod tests {
             svc.store().stats().scoped_builds,
             1,
             "repeat keyed requests reuse one table build"
+        );
+        let stats = svc.store().stats();
+        assert_eq!(
+            (stats.plan_hits, stats.plan_misses),
+            (2, 1),
+            "repeats replay the memoized plan"
         );
     }
 

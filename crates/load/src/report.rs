@@ -92,10 +92,15 @@ pub fn bench_json(
 ) -> Json {
     let wall_s = (report.wall_ms as f64 / 1000.0).max(1e-9);
     let answered: u64 = report.ok() + report.rejected();
-    let hits = stat(server_stats, &["store", "hits"]).unwrap_or(0.0);
-    let misses = stat(server_stats, &["store", "misses"]).unwrap_or(0.0);
-    let submitted = stat(server_stats, &["service", "submitted"]).unwrap_or(0.0);
-    let cancelled = stat(server_stats, &["service", "cancelled"]).unwrap_or(0.0);
+    let counter = |section: &str, name: &str| stat(server_stats, &[section, name]).unwrap_or(0.0);
+    let hits = counter("store", "hits");
+    let misses = counter("store", "misses");
+    let plan_hits = counter("store", "plan_hits");
+    let plan_misses = counter("store", "plan_misses");
+    let submitted = counter("service", "submitted");
+    let cancelled = counter("service", "cancelled");
+    // 0 when nothing was counted.
+    let ratio = |part: f64, whole: f64| Json::Num(if whole > 0.0 { part / whole } else { 0.0 });
     Json::obj([
         ("bench", Json::Str("load_replay".to_string())),
         (
@@ -127,22 +132,12 @@ pub fn bench_json(
         (
             "derived",
             Json::obj([
+                ("cache_hit_ratio", ratio(hits, hits + misses)),
                 (
-                    "cache_hit_ratio",
-                    Json::Num(if hits + misses > 0.0 {
-                        hits / (hits + misses)
-                    } else {
-                        0.0
-                    }),
+                    "plan_memo_hit_ratio",
+                    ratio(plan_hits, plan_hits + plan_misses),
                 ),
-                (
-                    "cancellation_rate",
-                    Json::Num(if submitted > 0.0 {
-                        cancelled / submitted
-                    } else {
-                        0.0
-                    }),
-                ),
+                ("cancellation_rate", ratio(cancelled, submitted)),
             ]),
         ),
     ])
@@ -369,7 +364,7 @@ mod tests {
             r#"{"service":{"submitted":5,"completed":4,"cancelled":1,"quota_rejected":1,
                 "in_flight":0,"running_interactive":0,"running_bulk":0,
                 "queued_interactive":0,"queued_bulk":0},
-                "store":{"hits":8,"misses":2},
+                "store":{"hits":8,"misses":2,"plan_hits":3,"plan_misses":1},
                 "tenants":{"t":{"in_flight":0,"outstanding_evals":0}}}"#,
         )
         .unwrap()
@@ -398,6 +393,7 @@ mod tests {
             vec!["per_op", "recommend", "rejected_429"],
             vec!["per_op", "sweepstream", "time_to_first_point", "p95_ms"],
             vec!["derived", "cache_hit_ratio"],
+            vec!["derived", "plan_memo_hit_ratio"],
             vec!["derived", "cancellation_rate"],
             vec!["server", "service", "submitted"],
         ] {
@@ -411,6 +407,11 @@ mod tests {
         assert_eq!(
             stat(&doc, &["derived", "cache_hit_ratio"]),
             Some(0.8),
+            "{doc}"
+        );
+        assert_eq!(
+            stat(&doc, &["derived", "plan_memo_hit_ratio"]),
+            Some(0.75),
             "{doc}"
         );
         // Buffered ops omit the first-point section entirely.

@@ -654,6 +654,9 @@ pub fn stats_json(
                     Json::Num(store.scoped_build_evals as f64),
                 ),
                 ("invalidations", Json::Num(store.invalidations as f64)),
+                ("rekeys", Json::Num(store.rekeys as f64)),
+                ("plan_hits", Json::Num(store.plan_hits as f64)),
+                ("plan_misses", Json::Num(store.plan_misses as f64)),
                 ("entries", Json::Num(store.entries as f64)),
             ]),
         ),
@@ -726,6 +729,9 @@ impl StatsResponse {
         store.scoped_builds = u64_field(st, "scoped_builds")?;
         store.scoped_build_evals = u64_field(st, "scoped_build_evals")?;
         store.invalidations = u64_field(st, "invalidations")?;
+        store.rekeys = u64_field(st, "rekeys")?;
+        store.plan_hits = u64_field(st, "plan_hits")?;
+        store.plan_misses = u64_field(st, "plan_misses")?;
         store.entries = usize_field(st, "entries")?;
 
         let mut tenants = Vec::new();
@@ -773,6 +779,9 @@ impl StatsResponse {
         t.scoped_builds += u.scoped_builds;
         t.scoped_build_evals += u.scoped_build_evals;
         t.invalidations += u.invalidations;
+        t.rekeys += u.rekeys;
+        t.plan_hits += u.plan_hits;
+        t.plan_misses += u.plan_misses;
         t.entries += u.entries;
         for (name, usage) in &other.tenants {
             match self.tenants.iter_mut().find(|(n, _)| n == name) {
@@ -1760,6 +1769,9 @@ mod tests {
         a.service.completed = 4;
         a.service.cancelled = 1;
         a.store.hits = 7;
+        a.store.rekeys = 4;
+        a.store.plan_hits = 5;
+        a.store.plan_misses = 6;
         a.store.entries = 2;
         a.tenants.push(("newsroom".into(), usage(1, 10)));
         let decoded =
@@ -1770,12 +1782,18 @@ mod tests {
         b.service.submitted = 2;
         b.service.completed = 2;
         b.store.misses = 3;
+        b.store.rekeys = 1;
+        b.store.plan_hits = 2;
+        b.store.plan_misses = 3;
         b.tenants.push(("newsroom".into(), usage(2, 1)));
         b.tenants.push(("api".into(), QuotaUsage::default()));
         a.absorb(&b);
         assert_eq!(a.service.submitted, 7);
         assert_eq!(a.service.completed, 6);
         assert_eq!(a.store.misses, 3);
+        assert_eq!(a.store.rekeys, 5);
+        assert_eq!(a.store.plan_hits, 7);
+        assert_eq!(a.store.plan_misses, 9);
         assert_eq!(a.tenants.len(), 2);
         assert_eq!(a.tenants[0].1.in_flight, 3);
         assert_eq!(a.tenants[0].1.outstanding_evals, 11);

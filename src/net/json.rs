@@ -427,10 +427,15 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII");
-        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
-            expected: "a representable number",
-            offset: start,
-        })
+        // `f64` parsing overflows to ±∞ without error (`1e400`); JSON
+        // has no infinities, so an overflowing literal is rejected too.
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            _ => Err(JsonError {
+                expected: "a representable number",
+                offset: start,
+            }),
+        }
     }
 }
 
@@ -503,6 +508,8 @@ mod tests {
             "\"\u{01}\"",
             "nulll",
             "[1] 2",
+            "1e400",
+            "-1e400",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }

@@ -374,7 +374,9 @@ mod tests {
             .collect();
         let invalidated = stream.mark_cleaned(&objects, &revealed).unwrap();
         assert!(invalidated > 0, "the old fingerprint's entry was dropped");
-        // Post-cleaning plan equals a fresh synchronous session's.
+        let memo = stream.service.store().stats();
+        // Post-cleaning plan equals a fresh synchronous session's, and
+        // is solved again rather than replayed from the dropped memo.
         let expected = stream
             .session()
             .recommend(spec.clone(), Budget::absolute(2))
@@ -385,6 +387,9 @@ mod tests {
             .wait()
             .unwrap();
         assert_eq!(warm.divergence(&expected), None);
+        let after = stream.service.store().stats();
+        assert_eq!(after.plan_hits, memo.plan_hits, "no stale plan replayed");
+        assert_eq!(after.plan_misses, memo.plan_misses + 1);
         for (&obj, &v) in objects.iter().zip(&revealed) {
             assert!(stream.session().instance().dist(obj).is_certain());
             assert_eq!(stream.session().instance().current()[obj], v);
@@ -489,20 +494,23 @@ mod tests {
         assert!(moved.rekeys >= 1);
         assert_eq!(moved.invalidations, cold.invalidations);
         assert_eq!(moved.entries, cold.entries, "entries carried, not dropped");
-        // The next submission replays the carried entry — zero store
-        // misses, zero new scoped builds — and still matches a fresh
-        // solve over the cleaned data byte-for-byte.
+        // The next submission replays the carried tables — zero store
+        // misses, zero new scoped builds — but solves its plan again
+        // (rekey clears the memo), and still matches a fresh solve over
+        // the cleaned data byte-for-byte.
         let warm = stream
             .submit(spec.clone(), Budget::absolute(2))
             .unwrap()
             .wait()
             .unwrap();
         assert_eq!(warm.diagnostics.store_misses, 0, "no cold store touch");
+        let resolved = stream.service.store().stats();
         assert_eq!(
-            stream.service.store().stats().scoped_builds,
-            cold.scoped_builds,
+            resolved.scoped_builds, cold.scoped_builds,
             "zero scoped rebuilds after a scope-disjoint clean"
         );
+        assert_eq!(resolved.plan_hits, cold.plan_hits, "the plan was re-solved");
+        assert_eq!(resolved.plan_misses, cold.plan_misses + 1);
         let expected = stream
             .session()
             .recommend(spec, Budget::absolute(2))
@@ -551,5 +559,17 @@ mod tests {
         ));
         let err = stream.mark_cleaned(&[0, 1], &[1.0]).unwrap_err();
         assert!(matches!(err, fc_core::CoreError::LengthMismatch { .. }));
+        let err = stream.mark_cleaned(&[3], &[f64::INFINITY]).unwrap_err();
+        assert!(matches!(
+            err,
+            fc_core::CoreError::NonFiniteValue { object: 3, .. }
+        ));
+        let err = stream
+            .update_values(&[(2, DiscreteDist::point(1.0), f64::NAN)])
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            fc_core::CoreError::NonFiniteValue { object: 2, .. }
+        ));
     }
 }

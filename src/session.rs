@@ -508,8 +508,9 @@ impl CleaningSession {
     /// `selection.objects()[k]`) and returns the updated session.
     ///
     /// Errors with [`CoreError::LengthMismatch`] when the revealed
-    /// values do not line up with the selection — a serving system must
-    /// not panic on caller input.
+    /// values do not line up with the selection, and with
+    /// [`CoreError::NonFiniteValue`] for a NaN or infinite revealed
+    /// value — a serving system must not panic on caller input.
     pub fn after_cleaning(&self, selection: &Selection, revealed: &[f64]) -> Result<Self> {
         if revealed.len() != selection.len() {
             return Err(CoreError::LengthMismatch {
@@ -538,6 +539,13 @@ impl CleaningSession {
                     len: dists.len(),
                 });
             }
+            // `DiscreteDist::point` skips the finiteness check `new` makes.
+            if !v.is_finite() {
+                return Err(CoreError::NonFiniteValue {
+                    object: obj,
+                    value: v,
+                });
+            }
             dists[obj] = fc_uncertain::DiscreteDist::point(v);
             current[obj] = v;
         }
@@ -552,9 +560,10 @@ impl CleaningSession {
     /// [`CleaningSession::after_cleaning`] does. Returns the updated
     /// session; like `after_cleaning`, the original is untouched.
     ///
-    /// Errors with [`CoreError::BadObject`] on an out-of-range index
-    /// and refuses Gaussian sessions (same contract as
-    /// `after_cleaning`).
+    /// Errors with [`CoreError::BadObject`] on an out-of-range index,
+    /// with [`CoreError::NonFiniteValue`] for a NaN or infinite current
+    /// or support value, and refuses Gaussian sessions (same contract
+    /// as `after_cleaning`).
     pub fn with_updated_values(
         &self,
         updates: &[(usize, fc_uncertain::DiscreteDist, f64)],
@@ -577,6 +586,15 @@ impl CleaningSession {
                 return Err(CoreError::BadObject {
                     object: *obj,
                     len: dists.len(),
+                });
+            }
+            if let Some(&bad) = std::iter::once(value)
+                .chain(dist.values())
+                .find(|v| !v.is_finite())
+            {
+                return Err(CoreError::NonFiniteValue {
+                    object: *obj,
+                    value: bad,
                 });
             }
             dists[*obj] = dist.clone();

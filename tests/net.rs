@@ -333,6 +333,12 @@ fn malformed_inputs_yield_typed_4xx_and_the_listener_survives() {
             "objects/revealed length mismatch",
         ),
         (
+            "/v1/streams/crime/clean",
+            r#"{"objects":[3],"revealed":[1e400]}"#,
+            400,
+            "revealed value overflows to infinity",
+        ),
+        (
             "/v1/sweep",
             r#"{"stream":"crime","measure":"dup","budgets":[]}"#,
             400,

@@ -13,7 +13,10 @@
 //!   *untouched* instances' tables are never rebuilt: a warm stream
 //!   reports zero scoped-EV rebuilds on resubmit after an unrelated
 //!   stream is invalidated.
+//! * **Plan memo** — a repeated keyed read replays the stored plan
+//!   without calling the solver.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use fact_clean::prelude::*;
@@ -325,10 +328,23 @@ fn lanes_route_by_estimate() {
 
 /// A solver that parks every solve until the shared flag is raised,
 /// then delegates to greedy — pins submissions provably in flight so
-/// quota assertions are race-free.
+/// quota assertions are race-free. Counts the solves that reach it.
 struct GateSolver {
     delegate: Arc<dyn Solver>,
     gate: Arc<(Mutex<bool>, Condvar)>,
+    calls: AtomicUsize,
+}
+
+impl GateSolver {
+    fn over(registry: &SolverRegistry, open: bool) -> (Arc<Self>, Arc<(Mutex<bool>, Condvar)>) {
+        let gate = Arc::new((Mutex::new(open), Condvar::new()));
+        let solver = Arc::new(Self {
+            delegate: registry.get("greedy").unwrap(),
+            gate: Arc::clone(&gate),
+            calls: AtomicUsize::new(0),
+        });
+        (solver, gate)
+    }
 }
 
 impl std::fmt::Debug for GateSolver {
@@ -347,6 +363,7 @@ impl Solver for GateSolver {
         budget: Budget,
         cache: &EngineCache<'p>,
     ) -> CoreResult<Plan> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
         let (open, released) = &*self.gate;
         let mut open = open.lock().unwrap();
         while !*open {
@@ -355,6 +372,49 @@ impl Solver for GateSolver {
         drop(open);
         self.delegate.solve_with_cache(problem, budget, cache)
     }
+}
+
+/// A repeated keyed read replays the store's plan memo: the second
+/// identical submit never reaches the solver, and its plan is
+/// byte-identical to the first.
+#[test]
+fn repeated_keyed_submit_replays_the_plan_memo() {
+    let (instance, claims) = workload(40, 23);
+    let mut registry = SolverRegistry::with_defaults();
+    let (counting, _open) = GateSolver::over(&registry, true);
+    registry.register_solver(counting.clone());
+    let service = PlannerService::new(
+        Arc::new(registry),
+        ServiceOptions::new().with_inline_threshold(0),
+    );
+    let stream = session_of(&instance, &claims).into_stream(service);
+    let spec = ObjectiveSpec::ascertain(Measure::Dup).with_strategy("gate");
+    let budget = Budget::absolute(6);
+
+    let first = stream.submit(spec.clone(), budget).unwrap().wait().unwrap();
+    assert_eq!(counting.calls.load(Ordering::SeqCst), 1);
+    let again = stream.submit(spec.clone(), budget).unwrap().wait().unwrap();
+    assert_eq!(
+        counting.calls.load(Ordering::SeqCst),
+        1,
+        "the repeat is served from the memo"
+    );
+    assert_eq!(again.divergence(&first), None);
+    assert_eq!(
+        (again.diagnostics.store_hits, again.diagnostics.store_misses),
+        (1, 0),
+        "a memo hit reports one warm lookup"
+    );
+    let stats = stream.service().store().stats();
+    assert_eq!((stats.plan_hits, stats.plan_misses), (1, 1));
+
+    // Another budget is another point: solved, not replayed.
+    stream
+        .submit(spec, Budget::absolute(5))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(counting.calls.load(Ordering::SeqCst), 2);
 }
 
 /// Two tenant streams over one service: tenant A exhausting its quota
@@ -368,12 +428,9 @@ fn tenant_streams_are_quota_isolated() {
     // — without it, a fast pool could complete a sweep (freeing its
     // quota slot) before the third submit arrives, and the rejection
     // assertion would race.
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
     let mut registry = SolverRegistry::with_defaults();
-    registry.register_solver(Arc::new(GateSolver {
-        delegate: registry.get("greedy").unwrap(),
-        gate: Arc::clone(&gate),
-    }));
+    let (solver, gate) = GateSolver::over(&registry, false);
+    registry.register_solver(solver);
     let service = PlannerService::new(
         Arc::new(registry),
         ServiceOptions::new().with_inline_threshold(0),
