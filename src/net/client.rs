@@ -1,25 +1,23 @@
 //! A minimal blocking HTTP/1.1 client for the front —
 //! `Content-Length` and chunked response framing, no redirects, no
-//! TLS. This is the counterpart the examples, integration tests, CI
-//! gates, and the load harness drive the server with (the environment
-//! has no `curl` guarantee and no registry client crates); it is
-//! deliberately small, not a general HTTP client.
+//! TLS. The examples, integration tests, CI gates, the load harness
+//! and the router's upstream hop all drive the server with it (the
+//! environment has no `curl` guarantee and no registry client crates);
+//! it is deliberately small, not a general HTTP client.
 //!
-//! Two tiers: the free functions ([`post`], [`get`], [`request`]) open
-//! a fresh connection per request — fine for one-shot smoke checks;
-//! [`Conn`] holds one keep-alive connection across requests, and
-//! [`ClientPool`] parks idle [`Conn`]s for reuse across calls (and
-//! threads), which is what a replayer issuing thousands of requests
-//! needs to avoid paying connect latency — and burning ephemeral
-//! ports — per request.
-//!
-//! Streamed sweeps have a third shape: [`SweepStream`] holds a
-//! dedicated (never pooled) connection to `POST /v1/sweep?stream=1`
-//! and yields each plan as its chunk arrives, so a caller can act on
-//! the first budget point while later ones are still solving. The
-//! buffered readers also decode chunked responses — by concatenating
-//! every chunk — which is exactly the byte-identity gate: a streamed
-//! sweep read through [`post`] must equal the buffered response.
+//! Every response is framed by one incremental reader owned by
+//! [`Conn`], so the framing limits live in one place: a head capped at
+//! [`MAX_HEADER_BYTES`], capped chunk and trailer lines, and a declared
+//! `Content-Length` that is never added to or allocated from. An
+//! optional probe checks a downstream client's liveness on every read
+//! timeout, which is how the router relays a hangup upstream.
+//! [`ClientPool`] parks idle [`Conn`]s for reuse across calls and
+//! threads; the free functions ([`post`], [`get`], [`request`]) run one
+//! exchange on a fresh [`Conn`]; and [`SweepStream`] wraps a dedicated
+//! [`Conn`], yielding each plan of a streamed sweep as its chunk
+//! arrives. A chunked response read whole is its chunks concatenated —
+//! the byte-identity gate: a streamed sweep read through [`post`] must
+//! equal the buffered response.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -31,7 +29,7 @@ use super::api::{
     AdoptRequest, ApiError, CleanRequest, CleanResponse, CreateStreamRequest, PlanView,
     RecommendRequest, SnapshotTransfer, StatsResponse, StreamInfo, SweepRequest,
 };
-use super::http::ERROR_TRAILER;
+use super::http::{ERROR_TRAILER, MAX_HEADER_BYTES};
 use super::json::Json;
 
 /// Read timeout applied by [`read_response`] when the socket has none.
@@ -68,73 +66,19 @@ pub fn write_request(
     sock.write_all(body.as_bytes())
 }
 
-/// Reads one framed response off `reader`: (status, body, close) where
-/// `close` reports a `connection: close` header — the server will not
-/// serve another request on this connection. Chunked responses are
-/// decoded by concatenating every chunk (and always report `close`:
-/// the server ends the connection after a stream); a mid-stream error
-/// trailer surfaces as an [`io::ErrorKind::InvalidData`] error, since
-/// the body it interrupted is incomplete.
-fn read_framed_response(reader: &mut impl BufRead) -> io::Result<(u16, String, bool)> {
-    let mut raw: Vec<u8> = Vec::new();
-    loop {
-        if let Some(response) = parse_framed_response(&raw)? {
-            return Ok(response);
-        }
-        // The server answers in lockstep (no pipelining), so consuming
-        // everything buffered never eats into a next response.
-        let eof = raw_eof_error(&raw);
-        fill(reader, &mut raw, eof)?;
-    }
-}
-
-/// One blocking read appended onto `raw`; EOF maps to `eof` (callers
-/// phrase it for their framing position).
-fn fill(reader: &mut impl BufRead, raw: &mut Vec<u8>, eof: &str) -> io::Result<()> {
-    loop {
-        match reader.fill_buf() {
-            Ok([]) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    eof.to_string(),
-                ))
-            }
-            Ok(chunk) => {
-                raw.extend_from_slice(chunk);
-                let n = chunk.len();
-                reader.consume(n);
-                return Ok(());
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// EOF phrasing for the buffered reader: a close before any bytes is
-/// the stale-keep-alive signal pools retry on; a close mid-response is
-/// a harder failure.
-fn raw_eof_error(raw: &[u8]) -> &'static str {
-    if raw.is_empty() {
-        "connection closed before response"
-    } else {
-        "connection closed mid-response"
-    }
-}
-
 /// Reads one response from `sock`: returns (status, body). Applies a
 /// generous read timeout when the caller has not set one.
 ///
-/// The internal read buffer is discarded afterwards, so this is for
-/// one-response-then-close use; a connection serving *multiple*
-/// responses must hold its buffer across reads — use [`Conn`].
+/// Bytes read past the response are discarded, so this is for
+/// one-response-then-lockstep use; a connection that may receive more
+/// than one response at a time must hold its reader — use [`Conn`].
 pub fn read_response(sock: &mut TcpStream) -> io::Result<(u16, String)> {
     if sock.read_timeout()?.is_none() {
         sock.set_read_timeout(Some(DEFAULT_RESPONSE_TIMEOUT))?;
     }
-    let mut reader = BufReader::new(sock.try_clone()?);
-    let (status, body, _close) = read_framed_response(&mut reader)?;
-    Ok((status, body))
+    let mut reader = Reader::new(BufReader::new(sock));
+    let head = reader.head(None)?;
+    Ok((head.status, reader.body(&head, None)?))
 }
 
 /// Connects to `addr`, bounding each address's connect by `timeout`
@@ -155,11 +99,11 @@ fn connect(addr: impl ToSocketAddrs, timeout: Option<Duration>) -> io::Result<Tc
 }
 
 /// One keep-alive connection: request/response exchanges in lockstep,
-/// with the read buffer held across responses so framing never loses
-/// bytes between exchanges.
+/// with the response reader held across responses so framing never
+/// loses bytes between exchanges.
 #[derive(Debug)]
 pub struct Conn {
-    reader: BufReader<TcpStream>,
+    pub(crate) reader: Reader<BufReader<TcpStream>>,
     writer: TcpStream,
     close: bool,
 }
@@ -173,9 +117,8 @@ impl Conn {
         sock.set_read_timeout(timeout.or(Some(DEFAULT_RESPONSE_TIMEOUT)))?;
         sock.set_write_timeout(timeout)?;
         sock.set_nodelay(true)?;
-        let reader = BufReader::new(sock.try_clone()?);
         Ok(Self {
-            reader,
+            reader: Reader::new(BufReader::new(sock.try_clone()?)),
             writer: sock,
             close: false,
         })
@@ -189,14 +132,12 @@ impl Conn {
         headers: &[(&str, &str)],
         body: &str,
     ) -> io::Result<(u16, String)> {
-        write_request(&mut self.writer, method, path, headers, body)?;
-        let (status, body, close) = read_framed_response(&mut self.reader)?;
-        self.close = close;
-        Ok((status, body))
+        self.exchange(method, path, headers, body, None)
     }
 
     /// Whether the server will accept another request on this
-    /// connection (no `connection: close` seen yet).
+    /// connection (no `connection: close` seen, and the last exchange
+    /// framed a whole response).
     pub fn reusable(&self) -> bool {
         !self.close
     }
@@ -219,47 +160,136 @@ impl Conn {
         poll: Duration,
         alive: &mut dyn FnMut() -> bool,
     ) -> io::Result<Option<(u16, String)>> {
-        write_request(&mut self.writer, method, path, headers, body)?;
-        let overall = self
-            .writer
-            .read_timeout()?
-            .unwrap_or(DEFAULT_RESPONSE_TIMEOUT);
-        let deadline = Instant::now() + overall;
-        // Short read timeouts turn the blocking read into a poll loop;
-        // the original timeout is restored before returning the
-        // connection to normal use.
-        self.writer.set_read_timeout(Some(poll))?;
-        let result = self.read_response_probing(deadline, alive);
-        let restore = self.writer.set_read_timeout(Some(overall));
-        if let Some((_, _, close)) = result.as_ref().ok().and_then(|r| r.as_ref()) {
-            self.close = *close || restore.is_err();
+        let wait = self.writer.read_timeout()?;
+        let mut probe = Probe::new(poll, alive, wait.unwrap_or(DEFAULT_RESPONSE_TIMEOUT));
+        match self.exchange(method, path, headers, body, Some(&mut probe)) {
+            Err(e) if is_gone(&e) => Ok(None),
+            response => response.map(Some),
         }
-        result.map(|r| r.map(|(status, body, _)| (status, body)))
     }
 
-    /// Accumulates raw bytes until a full framed response parses,
-    /// probing `alive` on every read timeout.
-    fn read_response_probing(
+    /// Writes one request whose response the caller reads through
+    /// [`Conn::reader`]. With a `probe`, reads time out every poll
+    /// interval so the probe is consulted between them.
+    pub(crate) fn write(
         &mut self,
-        deadline: Instant,
-        alive: &mut dyn FnMut() -> bool,
-    ) -> io::Result<Option<(u16, String, bool)>> {
-        let mut raw: Vec<u8> = Vec::new();
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &str,
+        probe: Option<&Probe<'_>>,
+    ) -> io::Result<()> {
+        if let Some(probe) = probe {
+            self.writer.set_read_timeout(Some(probe.poll))?;
+        }
+        write_request(&mut self.writer, method, path, headers, body)
+    }
+
+    /// One exchange, consulting `probe` while the response is pending;
+    /// a probed exchange restores the read timeout afterwards.
+    fn exchange(
+        &mut self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &str,
+        mut probe: Option<&mut Probe<'_>>,
+    ) -> io::Result<(u16, String)> {
+        // Not reusable until a whole response has framed.
+        self.close = true;
+        let timeout = self.writer.read_timeout()?;
+        self.write(method, path, headers, body, probe.as_deref())?;
+        let head = self.reader.head(probe.as_deref_mut())?;
+        let response = (head.status, self.reader.body(&head, probe.as_deref_mut())?);
+        let restored = probe.is_none() || self.writer.set_read_timeout(timeout).is_ok();
+        self.close = head.close || !restored;
+        Ok(response)
+    }
+}
+
+/// A downstream-liveness probe for a pending response: reads time out
+/// every `poll`, and each timeout consults `alive` and checks the
+/// overall deadline.
+pub(crate) struct Probe<'a> {
+    poll: Duration,
+    alive: &'a mut dyn FnMut() -> bool,
+    deadline: Instant,
+}
+
+impl<'a> Probe<'a> {
+    /// A probe polling `alive` every `poll` that gives up on the
+    /// response after `wait`.
+    pub(crate) fn new(poll: Duration, alive: &'a mut dyn FnMut() -> bool, wait: Duration) -> Self {
+        Self {
+            poll,
+            alive,
+            deadline: Instant::now() + wait,
+        }
+    }
+}
+
+/// The payload of the error a probed read fails with once its probe
+/// reports the downstream client gone; see [`is_gone`].
+#[derive(Debug)]
+struct DownstreamGone;
+
+impl std::fmt::Display for DownstreamGone {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("downstream client gone")
+    }
+}
+
+impl std::error::Error for DownstreamGone {}
+
+/// Whether `e` is a probed read abandoned because the downstream
+/// client hung up (as opposed to an upstream failure).
+pub(crate) fn is_gone(e: &io::Error) -> bool {
+    e.get_ref()
+        .is_some_and(|inner| inner.is::<DownstreamGone>())
+}
+
+fn bad(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.to_string())
+}
+
+/// The one incremental response reader: holds the received bytes not
+/// yet consumed, and frames heads, bodies and chunks out of them,
+/// reading more only when a frame is incomplete. Pure parsers
+/// ([`parse_head`], [`parse_chunk_frame`]) do the framing; this type
+/// owns the reading and the limits.
+#[derive(Debug)]
+pub(crate) struct Reader<R> {
+    inner: R,
+    raw: Vec<u8>,
+}
+
+impl<R: BufRead> Reader<R> {
+    pub(crate) fn new(inner: R) -> Self {
+        Self {
+            inner,
+            raw: Vec::new(),
+        }
+    }
+
+    /// Appends one read's bytes. EOF is [`io::ErrorKind::UnexpectedEof`];
+    /// a read timeout is returned as is without a `probe`, and with one
+    /// consults it: a gone client fails the read (see [`is_gone`]), a
+    /// passed deadline is [`io::ErrorKind::TimedOut`], and otherwise
+    /// the read is retried.
+    fn fill(&mut self, mut probe: Option<&mut Probe<'_>>) -> io::Result<()> {
         loop {
-            if let Some(response) = parse_framed_response(&raw)? {
-                return Ok(Some(response));
-            }
-            match self.reader.fill_buf() {
+            match self.inner.fill_buf() {
                 Ok([]) => {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
-                        "connection closed before response",
+                        "connection closed before the response was complete",
                     ))
                 }
                 Ok(chunk) => {
-                    raw.extend_from_slice(chunk);
+                    self.raw.extend_from_slice(chunk);
                     let n = chunk.len();
-                    self.reader.consume(n);
+                    self.inner.consume(n);
+                    return Ok(());
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e)
@@ -268,10 +298,13 @@ impl Conn {
                         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                     ) =>
                 {
-                    if !alive() {
-                        return Ok(None);
+                    let Some(probe) = probe.as_deref_mut() else {
+                        return Err(e);
+                    };
+                    if !(probe.alive)() {
+                        return Err(io::Error::other(DownstreamGone));
                     }
-                    if Instant::now() >= deadline {
+                    if Instant::now() >= probe.deadline {
                         return Err(io::Error::new(
                             io::ErrorKind::TimedOut,
                             "response timed out",
@@ -282,31 +315,87 @@ impl Conn {
             }
         }
     }
+
+    /// Reads and consumes one response head. The blank line must
+    /// arrive within [`MAX_HEADER_BYTES`]; each byte is scanned once.
+    pub(crate) fn head(&mut self, mut probe: Option<&mut Probe<'_>>) -> io::Result<Head> {
+        let mut scanned = 0usize;
+        loop {
+            let window = &self.raw[..self.raw.len().min(MAX_HEADER_BYTES)];
+            let from = scanned.saturating_sub(3);
+            if let Some(at) = window[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+                let end = from + at + 4;
+                let head = parse_head(&self.raw[..end])?;
+                self.raw.drain(..end);
+                return Ok(head);
+            }
+            if window.len() == MAX_HEADER_BYTES {
+                return Err(bad("response head too large"));
+            }
+            scanned = window.len();
+            self.fill(probe.as_deref_mut())?;
+        }
+    }
+
+    /// Reads and consumes the body `head` announces: `Content-Length`
+    /// bytes, or every chunk concatenated, where an error trailer
+    /// becomes an [`io::ErrorKind::InvalidData`] error, since the body
+    /// it interrupted is incomplete.
+    pub(crate) fn body(
+        &mut self,
+        head: &Head,
+        mut probe: Option<&mut Probe<'_>>,
+    ) -> io::Result<String> {
+        let body = if head.chunked {
+            let mut body = Vec::new();
+            loop {
+                match self.frame(probe.as_deref_mut())? {
+                    ChunkFrame::Data(data) => body.extend_from_slice(&data),
+                    ChunkFrame::End { error: Some(error) } => {
+                        return Err(bad(&format!("mid-stream error: {error}")))
+                    }
+                    ChunkFrame::End { error: None } => break body,
+                }
+            }
+        } else {
+            // No arithmetic on (or allocation from) the declared
+            // length: a hostile one runs into EOF as a short body.
+            while self.raw.len() < head.content_length {
+                self.fill(probe.as_deref_mut())?;
+            }
+            let rest = self.raw.split_off(head.content_length);
+            std::mem::replace(&mut self.raw, rest)
+        };
+        String::from_utf8(body).map_err(|_| bad("non-UTF-8 body"))
+    }
+
+    /// Reads and consumes the next frame of a chunked body.
+    pub(crate) fn frame(&mut self, mut probe: Option<&mut Probe<'_>>) -> io::Result<ChunkFrame> {
+        loop {
+            if let Some((frame, used)) = parse_chunk_frame(&self.raw)? {
+                self.raw.drain(..used);
+                return Ok(frame);
+            }
+            self.fill(probe.as_deref_mut())?;
+        }
+    }
 }
 
-fn bad(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, what.to_string())
-}
-
-/// A parsed response head: everything before the body bytes. Shared
-/// with the router, which relays response framing it did not author.
+/// A parsed response head.
 #[derive(Debug)]
 pub(crate) struct Head {
     pub(crate) status: u16,
     pub(crate) content_length: usize,
     pub(crate) chunked: bool,
+    /// The connection ends after this response: a `connection: close`
+    /// header, or a chunked body (the server closes after a stream).
     pub(crate) close: bool,
-    /// Offset of the first body byte in the raw buffer.
-    pub(crate) body_start: usize,
 }
 
-/// Attempts to parse a response head from `raw`: `Ok(None)` when the
-/// blank line has not arrived yet.
-pub(crate) fn parse_head(raw: &[u8]) -> io::Result<Option<Head>> {
-    let Some(head_end) = raw.windows(4).position(|w| w == b"\r\n\r\n") else {
-        return Ok(None);
-    };
-    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| bad("malformed status line"))?;
+/// Parses a complete response head (status line and header lines, up
+/// to and including the blank line).
+fn parse_head(raw: &[u8]) -> io::Result<Head> {
+    let head = std::str::from_utf8(raw).map_err(|_| bad("malformed status line"))?;
     let mut lines = head.split("\r\n");
     let status: u16 = lines
         .next()
@@ -326,39 +415,12 @@ pub(crate) fn parse_head(raw: &[u8]) -> io::Result<Option<Head>> {
             close = v.trim() == "close";
         }
     }
-    Ok(Some(Head {
+    Ok(Head {
         status,
         content_length,
         chunked,
-        close,
-        body_start: head_end + 4,
-    }))
-}
-
-/// Attempts to parse one complete framed response from `raw`:
-/// `Ok(None)` when more bytes are needed, `Ok(Some((status, body,
-/// close)))` on success, and the same typed errors as the blocking
-/// reader on malformed framing. A chunked body is concatenated whole
-/// (and forces `close` — the server ends the connection after a
-/// stream); its error trailer, if any, becomes an
-/// [`io::ErrorKind::InvalidData`] error.
-fn parse_framed_response(raw: &[u8]) -> io::Result<Option<(u16, String, bool)>> {
-    let Some(head) = parse_head(raw)? else {
-        return Ok(None);
-    };
-    if head.chunked {
-        return match parse_chunked_body(&raw[head.body_start..])? {
-            None => Ok(None),
-            Some((_, Some(error))) => Err(bad(&format!("mid-stream error: {error}"))),
-            Some((body, None)) => Ok(Some((head.status, body, true))),
-        };
-    }
-    if raw.len() < head.body_start + head.content_length {
-        return Ok(None);
-    }
-    let body = std::str::from_utf8(&raw[head.body_start..head.body_start + head.content_length])
-        .map_err(|_| bad("non-UTF-8 body"))?;
-    Ok(Some((head.status, body.to_string(), head.close)))
+        close: close || chunked,
+    })
 }
 
 /// One frame of a chunked response body.
@@ -376,7 +438,7 @@ pub(crate) enum ChunkFrame {
 /// consumed. Rejects garbage or oversized size lines *before* the
 /// line terminator arrives, so a hostile peer cannot stall or balloon
 /// the client.
-pub(crate) fn parse_chunk_frame(raw: &[u8]) -> io::Result<Option<(ChunkFrame, usize)>> {
+fn parse_chunk_frame(raw: &[u8]) -> io::Result<Option<(ChunkFrame, usize)>> {
     let Some(line_end) = find_crlf(raw) else {
         if raw.len() > MAX_CHUNK_SIZE_LINE {
             return Err(bad("chunk size line too long"));
@@ -443,27 +505,6 @@ fn find_crlf(raw: &[u8]) -> Option<usize> {
     raw.windows(2).position(|w| w == b"\r\n")
 }
 
-/// Attempts to parse a whole chunked body from `raw`: `Ok(None)` when
-/// more bytes are needed, otherwise the concatenated payload and the
-/// error trailer (if the stream was aborted).
-fn parse_chunked_body(raw: &[u8]) -> io::Result<Option<(String, Option<String>)>> {
-    let mut at = 0;
-    let mut body: Vec<u8> = Vec::new();
-    loop {
-        match parse_chunk_frame(&raw[at..])? {
-            None => return Ok(None),
-            Some((ChunkFrame::Data(data), used)) => {
-                body.extend_from_slice(&data);
-                at += used;
-            }
-            Some((ChunkFrame::End { error }, _)) => {
-                let body = String::from_utf8(body).map_err(|_| bad("non-UTF-8 body"))?;
-                return Ok(Some((body, error)));
-            }
-        }
-    }
-}
-
 /// An in-flight streamed sweep (`POST /v1/sweep?stream=1`): iterate to
 /// receive each budget point's plan as its chunk arrives — ascending
 /// budget order, first point available while later ones are still
@@ -477,8 +518,7 @@ fn parse_chunked_body(raw: &[u8]) -> io::Result<Option<(String, Option<String>)>
 /// iterator is fused.
 #[derive(Debug)]
 pub struct SweepStream {
-    reader: BufReader<TcpStream>,
-    raw: Vec<u8>,
+    conn: Conn,
     prologue_seen: bool,
     epilogue_seen: bool,
     done: bool,
@@ -494,60 +534,85 @@ impl SweepStream {
         request: &SweepRequest,
         tenant: Option<&str>,
     ) -> Result<Self, ClientError> {
-        let sock = TcpStream::connect(addr)?;
-        sock.set_read_timeout(timeout.or(Some(DEFAULT_RESPONSE_TIMEOUT)))?;
-        sock.set_write_timeout(timeout)?;
-        sock.set_nodelay(true)?;
-        let mut writer = sock.try_clone()?;
-        let headers: &[(&str, &str)] = match tenant {
-            Some(tenant) => &[("x-tenant", tenant)],
-            None => &[],
-        };
-        write_request(
-            &mut writer,
-            "POST",
-            "/v1/sweep?stream=1",
-            headers,
-            &request.encode(),
-        )?;
-        let mut reader = BufReader::new(sock);
-        let mut raw: Vec<u8> = Vec::new();
-        let head = loop {
-            if let Some(head) = parse_head(&raw)? {
-                break head;
-            }
-            fill(&mut reader, &mut raw, "connection closed before response")?;
-        };
+        let mut conn = Conn::connect(addr, timeout)?;
+        let tenant = tenant.map(|tenant| ("x-tenant", tenant));
+        let body = request.encode();
+        conn.write("POST", "/v1/sweep?stream=1", tenant.as_slice(), &body, None)?;
+        let head = conn.reader.head(None)?;
         if !(200..300).contains(&head.status) {
             // Refusals are sent up front with an ordinary buffered body.
-            loop {
-                if let Some((status, body, _)) = parse_framed_response(&raw)? {
-                    let message = Json::parse(&body)
-                        .ok()
-                        .as_ref()
-                        .and_then(|json| json.get("error"))
-                        .and_then(Json::as_str)
-                        .unwrap_or("unexplained error")
-                        .to_string();
-                    return Err(ClientError::Api(ApiError { status, message }));
-                }
-                fill(&mut reader, &mut raw, "connection closed mid-response")?;
-            }
+            let body = conn.reader.body(&head, None)?;
+            let json = Json::parse(&body).unwrap_or(Json::Null);
+            return Err(api_error(head.status, &json));
         }
         if !head.chunked {
             return Err(ClientError::Decode(
                 "streamed sweep response is not chunked".to_string(),
             ));
         }
-        raw.drain(..head.body_start);
         Ok(Self {
-            reader,
-            raw,
+            conn,
             prologue_seen: false,
             epilogue_seen: false,
             done: false,
         })
     }
+
+    /// Reads frames up to the next plan, the clean end, or a failure.
+    fn next_point(&mut self) -> Option<Result<PlanView, ClientError>> {
+        loop {
+            let text = match self.conn.reader.frame(None) {
+                Err(e) => return Some(Err(e.into())),
+                Ok(ChunkFrame::End {
+                    error: Some(trailer),
+                }) => return Some(Err(trailer_error(&trailer))),
+                Ok(ChunkFrame::End { error: None }) if self.epilogue_seen => return None,
+                Ok(ChunkFrame::End { error: None }) => {
+                    return Some(Err(ClientError::Decode(
+                        "stream ended before its epilogue".into(),
+                    )))
+                }
+                Ok(ChunkFrame::Data(data)) => match String::from_utf8(data) {
+                    Ok(text) => text,
+                    Err(_) => return Some(Err(ClientError::Decode("non-UTF-8 chunk".into()))),
+                },
+            };
+            if !self.prologue_seen {
+                if text != "{\"plans\":[" {
+                    return Some(Err(ClientError::Decode(format!(
+                        "unexpected stream prologue: {text}"
+                    ))));
+                }
+                self.prologue_seen = true;
+            } else if text == "]}" {
+                self.epilogue_seen = true;
+            } else if self.epilogue_seen {
+                return Some(Err(ClientError::Decode(
+                    "data chunk after the epilogue".into(),
+                )));
+            } else {
+                let point = text.strip_prefix(',').unwrap_or(&text);
+                return Some(
+                    Json::parse(point)
+                        .map_err(|e| ClientError::Decode(format!("undecodable plan chunk: {e}")))
+                        .and_then(|json| {
+                            PlanView::from_json(&json).map_err(|e| ClientError::Decode(e.message))
+                        }),
+                );
+            }
+        }
+    }
+}
+
+/// The typed service error a non-2xx `status` with JSON `body` decodes
+/// to (`"unexplained error"` when the body carries no message).
+fn api_error(status: u16, body: &Json) -> ClientError {
+    let message = body
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap_or("unexplained error")
+        .to_string();
+    ClientError::Api(ApiError { status, message })
 }
 
 /// Decodes the error trailer's `"{status} {message}"` payload into the
@@ -571,83 +636,10 @@ impl Iterator for SweepStream {
         if self.done {
             return None;
         }
-        loop {
-            let frame = match parse_chunk_frame(&self.raw) {
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e.into()));
-                }
-                Ok(None) => {
-                    let filled = fill(
-                        &mut self.reader,
-                        &mut self.raw,
-                        "connection closed mid-stream",
-                    );
-                    if let Err(e) = filled {
-                        self.done = true;
-                        return Some(Err(e.into()));
-                    }
-                    continue;
-                }
-                Ok(Some((frame, used))) => {
-                    self.raw.drain(..used);
-                    frame
-                }
-            };
-            match frame {
-                ChunkFrame::End {
-                    error: Some(trailer),
-                } => {
-                    self.done = true;
-                    return Some(Err(trailer_error(&trailer)));
-                }
-                ChunkFrame::End { error: None } => {
-                    self.done = true;
-                    if !self.epilogue_seen {
-                        return Some(Err(ClientError::Decode(
-                            "stream ended before its epilogue".to_string(),
-                        )));
-                    }
-                    return None;
-                }
-                ChunkFrame::Data(data) => {
-                    let Ok(text) = String::from_utf8(data) else {
-                        self.done = true;
-                        return Some(Err(ClientError::Decode("non-UTF-8 chunk".to_string())));
-                    };
-                    if !self.prologue_seen {
-                        if text != "{\"plans\":[" {
-                            self.done = true;
-                            return Some(Err(ClientError::Decode(format!(
-                                "unexpected stream prologue: {text}"
-                            ))));
-                        }
-                        self.prologue_seen = true;
-                        continue;
-                    }
-                    if text == "]}" {
-                        self.epilogue_seen = true;
-                        continue;
-                    }
-                    if self.epilogue_seen {
-                        self.done = true;
-                        return Some(Err(ClientError::Decode(
-                            "data chunk after the epilogue".to_string(),
-                        )));
-                    }
-                    let point = text.strip_prefix(',').unwrap_or(&text);
-                    let result = Json::parse(point)
-                        .map_err(|e| ClientError::Decode(format!("undecodable plan chunk: {e}")))
-                        .and_then(|json| {
-                            PlanView::from_json(&json).map_err(|e| ClientError::Decode(e.message))
-                        });
-                    if result.is_err() {
-                        self.done = true;
-                    }
-                    return Some(result);
-                }
-            }
-        }
+        let point = self.next_point();
+        // Fused after any error and after the clean end.
+        self.done = !matches!(point, Some(Ok(_)));
+        point
     }
 }
 
@@ -721,23 +713,7 @@ impl ClientPool {
         headers: &[(&str, &str)],
         body: &str,
     ) -> io::Result<(u16, String)> {
-        let reused = self
-            .idle
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop();
-        if let Some(mut conn) = reused {
-            if let Ok(response) = conn.send(method, path, headers, body) {
-                self.park(conn);
-                return Ok(response);
-            }
-            // Stale keep-alive (server reaped it while parked): fall
-            // through to a fresh connection.
-        }
-        let mut conn = Conn::connect(self.addr, self.timeout)?;
-        let response = conn.send(method, path, headers, body)?;
-        self.park(conn);
-        Ok(response)
+        self.exchange(method, path, headers, body, None)
     }
 
     /// `POST` a JSON body on a pooled connection.
@@ -770,31 +746,49 @@ impl ClientPool {
         poll: Duration,
         alive: &mut dyn FnMut() -> bool,
     ) -> io::Result<Option<(u16, String)>> {
+        let wait = self.timeout.unwrap_or(DEFAULT_RESPONSE_TIMEOUT);
+        let mut probe = Probe::new(poll, alive, wait);
+        match self.exchange(method, path, headers, body, Some(&mut probe)) {
+            Err(e) if is_gone(&e) => Ok(None),
+            response => response.map(Some),
+        }
+    }
+
+    /// One exchange on a parked connection, retried once on a fresh
+    /// one when the parked one fails (but not when the downstream
+    /// client is gone: that connection is dropped to relay the hangup).
+    fn exchange(
+        &self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &str,
+        mut probe: Option<&mut Probe<'_>>,
+    ) -> io::Result<(u16, String)> {
         let reused = self
             .idle
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .pop();
-        if let Some(mut conn) = reused {
-            match conn.send_with_probe(method, path, headers, body, poll, alive) {
-                Ok(Some(response)) => {
+        let mut retry = reused.is_some();
+        let mut conn = match reused {
+            Some(conn) => conn,
+            None => Conn::connect(self.addr, self.timeout)?,
+        };
+        loop {
+            match conn.exchange(method, path, headers, body, probe.as_deref_mut()) {
+                Ok(response) => {
                     self.park(conn);
-                    return Ok(Some(response));
+                    return Ok(response);
                 }
-                // Downstream gone mid-exchange: drop the connection to
-                // propagate the hangup upstream.
-                Ok(None) => return Ok(None),
-                // Stale keep-alive: fall through to a fresh connection.
-                Err(_) => {}
+                // Stale keep-alive (the server reaped it while parked):
+                // once more on a fresh connection.
+                Err(e) if retry && !is_gone(&e) => {
+                    retry = false;
+                    conn = Conn::connect(self.addr, self.timeout)?;
+                }
+                Err(e) => return Err(e),
             }
-        }
-        let mut conn = Conn::connect(self.addr, self.timeout)?;
-        match conn.send_with_probe(method, path, headers, body, poll, alive)? {
-            Some(response) => {
-                self.park(conn);
-                Ok(Some(response))
-            }
-            None => Ok(None),
         }
     }
 
@@ -948,20 +942,12 @@ impl ApiClient {
         tenant: Option<&str>,
         body: &str,
     ) -> Result<Json, ClientError> {
-        let headers: &[(&str, &str)] = match tenant {
-            Some(tenant) => &[("x-tenant", tenant)],
-            None => &[],
-        };
-        let (status, text) = self.pool.request(method, path, headers, body)?;
+        let tenant = tenant.map(|tenant| ("x-tenant", tenant));
+        let (status, text) = self.pool.request(method, path, tenant.as_slice(), body)?;
         let json = Json::parse(&text)
             .map_err(|e| ClientError::Decode(format!("{status} body is not JSON: {e}")))?;
         if !(200..300).contains(&status) {
-            let message = json
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unexplained error")
-                .to_string();
-            return Err(ClientError::Api(ApiError { status, message }));
+            return Err(api_error(status, &json));
         }
         Ok(json)
     }
@@ -1094,9 +1080,7 @@ pub fn request(
     headers: &[(&str, &str)],
     body: &str,
 ) -> io::Result<(u16, String)> {
-    let mut sock = TcpStream::connect(addr)?;
-    write_request(&mut sock, method, path, headers, body)?;
-    read_response(&mut sock)
+    Conn::connect(addr, None)?.send(method, path, headers, body)
 }
 
 /// `POST` a JSON body on a fresh connection.
@@ -1117,6 +1101,7 @@ pub fn get(addr: impl ToSocketAddrs, path: &str) -> io::Result<(u16, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pools_normalize_address_spellings() {
@@ -1150,23 +1135,65 @@ mod tests {
         assert_eq!(pools.len(), 2);
     }
 
+    /// A reader over `data` that yields at most `step` bytes per read.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.fill_buf()?.len().min(buf.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for Trickle<'_> {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            Ok(&self.data[..self.data.len().min(self.step)])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.data = &self.data[n..];
+        }
+    }
+
+    fn reader(data: &[u8], step: usize) -> Reader<Trickle<'_>> {
+        Reader::new(Trickle { data, step })
+    }
+
+    /// One whole response through the reader: (status, body, close).
+    fn read_whole(reader: &mut Reader<Trickle<'_>>) -> io::Result<(u16, String, bool)> {
+        let head = reader.head(None)?;
+        let body = reader.body(&head, None)?;
+        Ok((head.status, body, head.close))
+    }
+
     #[test]
-    fn parse_framed_response_is_incremental() {
+    fn reader_is_incremental() {
         let full = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\nconnection: close\r\n\r\nhello";
         for cut in 0..full.len() {
-            assert!(
-                parse_framed_response(&full[..cut]).unwrap().is_none(),
+            assert_eq!(
+                read_whole(&mut reader(&full[..cut], usize::MAX))
+                    .unwrap_err()
+                    .kind(),
+                io::ErrorKind::UnexpectedEof,
                 "prefix of {cut} bytes must ask for more"
             );
         }
-        let (status, body, close) = parse_framed_response(full).unwrap().unwrap();
+        let (status, body, close) = read_whole(&mut reader(full, 1)).unwrap();
         assert_eq!((status, body.as_str(), close), (200, "hello", true));
 
-        // Trailing bytes from a pipelined next response don't confuse it.
+        // Trailing bytes from a pipelined next response don't confuse
+        // it, and stay buffered for the next read.
         let mut extra = full.to_vec();
         extra.extend_from_slice(b"HTTP/1.1 2");
-        let (status, body, _) = parse_framed_response(&extra).unwrap().unwrap();
+        let mut pipelined = reader(&extra, usize::MAX);
+        let (status, body, _) = read_whole(&mut pipelined).unwrap();
         assert_eq!((status, body.as_str()), (200, "hello"));
+        assert_eq!(pipelined.raw, b"HTTP/1.1 2");
 
         for bad in [
             &b"BROKEN\r\n\r\n"[..],
@@ -1174,19 +1201,42 @@ mod tests {
             &b"HTTP/1.1 200 OK\r\ncontent-length: x\r\n\r\n"[..],
         ] {
             assert_eq!(
-                parse_framed_response(bad).unwrap_err().kind(),
+                read_whole(&mut reader(bad, usize::MAX)).unwrap_err().kind(),
                 io::ErrorKind::InvalidData
             );
         }
     }
 
+    #[test]
+    fn response_heads_are_capped() {
+        let mut head = b"HTTP/1.1 200 OK\r\nx-pad: ".to_vec();
+        head.resize(MAX_HEADER_BYTES - 4, b'a');
+        head.extend_from_slice(b"\r\n\r\n");
+        let (status, _, _) = read_whole(&mut reader(&head, 7)).unwrap();
+        assert_eq!(status, 200, "a head of exactly the cap frames");
+
+        head.insert(head.len() - 4, b'a');
+        assert_eq!(
+            read_whole(&mut reader(&head, 7)).unwrap_err().kind(),
+            io::ErrorKind::InvalidData,
+            "one byte past the cap is refused"
+        );
+    }
+
     /// A full chunked response as the server writes it.
     fn chunked_response(chunks: &[&str], trailer: Option<&str>) -> Vec<u8> {
+        let chunks: Vec<&[u8]> = chunks.iter().map(|c| c.as_bytes()).collect();
+        chunked_bytes(&chunks, trailer)
+    }
+
+    fn chunked_bytes(chunks: &[&[u8]], trailer: Option<&str>) -> Vec<u8> {
         let mut raw = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\
             trailer: x-fc-error\r\nconnection: close\r\n\r\n"
             .to_vec();
         for chunk in chunks {
-            raw.extend_from_slice(format!("{:x}\r\n{chunk}\r\n", chunk.len()).as_bytes());
+            raw.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+            raw.extend_from_slice(chunk);
+            raw.extend_from_slice(b"\r\n");
         }
         raw.extend_from_slice(b"0\r\n");
         if let Some(error) = trailer {
@@ -1200,14 +1250,17 @@ mod tests {
     fn chunked_response_concatenates_and_forces_close() {
         let raw = chunked_response(&["{\"plans\":[", "{\"x\":1}", ",{\"x\":2}", "]}"], None);
         // Every strict prefix asks for more — a truncated chunk body
-        // or missing terminal chunk never parses as complete.
+        // or missing terminal chunk never reads as complete.
         for cut in 0..raw.len() {
-            assert!(
-                parse_framed_response(&raw[..cut]).unwrap().is_none(),
+            assert_eq!(
+                read_whole(&mut reader(&raw[..cut], usize::MAX))
+                    .unwrap_err()
+                    .kind(),
+                io::ErrorKind::UnexpectedEof,
                 "prefix of {cut} bytes must ask for more"
             );
         }
-        let (status, body, close) = parse_framed_response(&raw).unwrap().unwrap();
+        let (status, body, close) = read_whole(&mut reader(&raw, 3)).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "{\"plans\":[{\"x\":1},{\"x\":2}]}");
         assert!(close, "chunked responses always close the connection");
@@ -1216,7 +1269,7 @@ mod tests {
     #[test]
     fn chunked_error_trailer_surfaces_as_typed_failure() {
         let raw = chunked_response(&["{\"plans\":[", "{\"x\":1}"], Some("500 solver exploded"));
-        let err = parse_framed_response(&raw).unwrap_err();
+        let err = read_whole(&mut reader(&raw, usize::MAX)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("500 solver exploded"));
 
@@ -1231,6 +1284,118 @@ mod tests {
             trailer_error("not a status"),
             ClientError::Decode(_)
         ));
+    }
+
+    /// Bytes the fuzz property draws from: framing punctuation, hex
+    /// digits, a few header fragments and non-UTF-8, so random strings
+    /// reach deep into the head, body and chunk parsers.
+    const FUZZ_PIECES: &[&[u8]] = &[
+        b"\r\n",
+        b"\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\n",
+        b"content-length: ",
+        b"transfer-encoding: chunked\r\n",
+        b"x-fc-error: 500 x\r\n",
+        b"18446744073709551615",
+        b"content-length: 18446744073709551615\r\n\r\n",
+        b"0",
+        b"7",
+        b"f",
+        b"ffffffffffffffffff",
+        b":",
+        b" ",
+        b"a",
+        b"\xff",
+    ];
+
+    /// The pieces of the valid-response property's bodies, UTF-8
+    /// multi-byte characters included so chunk splits cut through them.
+    const BODY_PIECES: &[&str] = &["a", "{\"x\":1}", ",", "\r\n", "0", "é", "→"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary input, read any number of bytes at a time, ends in
+        /// a response, a chunk sequence, or a typed error, never a
+        /// panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            raw in prop::collection::vec(0u8..=255, 0..128),
+            pieces in prop::collection::vec(0usize..FUZZ_PIECES.len(), 0..48),
+            prefixed in 0usize..3,
+            step in 1usize..32,
+        ) {
+            let mut input: Vec<u8> = match prefixed {
+                0 => Vec::new(),
+                1 => b"HTTP/1.1 200 OK\r\n".to_vec(),
+                _ => b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n".to_vec(),
+            };
+            for piece in pieces {
+                input.extend_from_slice(FUZZ_PIECES[piece]);
+            }
+            input.extend_from_slice(&raw);
+            let _ = read_whole(&mut reader(&input, step));
+            let mut frames = reader(&input, step);
+            while let Ok(ChunkFrame::Data(_)) = frames.frame(None) {}
+        }
+
+        /// A valid response survives any read size, down to one byte
+        /// per read: a `Content-Length` body reads back whole, chunks
+        /// arrive as sent and concatenate to the body, and an error
+        /// trailer becomes the typed failure.
+        #[test]
+        fn valid_responses_round_trip_under_any_read_size(
+            pieces in prop::collection::vec(0usize..BODY_PIECES.len(), 0..64),
+            cuts in prop::collection::vec(1usize..24, 0..12),
+            framing in 0usize..3,
+            step in 1usize..16,
+        ) {
+            let body: String = pieces.iter().map(|&p| BODY_PIECES[p]).collect();
+            if framing == 0 {
+                let raw = format!(
+                    "HTTP/1.1 201 Created\r\ncontent-length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                let (status, read, close) = read_whole(&mut reader(raw.as_bytes(), step))
+                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                prop_assert_eq!((status, read.as_str(), close), (201, body.as_str(), false));
+                return Ok(());
+            }
+            let mut chunks: Vec<&[u8]> = Vec::new();
+            let mut rest = body.as_bytes();
+            for cut in cuts {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at(cut.min(rest.len()));
+                chunks.push(chunk);
+                rest = tail;
+            }
+            if !rest.is_empty() {
+                chunks.push(rest);
+            }
+            let trailer = (framing == 2).then_some("503 backend drained");
+            let raw = chunked_bytes(&chunks, trailer);
+
+            let mut frames = reader(&raw, step);
+            let head = frames.head(None).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert!(head.chunked && head.close);
+            for chunk in &chunks {
+                let frame = frames.frame(None).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                prop_assert_eq!(frame, ChunkFrame::Data(chunk.to_vec()));
+            }
+            let end = frames.frame(None).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(end, ChunkFrame::End { error: trailer.map(str::to_string) });
+
+            match (read_whole(&mut reader(&raw, step)), trailer) {
+                (Ok((200, read, true)), None) => prop_assert_eq!(read, body),
+                (Err(e), Some(trailer)) => {
+                    prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                    prop_assert!(e.to_string().contains(trailer));
+                }
+                (other, _) => prop_assert!(false, "unexpected read: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -83,19 +83,17 @@
 //! load harness checks), and `GET /v1/topology` reports the ring.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, BufRead, BufReader};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fc_core::planner::Fnv1a;
 
 use super::api::{ApiError, StatsResponse};
-use super::client::{
-    parse_chunk_frame, parse_head, write_request, ChunkFrame, ClientPool, ClientPools, Conn,
-};
+use super::client::{is_gone, ChunkFrame, ClientPool, ClientPools, Conn, Probe};
 use super::front::{client_connected, Call, Front, Limits, Outcome, Route};
 use super::http::{finish_chunked, write_chunk, write_chunked_head, Request};
 use super::json::Json;
@@ -1110,8 +1108,10 @@ fn relay_solve_streamed(
 }
 
 /// One streamed-relay attempt against `backend`, on a fresh dedicated
-/// connection (never pooled: the backend closes it after the stream,
-/// and dropping it mid-way is how cancellation propagates).
+/// connection bounded by `upstream_timeout` (never pooled: the backend
+/// closes it after the stream, and dropping it mid-way is how
+/// cancellation propagates). Every upstream read probes the client
+/// socket for disconnect.
 fn stream_from_backend(
     ctx: &RouterCtx,
     backend: &Backend,
@@ -1120,139 +1120,62 @@ fn stream_from_backend(
     body: &str,
     sock: &TcpStream,
 ) -> StreamRelay {
-    let prepared = TcpStream::connect(backend.addr).and_then(|upstream| {
-        // The short read timeout turns reads into a poll loop so the
-        // client socket is probed for disconnect between chunks.
-        upstream.set_read_timeout(Some(ctx.config.disconnect_poll))?;
-        upstream.set_write_timeout(Some(ctx.config.upstream_timeout))?;
-        upstream.set_nodelay(true)?;
-        let mut writer = upstream.try_clone()?;
-        write_request(&mut writer, "POST", target, headers, body)?;
+    let wait = ctx.config.upstream_timeout;
+    let mut alive = || client_connected(sock);
+    let mut probe = Probe::new(ctx.config.disconnect_poll, &mut alive, wait);
+    let opened = Conn::connect(backend.addr, Some(wait)).and_then(|mut upstream| {
+        upstream.write("POST", target, headers, body, Some(&probe))?;
         Ok(upstream)
     });
-    let Ok(upstream) = prepared else {
+    let Ok(mut upstream) = opened else {
         return StreamRelay::Retry;
     };
-    let deadline = Instant::now() + ctx.config.upstream_timeout;
-    let mut reader = BufReader::new(upstream);
-    let mut raw: Vec<u8> = Vec::new();
-    let head = loop {
-        match parse_head(&raw) {
-            Ok(Some(head)) => break head,
-            Ok(None) => {}
-            Err(_) => return StreamRelay::Retry,
-        }
-        match fill_probing(&mut reader, &mut raw, sock, deadline) {
-            Ok(true) => {}
-            Ok(false) => return StreamRelay::Done(Outcome::ClientGone),
-            Err(_) => return StreamRelay::Retry,
-        }
+    let head = match upstream.reader.head(Some(&mut probe)) {
+        Ok(head) => head,
+        Err(e) if is_gone(&e) => return StreamRelay::Done(Outcome::ClientGone),
+        Err(_) => return StreamRelay::Retry,
     };
-    raw.drain(..head.body_start);
     if !head.chunked {
         // A refusal (quota, bad request, …) arrives buffered; relay it
         // as such — the keep-alive loop stays usable.
-        while raw.len() < head.content_length {
-            match fill_probing(&mut reader, &mut raw, sock, deadline) {
-                Ok(true) => {}
-                Ok(false) => return StreamRelay::Done(Outcome::ClientGone),
-                Err(_) => return StreamRelay::Retry,
-            }
-        }
-        raw.truncate(head.content_length);
-        let Ok(body) = String::from_utf8(raw) else {
-            return StreamRelay::Retry;
+        return match upstream.reader.body(&head, Some(&mut probe)) {
+            Ok(body) => StreamRelay::Done(Outcome::Respond {
+                status: head.status,
+                body,
+            }),
+            Err(e) if is_gone(&e) => StreamRelay::Done(Outcome::ClientGone),
+            Err(_) => StreamRelay::Retry,
         };
-        return StreamRelay::Done(Outcome::Respond {
-            status: head.status,
-            body,
-        });
     }
     let mut w = sock;
     if write_chunked_head(&mut w, head.status).is_err() {
         return StreamRelay::Done(Outcome::ClientGone);
     }
     loop {
-        let frame = match parse_chunk_frame(&raw) {
-            // Upstream framing broke mid-stream; the head is already
-            // downstream, so surface the abort on the trailer.
-            Err(_) => {
-                let _ = finish_chunked(&mut w, Some("502 upstream stream broke"));
-                return StreamRelay::Done(Outcome::Streamed);
-            }
-            Ok(None) => {
-                match fill_probing(&mut reader, &mut raw, sock, deadline) {
-                    Ok(true) => {}
-                    Ok(false) => return StreamRelay::Done(Outcome::ClientGone),
-                    Err(_) => {
-                        let _ = finish_chunked(&mut w, Some("502 upstream failed mid-stream"));
-                        return StreamRelay::Done(Outcome::Streamed);
-                    }
-                }
-                continue;
-            }
-            Ok(Some((frame, used))) => {
-                raw.drain(..used);
-                frame
-            }
-        };
-        match frame {
-            ChunkFrame::Data(data) => {
+        match upstream.reader.frame(Some(&mut probe)) {
+            Ok(ChunkFrame::Data(data)) => {
                 if write_chunk(&mut w, &data).is_err() {
                     // Client gone mid-stream: dropping the upstream
                     // connection cancels the points still solving.
                     return StreamRelay::Done(Outcome::ClientGone);
                 }
             }
-            ChunkFrame::End { error } => {
+            Ok(ChunkFrame::End { error }) => {
                 let _ = finish_chunked(&mut w, error.as_deref());
                 return StreamRelay::Done(Outcome::Streamed);
             }
-        }
-    }
-}
-
-/// One read appended onto `raw`, probing the client socket on every
-/// read timeout: `Ok(true)` got bytes, `Ok(false)` client gone,
-/// `Err` upstream EOF/transport failure or overall deadline.
-fn fill_probing(
-    reader: &mut BufReader<TcpStream>,
-    raw: &mut Vec<u8>,
-    sock: &TcpStream,
-    deadline: Instant,
-) -> io::Result<bool> {
-    loop {
-        match reader.fill_buf() {
-            Ok([]) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "upstream closed mid-stream",
-                ))
+            Err(e) if is_gone(&e) => return StreamRelay::Done(Outcome::ClientGone),
+            // The head is already downstream, so an upstream failure
+            // surfaces as the abort trailer.
+            Err(e) => {
+                let trailer = if e.kind() == io::ErrorKind::InvalidData {
+                    "502 upstream stream broke"
+                } else {
+                    "502 upstream failed mid-stream"
+                };
+                let _ = finish_chunked(&mut w, Some(trailer));
+                return StreamRelay::Done(Outcome::Streamed);
             }
-            Ok(chunk) => {
-                raw.extend_from_slice(chunk);
-                let n = chunk.len();
-                reader.consume(n);
-                return Ok(true);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if !client_connected(sock) {
-                    return Ok(false);
-                }
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "upstream response timed out",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
         }
     }
 }

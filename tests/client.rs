@@ -141,6 +141,47 @@ fn non_utf8_body_is_invalid_data() {
     );
 }
 
+#[test]
+fn overflowing_content_length_is_a_typed_error() {
+    // usize::MAX declared, three bytes sent, then close: the body is
+    // short, not an arithmetic overflow or a giant allocation.
+    let (addr, _) = mock_server(respond_with(
+        "HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\nabc",
+    ));
+    expect_err(
+        client::get(addr, "/"),
+        &[ErrorKind::UnexpectedEof, ErrorKind::InvalidData],
+        "overflowing content-length",
+    );
+}
+
+#[test]
+fn oversized_response_head_is_invalid_data() {
+    // 16 KiB of header bytes with no blank line, socket held open: the
+    // head cap refuses it at once instead of reading until the timeout.
+    let (addr, _) = mock_server(|_, mut sock| {
+        if consume_request(&mut sock) {
+            let mut head = b"HTTP/1.1 200 OK\r\nx-pad: ".to_vec();
+            head.resize(16 * 1024, b'a');
+            let _ = sock.write_all(&head);
+            std::thread::sleep(Duration::from_secs(30));
+        }
+    });
+    let mut conn = Conn::connect(addr, Some(Duration::from_secs(2))).expect("connect");
+    let started = Instant::now();
+    expect_err(
+        conn.send("GET", "/", &[], ""),
+        &[ErrorKind::InvalidData],
+        "oversized head",
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "the cap must fire before the read timeout: {:?}",
+        started.elapsed()
+    );
+    assert!(!conn.reusable(), "a failed exchange retires the Conn");
+}
+
 // ---------------------------------------------------------- timeouts
 
 #[test]
@@ -282,5 +323,25 @@ fn pool_respects_max_idle_zero() {
         accepted.load(Ordering::SeqCst),
         3,
         "with no parking every request connects fresh"
+    );
+}
+
+#[test]
+fn probed_pool_requests_reuse_one_connection() {
+    let (addr, accepted) = keep_alive_mock();
+    let pool = ClientPool::new(addr)
+        .expect("pool")
+        .with_timeout(Duration::from_secs(5));
+    let mut alive = || true;
+    for _ in 0..4 {
+        let response = pool
+            .request_with_probe("GET", "/", &[], "", Duration::from_millis(50), &mut alive)
+            .expect("probed GET");
+        assert_eq!(response.map(|(status, _)| status), Some(200));
+    }
+    assert_eq!(
+        accepted.load(Ordering::SeqCst),
+        1,
+        "four probed pooled requests must ride one TCP connection"
     );
 }

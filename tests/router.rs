@@ -26,7 +26,7 @@ use fact_clean::net::api::{
     plan_identity_json, BudgetSpec, CleanRequest, CreateStreamRequest, RecommendRequest,
     SweepRequest,
 };
-use fact_clean::net::client::{self, ApiClient, ClientError};
+use fact_clean::net::client::{self, ApiClient, ClientError, SweepStream};
 use fact_clean::net::json::Json;
 use fact_clean::net::router::VNODES;
 use fact_clean::net::{PlannerServer, RouterConfig, RouterHandle, RouterServer, ServerHandle};
@@ -402,6 +402,57 @@ fn serve_gives_up_on_a_backend_that_drops_syns() {
         .expect("the live backend serves");
     router.shutdown();
     backend.shutdown();
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn streamed_sweep_connect_honours_its_timeout() {
+    let (silent, _filler) = syn_dropping_listener();
+    let request = SweepRequest {
+        stream: "crime".to_string(),
+        spec: ObjectiveSpec::ascertain(Measure::Dup),
+        budgets: vec![BudgetSpec::Absolute(2)],
+    };
+    let started = Instant::now();
+    let opened = SweepStream::open(
+        silent.local_addr().unwrap(),
+        Some(Duration::from_millis(500)),
+        &request,
+        None,
+    );
+    assert!(
+        matches!(opened, Err(ClientError::Io(_))),
+        "a host that drops SYNs is a transport error"
+    );
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "open() took {took:?}");
+}
+
+#[test]
+fn serve_survives_an_overflowing_health_answer() {
+    // Every probe gets a usize::MAX content-length, three body bytes,
+    // then a close.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut sock) = stream else { continue };
+            let mut request = [0u8; 1024];
+            let _ = sock.read(&mut request);
+            let _ = sock
+                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\nabc");
+        }
+    });
+    let router = boot_router(&[("liar", addr)]);
+    let (status, body) = client::get(router.addr(), "/v1/topology").expect("topology");
+    assert_eq!(status, 200, "{body}");
+    let healthy = Json::parse(&body)
+        .unwrap()
+        .get("backends")
+        .and_then(Json::as_array)
+        .and_then(|backends| backends.first()?.get("healthy").and_then(Json::as_bool));
+    assert_eq!(healthy, Some(false), "{body}");
+    router.shutdown();
 }
 
 #[test]
