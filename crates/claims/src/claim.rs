@@ -148,6 +148,15 @@ impl Direction {
     }
 }
 
+/// Sensibility-mass error below which a vector counts as *already*
+/// normalized and is stored bit-exactly — the same cutoff
+/// `DiscreteDist::new` applies to a pmf. One rescale leaves `Σs`
+/// within a few ulps of 1, so normalization is idempotent and a claim
+/// set that round-trips through a wire codec re-enters construction
+/// unchanged. Without the cutoff every decode divides by a total ≠ 1.0
+/// and moves the last bits, so replicas disagree on the definition.
+const SENSIBILITY_RENORM_TOL: f64 = 1e-12;
+
 /// An original claim with its perturbation family and sensibilities.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClaimSet {
@@ -160,6 +169,8 @@ pub struct ClaimSet {
 impl ClaimSet {
     /// Assembles a claim set; sensibilities are validated (non-negative,
     /// positive total) and normalized to sum to 1 as the paper requires.
+    /// A vector already within `SENSIBILITY_RENORM_TOL` (1e-12) of unit
+    /// mass is kept bit for bit.
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // !(x >= 0) is the NaN-safe check
     pub fn new(
         original: LinearClaim,
@@ -177,7 +188,11 @@ impl ClaimSet {
         if !(total > 0.0) || sensibilities.iter().any(|&s| !(s >= 0.0) || !s.is_finite()) {
             return Err(ClaimError::InvalidSensibility);
         }
-        let sensibilities = sensibilities.iter().map(|s| s / total).collect();
+        let sensibilities = if (total - 1.0).abs() > SENSIBILITY_RENORM_TOL {
+            sensibilities.iter().map(|s| s / total).collect()
+        } else {
+            sensibilities
+        };
         Ok(Self {
             original,
             perturbations,

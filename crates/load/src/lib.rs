@@ -1,29 +1,20 @@
-//! `fc_load` — trace-driven load harness for the fact-cleaning
+//! `fc_load` — seeded workload generation for the fact-cleaning
 //! planner's serving stack.
 //!
-//! The crate is a small pipeline, one module per stage:
+//! Three std-only modules:
 //!
 //! 1. [`gen`] — deterministic seeded workload generators (Poisson,
 //!    bursty, diurnal per-tenant arrivals) producing a…
 //! 2. [`trace`] — plain-text, byte-stable request trace
-//!    (`timestamp_ms tenant op spec budget`), checked in as a fixture
-//!    and replayed identically, which the…
-//! 3. [`replay`] — multi-threaded replayer drives through a real
-//!    `PlannerServer` over sockets (mixed ops, per-request deadlines,
-//!    a seeded mid-flight abandonment mix), recording into…
-//! 4. [`hist`] — log-bucketed HDR-style latency histograms, rolled up
-//!    by…
-//! 5. [`report`] — the `BENCH_serve.json` document, post-drain
-//!    invariant checks, and the `BENCH_budget.json` CI gate.
+//!    (`timestamp_ms tenant op spec budget`). The smoke trace is
+//!    checked in as `fixtures/smoke.trace`; the root `tests/load.rs`
+//!    pins it to its generator and replays it through a server and a
+//!    router, and `perfbench` draws its serving workloads from `gen`.
+//! 3. [`hist`] — log-bucketed HDR-style latency histograms.
 //!
-//! Everything here is `std`-only and deterministic modulo wall-clock
-//! latencies: the request *sequence* (bodies, stream assignment,
-//! abandonment choices) is a pure function of `(trace, config)`, so a
-//! checked-in trace fixture pins the workload exactly even though the
-//! measured latencies vary run to run.
+//! Generation is a pure function of `(spec, seed)`, so a trace fixture
+//! pins a workload exactly.
 
 pub mod gen;
 pub mod hist;
-pub mod replay;
-pub mod report;
 pub mod trace;

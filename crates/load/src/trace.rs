@@ -1,11 +1,10 @@
 //! The plain-text trace format: one event per line,
 //! `timestamp_ms tenant op spec budget`, space-separated. Traces are
-//! the unit of reproducibility for the load harness — a generated
-//! trace is saved, checked in as a fixture, and replayed byte-
-//! identically, so `to_string` ∘ [`Trace::parse`] must be the
-//! identity on well-formed traces (proved in the tests below and
-//! re-proved against the checked-in fixture by the `load_replay` CI
-//! gate).
+//! the unit of reproducibility for load tests — a generated trace is
+//! saved, checked in as a fixture, and replayed byte-identically, so
+//! `to_string` ∘ [`Trace::parse`] must be the identity on well-formed
+//! traces (proved in the tests below; the root `tests/load.rs` pins
+//! the checked-in smoke fixture to its generator).
 //!
 //! Field vocabulary (validated on construction and parse):
 //!

@@ -8,7 +8,7 @@
 //! `encode`/`decode` string conveniences) that are the **single**
 //! source of truth for field names and validation messages. The
 //! server routes decode requests through these types, the
-//! [`ApiClient`](super::client::ApiClient) and the load replayer
+//! [`ApiClient`](super::client::ApiClient) and the load drivers
 //! encode through them, and the shard router decodes responses
 //! through them to aggregate and compare — so a renamed field breaks
 //! loudly at one definition instead of silently at N hand-built call
@@ -666,7 +666,7 @@ pub fn stats_json(
 /// A decoded `GET /v1/stats` body: service counters, store counters,
 /// and per-tenant saturation. The shard router aggregates these across
 /// backends into one body of the same shape, so every invariant a
-/// load harness checks against a single box holds against a topology.
+/// load test checks against a single box holds against a topology.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsResponse {
     /// The serving-layer counters and gauges.
@@ -898,8 +898,9 @@ pub fn claims_json(claims: &ClaimSet) -> Json {
 
 /// Parses and validates a wire [`ClaimSet`]: perturbations and
 /// sensibilities must be parallel, sensibilities non-negative with a
-/// positive total (they are re-normalized to sum to 1, so a round
-/// trip is stable).
+/// positive total. Raw sensibilities are normalized to sum to 1; an
+/// already-normalized vector decodes bit for bit, so every round trip
+/// is a fixed point.
 pub fn claims_from_json(v: &Json) -> Result<ClaimSet, ApiError> {
     let original = claim_from_json(
         v.get("original")
@@ -1592,6 +1593,37 @@ mod tests {
             Direction::HigherIsStronger,
         )
         .unwrap()
+    }
+
+    /// Every wire hop of a claim set is a fixed point: decoding
+    /// normalized sensibilities must not rescale them again, or each
+    /// snapshot → adopt hop moves the last bits and replicas disagree
+    /// on the stream's definition.
+    #[test]
+    fn claims_codec_is_a_bitwise_fixed_point() {
+        let bits = |claims: &ClaimSet| -> Vec<u64> {
+            claims.sensibilities().iter().map(|s| s.to_bits()).collect()
+        };
+        for m in 2..16 {
+            let claims = ClaimSet::new(
+                LinearClaim::new([(0, 1.0)], 0.0).unwrap(),
+                (0..m)
+                    .map(|k| LinearClaim::new([(k, 1.0)], 1.0).unwrap())
+                    .collect(),
+                (0..m)
+                    .map(|k| 0.9f64.powi(k as i32) + 0.1 / (k as f64 + 3.0))
+                    .collect(),
+                Direction::LowerIsStronger,
+            )
+            .unwrap();
+            let mut hop = claims.clone();
+            for _ in 0..3 {
+                let text = claims_json(&hop).to_string();
+                hop = claims_from_json(&Json::parse(&text).unwrap()).unwrap();
+                assert_eq!(bits(&hop), bits(&claims), "m = {m}");
+                assert_eq!(hop, claims, "m = {m}");
+            }
+        }
     }
 
     #[test]

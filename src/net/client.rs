@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 client for the front —
 //! `Content-Length` and chunked response framing, no redirects, no
-//! TLS. The examples, integration tests, CI gates, the load harness
+//! TLS. The examples, integration tests, CI gates, the benchmark
 //! and the router's upstream hop all drive the server with it (the
 //! environment has no `curl` guarantee and no registry client crates);
 //! it is deliberately small, not a general HTTP client.

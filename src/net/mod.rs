@@ -13,7 +13,7 @@
 //! * [`json`] — a minimal JSON codec (value tree, strict bounded
 //!   parser, deterministic writer);
 //! * [`api`] — the typed request/response structs every route, client,
-//!   and replayer encodes and decodes through, plus the plan and stats
+//!   and load driver encodes and decodes through, plus the plan and stats
 //!   response encoders whose bytes are the determinism gate;
 //! * [`client`] — the matching minimal blocking client (examples,
 //!   tests, and CI gates drive the server with it), including the

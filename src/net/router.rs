@@ -80,7 +80,7 @@
 //!
 //! Aggregate observability: `GET /v1/stats` sums the per-backend
 //! stats into the single-box shape (sums preserve the invariants the
-//! load harness checks), and `GET /v1/topology` reports the ring.
+//! load test checks), and `GET /v1/topology` reports the ring.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;

@@ -2,7 +2,8 @@
 //! with in-process plans, the full malformed-input matrix (each bad
 //! request yields a typed 4xx — or a cancelled request — without
 //! tearing down the listener or leaking quota), disconnect-driven
-//! cancellation, keep-alive, graceful-shutdown drain, and the
+//! cancellation, keep-alive, graceful-shutdown drain, snapshot →
+//! adopt hops that keep a stream's definition bit for bit, and the
 //! whole-store snapshot a graceful shutdown leaves for a warm restart.
 
 use std::io::{Read, Write};
@@ -17,65 +18,11 @@ use fact_clean::net::client::{self, ApiClient, ClientError};
 use fact_clean::net::json::Json;
 use fact_clean::net::{PlannerServer, ServerConfig, ServerHandle};
 use fact_clean::prelude::*;
-use fc_core::{EngineCache, Result as CoreResult, SolverRegistry, WorkerPool};
+use fc_core::{SolverRegistry, WorkerPool};
+use fc_datasets::cdc::cdc_firearms_gaussian;
 
-fn session() -> CleaningSession {
-    let current = vec![9_010.0, 9_275.0, 9_300.0, 9_125.0, 9_430.0];
-    let dists: Vec<DiscreteDist> = current
-        .iter()
-        .map(|&u| DiscreteDist::uniform_over(&[u - 40.0, u, u + 40.0]).unwrap())
-        .collect();
-    let instance = Instance::new(dists, current, vec![1; 5]).unwrap();
-    let claims = ClaimSet::new(
-        LinearClaim::window_comparison(3, 4, 1).unwrap(),
-        vec![
-            LinearClaim::window_comparison(2, 3, 1).unwrap(),
-            LinearClaim::window_comparison(1, 2, 1).unwrap(),
-            LinearClaim::window_comparison(0, 1, 1).unwrap(),
-        ],
-        vec![1.0; 3],
-        Direction::HigherIsStronger,
-    )
-    .unwrap();
-    CleaningSession::new(instance, claims)
-}
-
-/// A solver that sleeps before delegating to greedy — long enough for
-/// a disconnect probe to land mid-solve.
-struct SlowSolver {
-    delegate: Arc<dyn Solver>,
-    delay: Duration,
-}
-
-impl std::fmt::Debug for SlowSolver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SlowSolver")
-            .field("delay", &self.delay)
-            .finish()
-    }
-}
-
-impl Solver for SlowSolver {
-    fn name(&self) -> &'static str {
-        "slow"
-    }
-    fn solve_with_cache<'p>(
-        &self,
-        problem: &'p Problem,
-        budget: Budget,
-        cache: &EngineCache<'p>,
-    ) -> CoreResult<Plan> {
-        std::thread::sleep(self.delay);
-        self.delegate.solve_with_cache(problem, budget, cache)
-    }
-}
-
-fn registry_with_slow(delay: Duration) -> Arc<SolverRegistry> {
-    let mut registry = SolverRegistry::with_defaults();
-    let delegate = registry.get("greedy").unwrap();
-    registry.register_solver(Arc::new(SlowSolver { delegate, delay }));
-    Arc::new(registry)
-}
+mod common;
+use common::{registry_with_slow, session, window_session};
 
 fn test_config() -> ServerConfig {
     ServerConfig::new()
@@ -853,6 +800,74 @@ fn stream_snapshot_adopts_onto_a_peer_and_serves_warm() {
     match api_b.stream_info("other") {
         Err(ClientError::Api(e)) => assert_eq!(e.status, 404),
         other => panic!("mismatched adopt must not install, got {other:?}"),
+    }
+}
+
+/// Replication hops are fixed points: a wire-created cdc stream
+/// (6-point discretization, window-2 sums — a claim family whose
+/// normalized sensibilities used to move their last bits on every
+/// decode) snapshotted A → B → C carries its exact definition, so adopting
+/// C's snapshot back onto A is an idempotent merge (200), not a
+/// `409 … different definition`, and all three hosts pick the same
+/// MaxPr plans as the in-process session.
+#[test]
+fn snapshot_hops_keep_the_definition_and_the_maxpr_plans() {
+    let hosts = [boot_empty(), boot_empty(), boot_empty()];
+    let apis: Vec<ApiClient> = hosts
+        .iter()
+        .map(|(host, _)| ApiClient::connect(host.addr()).expect("connect"))
+        .collect();
+    let spec = ObjectiveSpec::find_counter(5.0);
+    let fractions = [0.1, 0.2, 0.3, 0.4, 0.5];
+    for seed in 0..6 {
+        let cdc = cdc_firearms_gaussian(seed).and_then(|g| g.discretize(6));
+        let base = window_session(&cdc.expect("cdc instance"), 2);
+        let id = format!("cdc{seed}");
+        apis[0]
+            .create_stream(&CreateStreamRequest {
+                id: id.clone(),
+                tenant: None,
+                theta: None,
+                discretize_support: None,
+                data: base.data().clone(),
+                claims: base.claims().clone(),
+            })
+            .expect("create on A");
+        let a_to_b = apis[0].snapshot(&id).expect("snapshot A");
+        apis[1].adopt(&id, &a_to_b).expect("adopt on B");
+        let b_to_c = apis[1].snapshot(&id).expect("snapshot B");
+        apis[2].adopt(&id, &b_to_c).expect("adopt on C");
+        let c_to_a = apis[2].snapshot(&id).expect("snapshot C");
+        assert_eq!(c_to_a.definition, a_to_b.definition, "seed {seed}");
+        if let Err(e) = apis[0].adopt(&id, &c_to_a) {
+            panic!("seed {seed}: re-adopting C's snapshot onto A must merge: {e:?}");
+        }
+
+        let total = base.data().total_cost();
+        let budgets: Vec<Budget> = fractions
+            .iter()
+            .map(|&f| Budget::fraction(total, f))
+            .collect();
+        let expected: Vec<Vec<usize>> = base
+            .recommend_sweep(&spec, &budgets)
+            .expect("in-process sweep")
+            .iter()
+            .map(|plan| plan.selection.objects().to_vec())
+            .collect();
+        let request = SweepRequest {
+            stream: id.clone(),
+            spec: spec.clone(),
+            budgets: fractions.iter().map(|&f| BudgetSpec::Fraction(f)).collect(),
+        };
+        for (host, api) in ["A", "B", "C"].iter().zip(&apis) {
+            let picks: Vec<Vec<usize>> = api
+                .sweep(&request, None)
+                .expect("sweep")
+                .into_iter()
+                .map(|plan| plan.objects)
+                .collect();
+            assert_eq!(picks, expected, "seed {seed}: host {host}");
+        }
     }
 }
 

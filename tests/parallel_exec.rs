@@ -11,6 +11,8 @@ use fc_core::CacheStore;
 use fc_uncertain::rng_from_seed;
 use rand::Rng;
 
+mod common;
+
 /// A randomized discrete workload with a *dense* overlapping claim
 /// family (one width-2 window per start index), so the dup/frag
 /// estimate is `~(n−1) · E[|support|²] + n` (supports of 2–3 values ⇒
@@ -269,4 +271,36 @@ fn parallel_sweep_with_store_is_deterministic_and_warm() {
     let again = par_session.recommend_sweep(&spec, &budgets).unwrap();
     assert_byte_identical(&seq, &again);
     assert_eq!(store.stats().scoped_builds, 1, "second sweep is warm");
+}
+
+/// The sweep-delta resume chain is a pure speedup: on a façade-lowered
+/// dup/MinVar ladder (urx60 under window-4 sums, 8 points) every point
+/// of the chain is byte-identical to an independent solve.
+#[test]
+fn resume_chain_matches_independent_solves_on_a_lowered_dup_ladder() {
+    use fc_core::planner::exec::{self, ExecOptions, SweepMode};
+
+    let instance = fc_datasets::synthetic::urx(60, 42 ^ 0xA).unwrap();
+    let session = common::window_session(&instance, 4);
+    let spec = ObjectiveSpec::ascertain(Measure::Dup);
+    let problem = session.build_problem(&spec).unwrap();
+    let total = instance.total_cost();
+    let budgets: Vec<Budget> = (1..=8)
+        .map(|i| Budget::fraction(total, f64::from(i) / 16.0))
+        .collect();
+    let run = |mode: SweepMode| {
+        let opts = ExecOptions::new(Parallelism::Sequential).with_sweep_mode(mode);
+        exec::sweep(
+            session.registry(),
+            spec.strategy.key(),
+            &problem,
+            &budgets,
+            &opts,
+            None,
+        )
+        .unwrap()
+    };
+    let independent = run(SweepMode::Independent);
+    assert_eq!(independent.len(), 8);
+    assert_byte_identical(&independent, &run(SweepMode::ResumeChain));
 }

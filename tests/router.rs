@@ -32,33 +32,10 @@ use fact_clean::net::router::VNODES;
 use fact_clean::net::{PlannerServer, RouterConfig, RouterHandle, RouterServer, ServerHandle};
 use fact_clean::prelude::*;
 use fc_core::planner::Fnv1a;
-use fc_core::{EngineCache, Result as CoreResult, SolverRegistry, WorkerPool};
+use fc_core::{SolverRegistry, WorkerPool};
 
-fn session() -> CleaningSession {
-    session_over(5)
-}
-
-/// The first `n` (3 to 5) objects of the test series; the claim
-/// compares the last two, each perturbation an earlier adjacent pair.
-fn session_over(n: usize) -> CleaningSession {
-    let current = [9_010.0, 9_275.0, 9_300.0, 9_125.0, 9_430.0][..n].to_vec();
-    let dists: Vec<DiscreteDist> = current
-        .iter()
-        .map(|&u| DiscreteDist::uniform_over(&[u - 40.0, u, u + 40.0]).unwrap())
-        .collect();
-    let instance = Instance::new(dists, current, vec![1; n]).unwrap();
-    let claims = ClaimSet::new(
-        LinearClaim::window_comparison(n - 2, n - 1, 1).unwrap(),
-        (0..n - 2)
-            .rev()
-            .map(|i| LinearClaim::window_comparison(i, i + 1, 1).unwrap())
-            .collect(),
-        vec![1.0; n - 2],
-        Direction::HigherIsStronger,
-    )
-    .unwrap();
-    CleaningSession::new(instance, claims)
-}
+mod common;
+use common::{registry_with_slow, session, session_over};
 
 /// Boots one backend registering `session()` under each given stream
 /// id; the short read timeout keeps drains (and the test suite) fast.
@@ -80,45 +57,12 @@ fn boot_backend_with(streams: &[&str], options: ServiceOptions) -> (PlannerServi
     (service, handle)
 }
 
-/// A solver that sleeps before delegating to greedy — long enough for
-/// the router's disconnect probe to land between budget points.
-struct SlowSolver {
-    delegate: Arc<dyn Solver>,
-    delay: Duration,
-}
-
-impl std::fmt::Debug for SlowSolver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SlowSolver")
-            .field("delay", &self.delay)
-            .finish()
-    }
-}
-
-impl Solver for SlowSolver {
-    fn name(&self) -> &'static str {
-        "slow"
-    }
-    fn solve_with_cache<'p>(
-        &self,
-        problem: &'p Problem,
-        budget: Budget,
-        cache: &EngineCache<'p>,
-    ) -> CoreResult<Plan> {
-        std::thread::sleep(self.delay);
-        self.delegate.solve_with_cache(problem, budget, cache)
-    }
-}
-
 /// Boots a backend whose `"slow"` strategy sleeps per point on a
 /// single worker, so a relayed sweep is provably mid-flight when the
 /// client walks away.
 fn boot_slow_backend(delay: Duration) -> (PlannerService, ServerHandle) {
-    let mut registry = SolverRegistry::with_defaults();
-    let delegate = registry.get("greedy").unwrap();
-    registry.register_solver(Arc::new(SlowSolver { delegate, delay }));
     let service = PlannerService::new(
-        Arc::new(registry),
+        registry_with_slow(delay),
         ServiceOptions::new()
             .with_inline_threshold(0)
             .with_pool(Arc::new(WorkerPool::new(1))),
