@@ -48,22 +48,23 @@ const MAX_CHUNK_SIZE: usize = 1 << 26;
 const MAX_TRAILER_LINE: usize = 1024;
 
 /// Writes one request on `sock` (keep-alive framing: the connection
-/// stays usable for [`read_response`] and further requests). `headers`
-/// are extra headers, e.g. `[("x-tenant", "alice")]`.
+/// stays usable for [`read_response`] and further requests), head and
+/// body in one `write_all`. `headers` are extra headers, e.g.
+/// `[("x-tenant", "alice")]`.
 pub fn write_request(
-    sock: &mut TcpStream,
+    sock: &mut impl Write,
     method: &str,
     path: &str,
     headers: &[(&str, &str)],
     body: &str,
 ) -> io::Result<()> {
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: fc\r\n");
+    let mut message = format!("{method} {path} HTTP/1.1\r\nhost: fc\r\n");
     for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        message.push_str(&format!("{name}: {value}\r\n"));
     }
-    head.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
-    sock.write_all(head.as_bytes())?;
-    sock.write_all(body.as_bytes())
+    message.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
+    message.push_str(body);
+    sock.write_all(message.as_bytes())
 }
 
 /// Reads one response from `sock`: returns (status, body). Applies a
@@ -105,6 +106,9 @@ fn connect(addr: impl ToSocketAddrs, timeout: Option<Duration>) -> io::Result<Tc
 pub struct Conn {
     pub(crate) reader: Reader<BufReader<TcpStream>>,
     writer: TcpStream,
+    /// The read timeout the socket was built with; a probed exchange
+    /// restores it, so no exchange has to ask the socket for it.
+    timeout: Duration,
     close: bool,
 }
 
@@ -114,12 +118,14 @@ impl Conn {
     /// unbounded connect and writes).
     pub fn connect(addr: impl ToSocketAddrs, timeout: Option<Duration>) -> io::Result<Self> {
         let sock = connect(addr, timeout)?;
-        sock.set_read_timeout(timeout.or(Some(DEFAULT_RESPONSE_TIMEOUT)))?;
+        let read_timeout = timeout.unwrap_or(DEFAULT_RESPONSE_TIMEOUT);
+        sock.set_read_timeout(Some(read_timeout))?;
         sock.set_write_timeout(timeout)?;
         sock.set_nodelay(true)?;
         Ok(Self {
             reader: Reader::new(BufReader::new(sock.try_clone()?)),
             writer: sock,
+            timeout: read_timeout,
             close: false,
         })
     }
@@ -160,8 +166,7 @@ impl Conn {
         poll: Duration,
         alive: &mut dyn FnMut() -> bool,
     ) -> io::Result<Option<(u16, String)>> {
-        let wait = self.writer.read_timeout()?;
-        let mut probe = Probe::new(poll, alive, wait.unwrap_or(DEFAULT_RESPONSE_TIMEOUT));
+        let mut probe = Probe::new(poll, alive, self.timeout);
         match self.exchange(method, path, headers, body, Some(&mut probe)) {
             Err(e) if is_gone(&e) => Ok(None),
             response => response.map(Some),
@@ -197,11 +202,10 @@ impl Conn {
     ) -> io::Result<(u16, String)> {
         // Not reusable until a whole response has framed.
         self.close = true;
-        let timeout = self.writer.read_timeout()?;
         self.write(method, path, headers, body, probe.as_deref())?;
         let head = self.reader.head(probe.as_deref_mut())?;
         let response = (head.status, self.reader.body(&head, probe.as_deref_mut())?);
-        let restored = probe.is_none() || self.writer.set_read_timeout(timeout).is_ok();
+        let restored = probe.is_none() || self.writer.set_read_timeout(Some(self.timeout)).is_ok();
         self.close = head.close || !restored;
         Ok(response)
     }
@@ -1100,6 +1104,7 @@ pub fn get(addr: impl ToSocketAddrs, path: &str) -> io::Result<(u16, String)> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::http::{finish_chunked, write_chunk, write_chunked_head, write_response};
     use super::*;
     use proptest::prelude::*;
 
@@ -1171,9 +1176,16 @@ mod tests {
         Ok((head.status, body, head.close))
     }
 
+    /// A `Content-Length` response as the server writes it.
+    fn response_bytes(status: u16, body: &str, close: bool) -> Vec<u8> {
+        let mut raw = Vec::new();
+        write_response(&mut raw, status, body, close).unwrap();
+        raw
+    }
+
     #[test]
     fn reader_is_incremental() {
-        let full = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\nconnection: close\r\n\r\nhello";
+        let full = &response_bytes(200, "hello", true)[..];
         for cut in 0..full.len() {
             assert_eq!(
                 read_whole(&mut reader(&full[..cut], usize::MAX))
@@ -1230,19 +1242,12 @@ mod tests {
     }
 
     fn chunked_bytes(chunks: &[&[u8]], trailer: Option<&str>) -> Vec<u8> {
-        let mut raw = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\
-            trailer: x-fc-error\r\nconnection: close\r\n\r\n"
-            .to_vec();
+        let mut raw = Vec::new();
+        write_chunked_head(&mut raw, 200).unwrap();
         for chunk in chunks {
-            raw.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
-            raw.extend_from_slice(chunk);
-            raw.extend_from_slice(b"\r\n");
+            write_chunk(&mut raw, chunk).unwrap();
         }
-        raw.extend_from_slice(b"0\r\n");
-        if let Some(error) = trailer {
-            raw.extend_from_slice(format!("x-fc-error: {error}\r\n").as_bytes());
-        }
-        raw.extend_from_slice(b"\r\n");
+        finish_chunked(&mut raw, trailer).unwrap();
         raw
     }
 
@@ -1352,11 +1357,8 @@ mod tests {
         ) {
             let body: String = pieces.iter().map(|&p| BODY_PIECES[p]).collect();
             if framing == 0 {
-                let raw = format!(
-                    "HTTP/1.1 201 Created\r\ncontent-length: {}\r\n\r\n{body}",
-                    body.len()
-                );
-                let (status, read, close) = read_whole(&mut reader(raw.as_bytes(), step))
+                let raw = response_bytes(201, &body, false);
+                let (status, read, close) = read_whole(&mut reader(&raw, step))
                     .map_err(|e| TestCaseError::fail(e.to_string()))?;
                 prop_assert_eq!((status, read.as_str(), close), (201, body.as_str(), false));
                 return Ok(());

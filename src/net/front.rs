@@ -1,19 +1,29 @@
 //! The connection front shared by the [`PlannerServer`](super::PlannerServer)
 //! and the [`RouterServer`](super::RouterServer): a blocking accept loop
-//! over [`TcpListener`], one handler thread per connection (bounded; a
-//! refusal `503` past the cap), the keep-alive read → route → respond
-//! loop, and the `405`/`404` answers for requests no route takes.
+//! over [`TcpListener`], handler threads that serve one connection at a
+//! time (at most `max_connections` live; a refusal `503` past the cap),
+//! the keep-alive read → route → respond loop, and the `405`/`404`
+//! answers for requests no route takes.
+//!
+//! Handler threads outlive their connections: when a connection ends,
+//! its handler releases the connection's slot and parks, waiting up to
+//! the read timeout for the next accepted socket. The accept loop hands
+//! a new socket to a parked handler when one is free and spawns a
+//! thread only when none is, so a burst of short connections (a
+//! streamed sweep always opens one) costs no thread spawn each.
+//! Shutdown wakes parked handlers, which then exit.
 //!
 //! Each front supplies only its shared state and a route table; the
 //! request-lifecycle rules — timeouts, framing errors, connection
 //! reaping, graceful drain — live here once.
 
+use std::collections::VecDeque;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use super::api::ApiError;
 use super::http::{read_request, write_response, HttpError, Request};
@@ -122,6 +132,21 @@ impl Drop for ConnSlot {
     }
 }
 
+/// An accepted socket with the slot it was admitted under.
+type Accepted = (TcpStream, ConnSlot);
+
+/// The hand-off between the accept loop and parked handlers. Every
+/// queued socket has a parked handler bound to take it:
+/// `queue.len() <= parked` always holds, because the accept loop queues
+/// only past that check and a parked handler leaves on its timeout only
+/// with the queue empty.
+#[derive(Default)]
+struct Handoff {
+    queue: VecDeque<Accepted>,
+    /// Handlers waiting for a socket; they hold no slot.
+    parked: usize,
+}
+
 /// What every connection handler shares.
 struct Shared<C: 'static> {
     app: Arc<C>,
@@ -129,6 +154,53 @@ struct Shared<C: 'static> {
     limits: Limits,
     shutdown: AtomicBool,
     live: Arc<LiveConnections>,
+    handoff: Mutex<Handoff>,
+    handed: Condvar,
+}
+
+impl<C: 'static> Shared<C> {
+    fn handoff(&self) -> MutexGuard<'_, Handoff> {
+        self.handoff.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `accepted` for a parked handler, or gives it back when
+    /// every parked handler already has a socket coming.
+    fn hand_off(&self, accepted: Accepted) -> Option<Accepted> {
+        let mut handoff = self.handoff();
+        if handoff.parked <= handoff.queue.len() {
+            return Some(accepted);
+        }
+        handoff.queue.push_back(accepted);
+        self.handed.notify_one();
+        None
+    }
+
+    /// Parks a handler whose connection ended until the accept loop
+    /// hands it the next socket. `None` after the read timeout with
+    /// nothing handed over, or on shutdown: the handler then exits.
+    fn park(&self) -> Option<Accepted> {
+        let deadline = Instant::now() + self.limits.read_timeout;
+        let mut handoff = self.handoff();
+        handoff.parked += 1;
+        let next = loop {
+            if self.shutdown.load(Ordering::SeqCst) {
+                break None;
+            }
+            if let Some(next) = handoff.queue.pop_front() {
+                break Some(next);
+            }
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                break None;
+            };
+            handoff = self
+                .handed
+                .wait_timeout(handoff, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        };
+        handoff.parked -= 1;
+        next
+    }
 }
 
 /// A running front: its bound address, accept thread, and drain.
@@ -140,8 +212,9 @@ pub(crate) struct Front<C: 'static> {
 
 impl<C: Send + Sync + 'static> Front<C> {
     /// Starts the accept loop on `listener` (threads named after
-    /// `name`): every connection is served on its own handler thread
-    /// through `routes` over `app`.
+    /// `name`): every connection is served on a handler thread, fresh
+    /// or parked (see the [module docs](self)), through `routes` over
+    /// `app`.
     pub(crate) fn serve(
         name: &str,
         listener: TcpListener,
@@ -156,6 +229,8 @@ impl<C: Send + Sync + 'static> Front<C> {
             limits,
             shutdown: AtomicBool::new(false),
             live: Arc::default(),
+            handoff: Mutex::default(),
+            handed: Condvar::new(),
         });
         let accept_shared = Arc::clone(&shared);
         let name = name.to_string();
@@ -184,7 +259,9 @@ impl<C: 'static> Front<C> {
     /// Graceful shutdown: stop accepting, then wait until every
     /// accepted connection's handler has finished its request. Idle
     /// keep-alive connections are released at their next read-timeout
-    /// tick. Returns `false` when the front was already shut down.
+    /// tick. Parked handlers are woken to exit, and a socket still
+    /// queued for one is closed unserved. Returns `false` when the
+    /// front was already shut down.
     pub(crate) fn shutdown(&mut self) -> bool {
         let Some(accept) = self.accept.take() else {
             return false;
@@ -193,6 +270,11 @@ impl<C: 'static> Front<C> {
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         let _ = accept.join();
+        let queued = std::mem::take(&mut self.shared.handoff().queue);
+        self.shared.handed.notify_all();
+        // The queued sockets' slots must be released before the drain
+        // waits on them.
+        drop(queued);
         self.shared.live.wait_drained();
         true
     }
@@ -212,13 +294,27 @@ fn accept_loop<C: Send + Sync + 'static>(
             refuse_saturated(name, sock, shared.limits.read_timeout);
             continue;
         };
+        let Some(accepted) = shared.hand_off((sock, slot)) else {
+            continue;
+        };
         let conn_shared = Arc::clone(shared);
         let _ = std::thread::Builder::new()
             .name(format!("{name}-conn"))
-            .spawn(move || {
-                let _slot = slot;
-                handle_connection(sock, &conn_shared);
-            });
+            .spawn(move || serve_connections(accepted, &conn_shared));
+    }
+}
+
+/// A handler thread's life: serve a connection, release its slot, park
+/// for the next one, until a park comes back empty.
+fn serve_connections<C: 'static>(mut accepted: Accepted, shared: &Shared<C>) {
+    loop {
+        let (sock, slot) = accepted;
+        handle_connection(sock, shared);
+        drop(slot);
+        match shared.park() {
+            Some(next) => accepted = next,
+            None => return,
+        }
     }
 }
 
@@ -385,6 +481,138 @@ mod tests {
         drop(reclaimed);
         // With every slot released, the drain returns immediately.
         live.wait_drained();
+    }
+
+    /// A front over no state whose routes report the serving thread
+    /// or panic.
+    fn test_front(max_connections: usize, read_timeout: Duration) -> Front<()> {
+        const ROUTES: &[Route<()>] = &[
+            ("GET", &["thread"], |_, _| {
+                Outcome::ok(Json::Str(format!("{:?}", std::thread::current().id())))
+            }),
+            ("GET", &["panic"], |_, _| panic!("route blew up")),
+        ];
+        let limits = Limits {
+            max_body_bytes: 1024,
+            max_connections,
+            read_timeout,
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        Front::serve("fc-front-test", listener, limits, Arc::new(()), ROUTES).unwrap()
+    }
+
+    fn parked(front: &Front<()>) -> usize {
+        front.shared.handoff().parked
+    }
+
+    /// Polls `done` for up to five seconds.
+    fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// The serving thread's id, asked on a connection of its own.
+    fn serving_thread(front: &Front<()>) -> String {
+        let (status, body) = super::super::client::get(front.addr(), "/thread").unwrap();
+        assert_eq!(status, 200, "{body}");
+        body
+    }
+
+    #[test]
+    fn sequential_connections_are_served_by_one_thread() {
+        let mut front = test_front(4, Duration::from_secs(5));
+        let first = serving_thread(&front);
+        eventually("the handler parks", || parked(&front) == 1);
+        assert_eq!(
+            front.live_connections(),
+            0,
+            "a parked handler holds no slot"
+        );
+        let second = serving_thread(&front);
+        assert_eq!(first, second, "the parked handler took the next connection");
+        eventually("the handler parks again", || parked(&front) == 1);
+        assert!(front.shutdown());
+    }
+
+    #[test]
+    fn a_panicked_handler_frees_its_slot_and_the_next_connection_is_served() {
+        let mut front = test_front(1, Duration::from_secs(5));
+        assert!(
+            super::super::client::get(front.addr(), "/panic").is_err(),
+            "the panicking route never answers"
+        );
+        eventually("the panicked handler's slot is released", || {
+            front.live_connections() == 0
+        });
+        assert_eq!(parked(&front), 0, "a panicked handler does not park");
+        serving_thread(&front);
+        assert!(front.shutdown());
+    }
+
+    #[test]
+    fn shutdown_with_parked_handlers_leaves_no_live_connections() {
+        // A read timeout far past the test: only shutdown can end the parks.
+        let mut front = test_front(4, Duration::from_secs(600));
+        let mut conns: Vec<_> = (0..2)
+            .map(|_| super::super::client::Conn::connect(front.addr(), None).unwrap())
+            .collect();
+        for conn in &mut conns {
+            assert_eq!(conn.send("GET", "/thread", &[], "").unwrap().0, 200);
+        }
+        drop(conns);
+        eventually("both handlers park", || parked(&front) == 2);
+        let started = Instant::now();
+        assert!(front.shutdown());
+        assert!(started.elapsed() < Duration::from_secs(60));
+        assert_eq!(front.live_connections(), 0);
+        eventually("the parked handlers exit", || parked(&front) == 0);
+    }
+
+    #[test]
+    fn shutdown_closes_a_queued_socket_unserved() {
+        // No handler is parked, so nothing takes the socket queued here:
+        // it models one accepted just before shutdown and not yet taken.
+        let mut front = test_front(4, Duration::from_secs(600));
+        let side = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(side.local_addr().unwrap()).unwrap();
+        let (accepted, _) = side.accept().unwrap();
+        let slot = front.shared.live.try_claim(4).unwrap();
+        front.shared.handoff().queue.push_back((accepted, slot));
+        assert_eq!(front.live_connections(), 1);
+
+        assert!(front.shutdown());
+        assert_eq!(front.live_connections(), 0, "the queued slot is released");
+        assert!(front.shared.handoff().queue.is_empty());
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(
+            io::Read::read(&mut client, &mut [0u8; 1]).unwrap(),
+            0,
+            "the queued socket was closed unanswered"
+        );
+    }
+
+    #[test]
+    fn the_connection_cap_counts_live_connections_not_parked_handlers() {
+        let mut front = test_front(1, Duration::from_secs(5));
+        serving_thread(&front);
+        eventually("the handler parks", || parked(&front) == 1);
+        // The parked handler holds no slot, so the cap of one admits this.
+        let mut held = super::super::client::Conn::connect(front.addr(), None).unwrap();
+        assert_eq!(held.send("GET", "/thread", &[], "").unwrap().0, 200);
+        // One live connection fills the cap.
+        let (status, _) = super::super::client::get(front.addr(), "/thread").unwrap();
+        assert_eq!(status, 503);
+        drop(held);
+        eventually("the held connection's slot is released", || {
+            front.live_connections() == 0
+        });
+        serving_thread(&front);
+        assert!(front.shutdown());
     }
 
     #[test]

@@ -29,6 +29,19 @@
 //! cancellation signal). Mid-stream errors — after the status line is
 //! long gone — are reported in the terminating trailer section as an
 //! `x-fc-error` trailer; [`finish_chunked`] writes it.
+//!
+//! ## One write per message
+//!
+//! Every writer here ([`write_response`], [`write_chunked_head`],
+//! [`write_chunk`], [`finish_chunked`], and the client's
+//! [`write_request`](super::client::write_request)) assembles its whole
+//! message in one buffer and hands it to the socket in a single
+//! `write_all`. Both ends set `TCP_NODELAY`, so every `write` on a
+//! socket leaves as its own segment: a head formatted piece by piece
+//! onto the socket cost about ten sends. A caller sending two messages
+//! back to back (a chunked head and its first chunk) stages both in a
+//! `Vec<u8>` and writes that once. The bytes on the wire are the same
+//! either way.
 
 use std::io::{self, BufRead, Write};
 
@@ -283,19 +296,29 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
+/// Hands one complete message to `w` in a single `write_all` and
+/// flushes: on a `TCP_NODELAY` socket every `write` is its own segment,
+/// so a message assembled piece by piece on the socket would cost one
+/// send per piece.
+fn send(w: &mut impl Write, message: &[u8]) -> io::Result<()> {
+    w.write_all(message)?;
+    w.flush()
+}
+
 /// Writes one `application/json` response with `Content-Length`
 /// framing; `close` adds `Connection: close`.
 pub fn write_response(w: &mut impl Write, status: u16, body: &str, close: bool) -> io::Result<()> {
+    let mut message = Vec::with_capacity(128 + body.len());
     write!(
-        w,
+        message,
         "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n{}\r\n",
         status,
         reason_phrase(status),
         body.len(),
         if close { "connection: close\r\n" } else { "" },
     )?;
-    w.write_all(body.as_bytes())?;
-    w.flush()
+    message.extend_from_slice(body.as_bytes());
+    send(w, &message)
 }
 
 /// Name of the trailer carrying a mid-stream error (see
@@ -308,14 +331,13 @@ pub const ERROR_TRAILER: &str = "x-fc-error";
 /// know to look for it. Flushed immediately: the client sees the status
 /// line before the first chunk's data exists.
 pub fn write_chunked_head(w: &mut impl Write, status: u16) -> io::Result<()> {
-    write!(
-        w,
+    let head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\n\
          transfer-encoding: chunked\r\ntrailer: {ERROR_TRAILER}\r\nconnection: close\r\n\r\n",
         status,
         reason_phrase(status),
-    )?;
-    w.flush()
+    );
+    send(w, head.as_bytes())
 }
 
 /// Writes one chunk (hex size line, data, CRLF) and flushes, so each
@@ -326,10 +348,11 @@ pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    write!(w, "{:x}\r\n", data.len())?;
-    w.write_all(data)?;
-    w.write_all(b"\r\n")?;
-    w.flush()
+    let mut message = Vec::with_capacity(20 + data.len());
+    write!(message, "{:x}\r\n", data.len())?;
+    message.extend_from_slice(data);
+    message.extend_from_slice(b"\r\n");
+    send(w, &message)
 }
 
 /// Terminates a chunked response: the zero-length chunk, then the
@@ -339,22 +362,27 @@ pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> io::Result<()> {
 /// concatenates chunk bodies without reading trailers still never sees
 /// a half-valid document silently: the stream ends mid-JSON.
 pub fn finish_chunked(w: &mut impl Write, error: Option<&str>) -> io::Result<()> {
-    w.write_all(b"0\r\n")?;
-    if let Some(message) = error {
-        let clean: String = message
-            .chars()
-            .map(|c| if c == '\r' || c == '\n' { ' ' } else { c })
-            .collect();
-        write!(w, "{ERROR_TRAILER}: {clean}\r\n")?;
+    let mut message = String::from("0\r\n");
+    if let Some(error) = error {
+        message.push_str(ERROR_TRAILER);
+        message.push_str(": ");
+        message.extend(
+            error
+                .chars()
+                .map(|c| if c == '\r' || c == '\n' { ' ' } else { c }),
+        );
+        message.push_str("\r\n");
     }
-    w.write_all(b"\r\n")?;
-    w.flush()
+    message.push_str("\r\n");
+    send(w, message.as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use crate::net::client::write_request;
+    use proptest::prelude::*;
+    use std::io::{BufReader, Read};
 
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
         read_request(&mut BufReader::new(raw), 1024)
@@ -490,5 +518,194 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("connection: close\r\n"));
         assert!(text.contains("429 Too Many Requests"));
+    }
+
+    /// A `Write` that counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct Counting {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The bytes `message` writes, asserting it wrote them in one call.
+    fn one_write(message: impl FnOnce(&mut Counting) -> io::Result<()>) -> String {
+        let mut w = Counting::default();
+        message(&mut w).unwrap();
+        assert_eq!(w.writes, 1, "one `write` per message");
+        String::from_utf8(w.bytes).unwrap()
+    }
+
+    #[test]
+    fn every_message_leaves_in_one_write() {
+        assert_eq!(
+            one_write(|w| write_response(w, 200, "{\"ok\":true}", false)),
+            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+             content-length: 11\r\n\r\n{\"ok\":true}"
+        );
+        assert_eq!(
+            one_write(|w| write_response(w, 429, "{}", true)),
+            "HTTP/1.1 429 Too Many Requests\r\ncontent-type: application/json\r\n\
+             content-length: 2\r\nconnection: close\r\n\r\n{}"
+        );
+        assert_eq!(
+            one_write(|w| write_chunked_head(w, 200)),
+            format!(
+                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                 transfer-encoding: chunked\r\ntrailer: {ERROR_TRAILER}\r\nconnection: close\r\n\r\n"
+            )
+        );
+        assert_eq!(
+            one_write(|w| write_chunk(w, b"{\"plans\":[")),
+            "a\r\n{\"plans\":[\r\n"
+        );
+        assert_eq!(one_write(|w| finish_chunked(w, None)), "0\r\n\r\n");
+        assert_eq!(
+            one_write(|w| finish_chunked(w, Some("503 drained\nx-sneaky: yes"))),
+            format!("0\r\n{ERROR_TRAILER}: 503 drained x-sneaky: yes\r\n\r\n")
+        );
+        assert_eq!(
+            one_write(|w| write_request(
+                w,
+                "POST",
+                "/v1/recommend",
+                &[("x-tenant", "alice")],
+                "{}"
+            )),
+            "POST /v1/recommend HTTP/1.1\r\nhost: fc\r\nx-tenant: alice\r\n\
+             content-length: 2\r\n\r\n{}"
+        );
+        let mut w = Counting::default();
+        write_chunk(&mut w, b"").unwrap();
+        assert_eq!(w.writes, 0, "an empty chunk is skipped, not written");
+    }
+
+    /// A reader over `data` that yields at most `step` bytes per read.
+    struct Dribble<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    fn dribbled(data: &[u8], step: usize) -> BufReader<Dribble<'_>> {
+        BufReader::with_capacity(step, Dribble { data, step })
+    }
+
+    /// Fragments the fuzz property strings together, so random input
+    /// reaches past the request line into headers and bodies.
+    const FUZZ_PIECES: &[&[u8]] = &[
+        b"GET ",
+        b"POST ",
+        b"/",
+        b"/v1/sweep?stream=1",
+        b" HTTP/1.1",
+        b" HTTP/1.0",
+        b"\r\n",
+        b"\r\n\r\n",
+        b"\n",
+        b"content-length: ",
+        b"transfer-encoding: chunked",
+        b"connection: close",
+        b"0",
+        b"5",
+        b"99999999999999999999",
+        b":",
+        b" ",
+        b"a",
+        b"\xff",
+    ];
+
+    /// Header names, value pieces and body pieces for the round trip.
+    const NAMES: &[&str] = &["x-tenant", "accept", "x-trace-id", "x-a"];
+    const VALUES: &[&str] = &["alice", "1", "a b", "application/json", "é", "=;,"];
+    const BODY_PIECES: &[&str] = &["{\"x\":1}", ",", "\r\n", "\r\n\r\n", "GET / HTTP/1.1", "→"];
+    const METHODS: &[&str] = &["GET", "POST", "PUT", "DELETE", "PATCH"];
+    const SEGMENTS: &[&str] = &["v1", "sweep", "streams", "a-b", "?stream=1", "&x=2"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, read any number at a time, parse into
+        /// requests until a typed error; never a panic, and every
+        /// refusal carries an error status.
+        #[test]
+        fn arbitrary_request_bytes_never_panic(
+            raw in prop::collection::vec(0u8..=255, 0..96),
+            pieces in prop::collection::vec(0usize..FUZZ_PIECES.len(), 0..40),
+            step in 1usize..24,
+        ) {
+            let mut input = Vec::new();
+            for piece in pieces {
+                input.extend_from_slice(FUZZ_PIECES[piece]);
+            }
+            input.extend_from_slice(&raw);
+            let mut reader = dribbled(&input, step);
+            let error = loop {
+                match read_request(&mut reader, 64) {
+                    Ok(_) => {}
+                    Err(e) => break e,
+                }
+            };
+            if let HttpError::Malformed { status, .. } = error {
+                prop_assert!((400..600).contains(&status), "status {status}");
+            }
+        }
+
+        /// A request written by the client parses back to the same
+        /// method, target, headers and body under any read size.
+        #[test]
+        fn written_requests_parse_back(
+            method in 0usize..METHODS.len(),
+            segments in prop::collection::vec(0usize..SEGMENTS.len(), 0..5),
+            headers in prop::collection::vec(
+                (0usize..NAMES.len(), prop::collection::vec(0usize..VALUES.len(), 0..3)),
+                0..4,
+            ),
+            body in prop::collection::vec(0usize..BODY_PIECES.len(), 0..8),
+            step in 1usize..24,
+        ) {
+            let method = METHODS[method];
+            let target: String =
+                std::iter::once("/").chain(segments.iter().map(|&s| SEGMENTS[s])).collect();
+            let headers: Vec<(&str, String)> = headers
+                .iter()
+                .map(|(name, value)| (NAMES[*name], value.iter().map(|&v| VALUES[v]).collect()))
+                .collect();
+            let body: String = body.iter().map(|&b| BODY_PIECES[b]).collect();
+            let sent: Vec<(&str, &str)> =
+                headers.iter().map(|(name, value)| (*name, value.as_str())).collect();
+            let mut raw = Vec::new();
+            write_request(&mut raw, method, &target, &sent, &body).unwrap();
+
+            let request = read_request(&mut dribbled(&raw, step), 1024)
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(request.method.as_str(), method);
+            prop_assert_eq!(&request.target, &target);
+            let mut expected = vec![("host".to_string(), "fc".to_string())];
+            expected.extend(headers.iter().map(|(n, v)| (n.to_string(), v.clone())));
+            expected.push(("content-length".to_string(), body.len().to_string()));
+            prop_assert_eq!(&request.headers, &expected);
+            prop_assert_eq!(request.body, body.into_bytes());
+            prop_assert!(!request.close);
+        }
     }
 }

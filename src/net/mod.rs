@@ -29,9 +29,13 @@
 //!   bounded retry.
 //!
 //! The server and the router share one connection front: the accept
-//! loop, bounded handler threads with the saturation `503`, the
-//! keep-alive loop, graceful drain, and the `405`/`404` answers. Each
-//! supplies only its route table.
+//! loop, the saturation `503` past `max_connections` live connections,
+//! the keep-alive loop, graceful drain, and the `405`/`404` answers.
+//! Each supplies only its route table. Handler threads are reused: a
+//! handler whose connection ends parks (holding no connection slot) for
+//! up to the read timeout, and the accept loop hands the next socket to
+//! a parked handler before it spawns a new thread. Every HTTP message
+//! leaves in one `write` ([`http`]'s one-write rule).
 //!
 //! Everything the serving layer guarantees in-process holds over the
 //! wire: plans are byte-identical to in-process

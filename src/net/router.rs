@@ -114,7 +114,8 @@ pub struct RouterConfig {
     /// Default: 64.
     pub max_connections: usize,
     /// Client-side socket read/write timeout (doubles as the
-    /// keep-alive idle timeout, as on the backend). Default: 5s.
+    /// keep-alive idle timeout and the parked handler's wait, as on the
+    /// backend). Default: 5s.
     pub read_timeout: Duration,
     /// Bounds reads and writes on upstream (backend) connections —
     /// effectively the longest solve the router will wait out.

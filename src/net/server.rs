@@ -3,10 +3,11 @@
 //!
 //! ## Threading model
 //!
-//! Connection I/O runs on dedicated handler threads (bounded by
-//! [`ServerConfig::max_connections`]; excess connections get `503`),
-//! **not** on the solver [`WorkerPool`](fc_core::WorkerPool): a handler
-//! spends its life blocked — reading a socket or waiting on a
+//! Connection I/O runs on the front's handler threads (at most
+//! [`ServerConfig::max_connections`] live connections, `503` past that;
+//! a handler whose connection ends parks for the next one instead of
+//! exiting), **not** on the solver [`WorkerPool`](fc_core::WorkerPool):
+//! a handler spends its life blocked — reading a socket or waiting on a
 //! [`SweepHandle`] — and parking those waits on the pool that must
 //! *complete* them would deadlock it at saturation. What the accept
 //! loop feeds the pool is the requests themselves: every solve route
@@ -51,7 +52,7 @@
 //! server with the same topology.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -94,7 +95,8 @@ pub struct ServerConfig {
     /// stalls *mid-request* longer than this gets `408`, and a client
     /// that stops *reading* its response unblocks the handler with a
     /// write error instead of wedging it (and graceful shutdown)
-    /// indefinitely. Default: 5s.
+    /// indefinitely. It is also how long a handler thread whose
+    /// connection ended stays parked for the next one. Default: 5s.
     pub read_timeout: Duration,
     /// How often an in-flight wait probes the client socket for
     /// disconnect (the cancel-on-hangup latency). Default: 50ms.
@@ -860,7 +862,13 @@ fn solve_route(ctx: &ServerCtx, call: &Call<'_>, sweep: bool) -> Outcome {
 /// mistakes the truncation for success.
 fn stream_sweep_response(ctx: &ServerCtx, sock: &TcpStream, mut handle: SweepHandle) -> Outcome {
     let mut w = sock;
-    if write_chunked_head(&mut w, 200).is_err() || write_chunk(&mut w, b"{\"plans\":[").is_err() {
+    // The head and the opening chunk leave in one send, as do the
+    // closing chunk and the terminator (see `http`'s one-write rule).
+    // Staging into a `Vec` cannot fail.
+    let mut opening = Vec::new();
+    let _ = write_chunked_head(&mut opening, 200);
+    let _ = write_chunk(&mut opening, b"{\"plans\":[");
+    if w.write_all(&opening).is_err() {
         handle.cancel();
         return Outcome::ClientGone;
     }
@@ -888,10 +896,12 @@ fn stream_sweep_response(ctx: &ServerCtx, sock: &TcpStream, mut handle: SweepHan
                 return Outcome::Streamed;
             }
             PointOutcome::Done => {
-                if write_chunk(&mut w, b"]}").is_err() {
+                let mut closing = Vec::new();
+                let _ = write_chunk(&mut closing, b"]}");
+                let _ = finish_chunked(&mut closing, None);
+                if w.write_all(&closing).is_err() {
                     return Outcome::ClientGone;
                 }
-                let _ = finish_chunked(&mut w, None);
                 return Outcome::Streamed;
             }
             PointOutcome::Cancelled => return Outcome::ClientGone,
