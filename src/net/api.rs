@@ -1414,6 +1414,7 @@ impl AdoptRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{prop, prop_assert_eq, proptest, ProptestConfig, TestCaseError};
 
     #[test]
     fn spec_parsing_covers_measures_goals_strategies() {
@@ -1892,5 +1893,55 @@ mod tests {
                 .status,
             400
         );
+    }
+
+    /// Fragments for the base64 fuzz property: alphabet runs, padding
+    /// in and out of place, and characters outside the alphabet.
+    const BASE64_PIECES: &[&str] = &[
+        "A", "Zg", "Zm9v", "+/", "=", "==", "===", "Zg==", "Zm8=", "-_", "*", " ", "\n", "é", "\0",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary text never panics the decoder: it decodes or is a
+        /// `400`, and what it decodes to has the length the text's
+        /// padding implies and survives an encode-decode unchanged.
+        #[test]
+        fn arbitrary_text_never_panics_the_base64_decoder(
+            raw in prop::collection::vec(0u8..=255, 0..48),
+            pieces in prop::collection::vec(0usize..BASE64_PIECES.len(), 0..16),
+            layout in 0usize..3,
+        ) {
+            let fuzz = String::from_utf8_lossy(&raw);
+            let pieces: String = pieces.iter().map(|&p| BASE64_PIECES[p]).collect();
+            let text = match layout {
+                0 => pieces,
+                1 => format!("{pieces}{fuzz}"),
+                _ => format!("{fuzz}{pieces}"),
+            };
+            match base64_decode(&text) {
+                Ok(bytes) => {
+                    let padding = text.bytes().rev().take_while(|&b| b == b'=').count();
+                    prop_assert_eq!(bytes.len(), text.len() / 4 * 3 - padding);
+                    let again = base64_decode(&base64_encode(&bytes))
+                        .map_err(|e| TestCaseError::fail(e.message))?;
+                    prop_assert_eq!(again, bytes);
+                }
+                Err(e) => prop_assert_eq!(e.status, 400),
+            }
+        }
+
+        /// Encode then decode is the identity on any bytes, and the
+        /// encoding is padded to whole quads.
+        #[test]
+        fn base64_encode_then_decode_is_the_identity(
+            bytes in prop::collection::vec(0u8..=255, 0..96),
+        ) {
+            let text = base64_encode(&bytes);
+            prop_assert_eq!(text.len(), bytes.len().div_ceil(3) * 4);
+            let back = base64_decode(&text).map_err(|e| TestCaseError::fail(e.message))?;
+            prop_assert_eq!(back, bytes);
+        }
     }
 }

@@ -18,6 +18,15 @@
 //! arrives. A chunked response read whole is its chunks concatenated —
 //! the byte-identity gate: a streamed sweep read through [`post`] must
 //! equal the buffered response.
+//!
+//! A connection stays reusable after a chunked response once its
+//! terminal chunk has framed: the reader consumes exactly the terminal
+//! chunk and its trailers and keeps whatever follows for the next head.
+//! Only `connection: close`, or a response not read to its end, retires
+//! a connection. Inside the crate, every pooled exchange, the router's
+//! streamed relay and its broadcast run through one in-flight request
+//! type, `InFlight`, which owns the stale-connection retry and parks
+//! the connection once the response is whole.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -109,6 +118,9 @@ pub struct Conn {
     /// The read timeout the socket was built with; a probed exchange
     /// restores it, so no exchange has to ask the socket for it.
     timeout: Duration,
+    /// The socket's read timeout is a probe's poll interval until the
+    /// response frames (see [`Conn::framed`]).
+    polling: bool,
     close: bool,
 }
 
@@ -126,6 +138,7 @@ impl Conn {
             reader: Reader::new(BufReader::new(sock.try_clone()?)),
             writer: sock,
             timeout: read_timeout,
+            polling: false,
             close: false,
         })
     }
@@ -175,7 +188,8 @@ impl Conn {
 
     /// Writes one request whose response the caller reads through
     /// [`Conn::reader`]. With a `probe`, reads time out every poll
-    /// interval so the probe is consulted between them.
+    /// interval so the probe is consulted between them. The connection
+    /// is not reusable until [`Conn::framed`] sees the whole response.
     pub(crate) fn write(
         &mut self,
         method: &str,
@@ -184,14 +198,25 @@ impl Conn {
         body: &str,
         probe: Option<&Probe<'_>>,
     ) -> io::Result<()> {
+        self.close = true;
         if let Some(probe) = probe {
             self.writer.set_read_timeout(Some(probe.poll))?;
+            self.polling = true;
         }
         write_request(&mut self.writer, method, path, headers, body)
     }
 
-    /// One exchange, consulting `probe` while the response is pending;
-    /// a probed exchange restores the read timeout afterwards.
+    /// Records that the response `head` announced has been read whole
+    /// (chunked or not): the connection is reusable unless the server
+    /// said `connection: close`, and a probed exchange gets its read
+    /// timeout back.
+    pub(crate) fn framed(&mut self, head: &Head) {
+        let restored = !std::mem::take(&mut self.polling)
+            || self.writer.set_read_timeout(Some(self.timeout)).is_ok();
+        self.close = head.close || !restored;
+    }
+
+    /// One exchange, consulting `probe` while the response is pending.
     fn exchange(
         &mut self,
         method: &str,
@@ -200,14 +225,11 @@ impl Conn {
         body: &str,
         mut probe: Option<&mut Probe<'_>>,
     ) -> io::Result<(u16, String)> {
-        // Not reusable until a whole response has framed.
-        self.close = true;
         self.write(method, path, headers, body, probe.as_deref())?;
         let head = self.reader.head(probe.as_deref_mut())?;
-        let response = (head.status, self.reader.body(&head, probe.as_deref_mut())?);
-        let restored = probe.is_none() || self.writer.set_read_timeout(Some(self.timeout)).is_ok();
-        self.close = head.close || !restored;
-        Ok(response)
+        let body = self.reader.body(&head, probe)?;
+        self.framed(&head);
+        Ok((head.status, body))
     }
 }
 
@@ -376,12 +398,22 @@ impl<R: BufRead> Reader<R> {
     /// Reads and consumes the next frame of a chunked body.
     pub(crate) fn frame(&mut self, mut probe: Option<&mut Probe<'_>>) -> io::Result<ChunkFrame> {
         loop {
-            if let Some((frame, used)) = parse_chunk_frame(&self.raw)? {
-                self.raw.drain(..used);
+            if let Some(frame) = self.buffered_frame()? {
                 return Ok(frame);
             }
             self.fill(probe.as_deref_mut())?;
         }
+    }
+
+    /// Consumes the next frame of a chunked body if it has already
+    /// arrived whole; `Ok(None)` otherwise. Never reads: a relay uses
+    /// it to batch every frame one read brought in before it writes.
+    pub(crate) fn buffered_frame(&mut self) -> io::Result<Option<ChunkFrame>> {
+        let Some((frame, used)) = parse_chunk_frame(&self.raw)? else {
+            return Ok(None);
+        };
+        self.raw.drain(..used);
+        Ok(Some(frame))
     }
 }
 
@@ -391,8 +423,10 @@ pub(crate) struct Head {
     pub(crate) status: u16,
     pub(crate) content_length: usize,
     pub(crate) chunked: bool,
-    /// The connection ends after this response: a `connection: close`
-    /// header, or a chunked body (the server closes after a stream).
+    /// The connection ends after this response: the server sent
+    /// `connection: close`. A chunked body alone does not close it: once
+    /// its terminal chunk has framed, the next response may follow on
+    /// the same connection.
     pub(crate) close: bool,
 }
 
@@ -423,7 +457,7 @@ fn parse_head(raw: &[u8]) -> io::Result<Head> {
         status,
         content_length,
         chunked,
-        close: close || chunked,
+        close,
     })
 }
 
@@ -512,10 +546,11 @@ fn find_crlf(raw: &[u8]) -> Option<usize> {
 /// An in-flight streamed sweep (`POST /v1/sweep?stream=1`): iterate to
 /// receive each budget point's plan as its chunk arrives — ascending
 /// budget order, first point available while later ones are still
-/// solving. Runs on a dedicated connection (never pooled: the server
-/// closes it after the stream), and dropping the iterator mid-stream
-/// closes that connection, which the server's disconnect probe turns
-/// into cancellation of the remaining points.
+/// solving. Runs on a dedicated connection that the iterator owns and
+/// closes when dropped. The server would keep the connection open after
+/// a complete stream, but a stream dropped mid-way cannot be reused,
+/// and closing it is what the server's disconnect probe turns into
+/// cancellation of the remaining points.
 ///
 /// A mid-stream server failure arrives as the error trailer and is
 /// yielded as one final `Err`; after any `Err` (or the clean end) the
@@ -653,12 +688,12 @@ impl Iterator for SweepStream {
 /// (each in-flight request holds its connection exclusively; the lock
 /// guards only the idle list, never I/O).
 ///
-/// A request that fails on a *reused* connection is retried once on a
-/// fresh one — the server reaps idle keep-alive connections at its
-/// read timeout, so a stale-connection error is expected, not
-/// exceptional. Caveat: if the server executed the request but died
-/// mid-response, the retry re-executes it; acceptable for this
-/// bench/test client, whose requests are safe to repeat.
+/// A request that fails on a *reused* connection before its response
+/// head arrives is retried once on a fresh one — the server reaps idle
+/// keep-alive connections at its read timeout, so a stale-connection
+/// error is expected, not exceptional. Caveat: if the server executed
+/// the request but died before answering, the retry re-executes it;
+/// acceptable for this client, whose requests are safe to repeat.
 #[derive(Debug)]
 pub struct ClientPool {
     addr: SocketAddr,
@@ -758,42 +793,55 @@ impl ClientPool {
         }
     }
 
-    /// One exchange on a parked connection, retried once on a fresh
-    /// one when the parked one fails (but not when the downstream
-    /// client is gone: that connection is dropped to relay the hangup).
+    /// One exchange on a pooled connection (see [`InFlight`]).
     fn exchange(
         &self,
         method: &str,
         path: &str,
         headers: &[(&str, &str)],
         body: &str,
-        mut probe: Option<&mut Probe<'_>>,
+        probe: Option<&mut Probe<'_>>,
     ) -> io::Result<(u16, String)> {
-        let reused = self
+        self.start(method, path, headers, body, probe.as_deref())?
+            .response(probe)
+    }
+
+    /// Writes one request on a parked connection, or a fresh one when
+    /// none is parked, and hands back the [`InFlight`] request whose
+    /// response the caller reads. A parked connection the write fails
+    /// on is replaced by a fresh one once. With a `probe`, reads on the
+    /// connection time out every poll interval (see [`Conn::write`]).
+    pub(crate) fn start<'a>(
+        &'a self,
+        method: &'a str,
+        path: &'a str,
+        headers: &'a [(&'a str, &'a str)],
+        body: &'a str,
+        probe: Option<&Probe<'_>>,
+    ) -> io::Result<InFlight<'a>> {
+        let parked = self
             .idle
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .pop();
-        let mut retry = reused.is_some();
-        let mut conn = match reused {
+        let retry = parked.is_some();
+        let conn = match parked {
             Some(conn) => conn,
             None => Conn::connect(self.addr, self.timeout)?,
         };
-        loop {
-            match conn.exchange(method, path, headers, body, probe.as_deref_mut()) {
-                Ok(response) => {
-                    self.park(conn);
-                    return Ok(response);
-                }
-                // Stale keep-alive (the server reaped it while parked):
-                // once more on a fresh connection.
-                Err(e) if retry && !is_gone(&e) => {
-                    retry = false;
-                    conn = Conn::connect(self.addr, self.timeout)?;
-                }
-                Err(e) => return Err(e),
-            }
+        let mut call = InFlight {
+            pool: self,
+            conn,
+            retry,
+            method,
+            path,
+            headers,
+            body,
+        };
+        if let Err(e) = call.conn.write(method, path, headers, body, probe) {
+            call.retry(e, probe)?;
         }
+        Ok(call)
     }
 
     fn park(&self, conn: Conn) {
@@ -804,6 +852,76 @@ impl ClientPool {
         if idle.len() < self.max_idle {
             idle.push(conn);
         }
+    }
+}
+
+/// One request written on a [`ClientPool`] connection whose response
+/// is still to be read: the one path every pooled exchange, the
+/// router's streamed relay and its pipelined broadcast go through.
+///
+/// Until the response head arrives, a failure on a connection that
+/// came parked is retried once on a fresh connection carrying the same
+/// request (never when the downstream client is gone, see
+/// [`is_gone`]). [`InFlight::finish`] parks the connection after a
+/// whole response; dropping the request instead closes the connection,
+/// which is how an abandoned response relays a hangup upstream.
+pub(crate) struct InFlight<'a> {
+    pool: &'a ClientPool,
+    conn: Conn,
+    /// `conn` came parked and has not been replaced yet.
+    retry: bool,
+    method: &'a str,
+    path: &'a str,
+    headers: &'a [(&'a str, &'a str)],
+    body: &'a str,
+}
+
+impl InFlight<'_> {
+    /// Replaces a failed parked connection with a fresh one carrying
+    /// the same request, once; any other failure is returned as is.
+    fn retry(&mut self, e: io::Error, probe: Option<&Probe<'_>>) -> io::Result<()> {
+        if !std::mem::take(&mut self.retry) || is_gone(&e) {
+            return Err(e);
+        }
+        self.conn = Conn::connect(self.pool.addr, self.pool.timeout)?;
+        self.conn
+            .write(self.method, self.path, self.headers, self.body, probe)
+    }
+
+    /// Reads the response head, retrying a stale parked connection.
+    pub(crate) fn head(&mut self, mut probe: Option<&mut Probe<'_>>) -> io::Result<Head> {
+        loop {
+            match self.conn.reader.head(probe.as_deref_mut()) {
+                Ok(head) => {
+                    self.retry = false;
+                    return Ok(head);
+                }
+                Err(e) => self.retry(e, probe.as_deref())?,
+            }
+        }
+    }
+
+    /// The reader the response body or chunks come from.
+    pub(crate) fn reader(&mut self) -> &mut Reader<BufReader<TcpStream>> {
+        &mut self.conn.reader
+    }
+
+    /// The whole response as (status, body); parks the connection.
+    pub(crate) fn response(
+        mut self,
+        mut probe: Option<&mut Probe<'_>>,
+    ) -> io::Result<(u16, String)> {
+        let head = self.head(probe.as_deref_mut())?;
+        let body = self.conn.reader.body(&head, probe)?;
+        self.finish(&head);
+        Ok((head.status, body))
+    }
+
+    /// Parks the connection once the response `head` announced has been
+    /// read whole (its terminal chunk included).
+    pub(crate) fn finish(mut self, head: &Head) {
+        self.conn.framed(head);
+        self.pool.park(self.conn);
     }
 }
 
@@ -984,8 +1102,8 @@ impl ApiClient {
 
     /// `POST /v1/sweep?stream=1` — the same sweep, streamed: yields
     /// each budget point's plan as it completes (ascending budget) on
-    /// a dedicated connection. Dropping the iterator early cancels the
-    /// points still solving server-side.
+    /// a dedicated connection (see [`SweepStream`]). Dropping the
+    /// iterator early cancels the points still solving server-side.
     pub fn sweep_streaming(
         &self,
         request: &SweepRequest,
@@ -1252,23 +1370,50 @@ mod tests {
     }
 
     #[test]
-    fn chunked_response_concatenates_and_forces_close() {
-        let raw = chunked_response(&["{\"plans\":[", "{\"x\":1}", ",{\"x\":2}", "]}"], None);
-        // Every strict prefix asks for more — a truncated chunk body
-        // or missing terminal chunk never reads as complete.
+    fn chunked_response_concatenates_and_keeps_the_connection() {
+        let stream = chunked_response(&["{\"plans\":[", "{\"x\":1}", ",{\"x\":2}", "]}"], None);
+        // A keep-alive response right behind the stream's terminal
+        // chunk, as the front sends it to the connection's next request.
+        let mut raw = stream.clone();
+        raw.extend_from_slice(&response_bytes(200, "{\"next\":1}", false));
+        // Every strict prefix of the stream asks for more — a truncated
+        // chunk body or missing terminal chunk never reads as complete
+        // — and every prefix past it frames the stream but not the
+        // response behind it.
         for cut in 0..raw.len() {
-            assert_eq!(
-                read_whole(&mut reader(&raw[..cut], usize::MAX))
-                    .unwrap_err()
-                    .kind(),
-                io::ErrorKind::UnexpectedEof,
-                "prefix of {cut} bytes must ask for more"
-            );
+            let mut prefix = reader(&raw[..cut], usize::MAX);
+            let first = read_whole(&mut prefix);
+            if cut < stream.len() {
+                assert_eq!(
+                    first.unwrap_err().kind(),
+                    io::ErrorKind::UnexpectedEof,
+                    "prefix of {cut} bytes must ask for more"
+                );
+            } else {
+                assert!(first.is_ok(), "prefix of {cut} bytes frames the stream");
+                assert_eq!(
+                    read_whole(&mut prefix).unwrap_err().kind(),
+                    io::ErrorKind::UnexpectedEof,
+                    "prefix of {cut} bytes must ask for more of the next response"
+                );
+            }
         }
-        let (status, body, close) = read_whole(&mut reader(&raw, 3)).unwrap();
+        let mut both = reader(&raw, 3);
+        let (status, body, close) = read_whole(&mut both).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "{\"plans\":[{\"x\":1},{\"x\":2}]}");
-        assert!(close, "chunked responses always close the connection");
+        assert!(!close, "a complete stream leaves the connection open");
+        let (status, body, close) = read_whole(&mut both).unwrap();
+        assert_eq!((status, body.as_str(), close), (200, "{\"next\":1}", false));
+        assert!(both.raw.is_empty(), "nothing is left over");
+
+        // Only an explicit `connection: close` retires the connection.
+        let mut closing = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\
+                            connection: close\r\n\r\n"
+            .to_vec();
+        finish_chunked(&mut closing, None).unwrap();
+        let (_, body, close) = read_whole(&mut reader(&closing, 2)).unwrap();
+        assert_eq!((body.as_str(), close), ("", true));
     }
 
     #[test]
@@ -1347,12 +1492,17 @@ mod tests {
         /// A valid response survives any read size, down to one byte
         /// per read: a `Content-Length` body reads back whole, chunks
         /// arrive as sent and concatenate to the body, and an error
-        /// trailer becomes the typed failure.
+        /// trailer becomes the typed failure. A chunked response keeps
+        /// the connection, and the response behind it on the same
+        /// reader (either framing) reads back whole too, whether or not
+        /// the stream ended with an error trailer.
         #[test]
         fn valid_responses_round_trip_under_any_read_size(
             pieces in prop::collection::vec(0usize..BODY_PIECES.len(), 0..64),
             cuts in prop::collection::vec(1usize..24, 0..12),
             framing in 0usize..3,
+            next_pieces in prop::collection::vec(0usize..BODY_PIECES.len(), 0..16),
+            next_chunked in 0usize..2,
             step in 1usize..16,
         ) {
             let body: String = pieces.iter().map(|&p| BODY_PIECES[p]).collect();
@@ -1377,26 +1527,39 @@ mod tests {
                 chunks.push(rest);
             }
             let trailer = (framing == 2).then_some("503 backend drained");
-            let raw = chunked_bytes(&chunks, trailer);
+            let mut raw = chunked_bytes(&chunks, trailer);
+            let next: String = next_pieces.iter().map(|&p| BODY_PIECES[p]).collect();
+            if next_chunked == 1 {
+                raw.extend_from_slice(&chunked_bytes(&[next.as_bytes()], None));
+            } else {
+                raw.extend_from_slice(&response_bytes(202, &next, false));
+            }
+            let next_status = if next_chunked == 1 { 200 } else { 202 };
 
             let mut frames = reader(&raw, step);
             let head = frames.head(None).map_err(|e| TestCaseError::fail(e.to_string()))?;
-            prop_assert!(head.chunked && head.close);
+            prop_assert!(head.chunked && !head.close);
             for chunk in &chunks {
                 let frame = frames.frame(None).map_err(|e| TestCaseError::fail(e.to_string()))?;
                 prop_assert_eq!(frame, ChunkFrame::Data(chunk.to_vec()));
             }
             let end = frames.frame(None).map_err(|e| TestCaseError::fail(e.to_string()))?;
             prop_assert_eq!(end, ChunkFrame::End { error: trailer.map(str::to_string) });
+            let after = read_whole(&mut frames).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(after, (next_status, next.clone(), false));
 
-            match (read_whole(&mut reader(&raw, step)), trailer) {
-                (Ok((200, read, true)), None) => prop_assert_eq!(read, body),
+            let mut whole = reader(&raw, step);
+            match (read_whole(&mut whole), trailer) {
+                (Ok((200, read, false)), None) => prop_assert_eq!(read, body),
                 (Err(e), Some(trailer)) => {
                     prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData);
                     prop_assert!(e.to_string().contains(trailer));
                 }
                 (other, _) => prop_assert!(false, "unexpected read: {other:?}"),
             }
+            let after = read_whole(&mut whole).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(after, (next_status, next, false));
+            prop_assert!(whole.raw.is_empty());
         }
     }
 

@@ -10,8 +10,11 @@
 //! the read timeout for the next accepted socket. The accept loop hands
 //! a new socket to a parked handler when one is free and spawns a
 //! thread only when none is, so a burst of short connections (a
-//! streamed sweep always opens one) costs no thread spawn each.
-//! Shutdown wakes parked handlers, which then exit.
+//! `SweepStream` opens one per sweep) costs no thread spawn each.
+//! Shutdown wakes parked handlers, which then exit. A connection
+//! outlives a complete streamed response too: the keep-alive loop reads
+//! the next request after the terminal chunk, and only a stream
+//! abandoned part-way closes it.
 //!
 //! Each front supplies only its shared state and a route table; the
 //! request-lifecycle rules — timeouts, framing errors, connection
@@ -35,10 +38,12 @@ pub(crate) enum Outcome {
         status: u16,
         body: String,
     },
-    /// The route wrote a chunked response directly to the socket
-    /// (complete or aborted); the connection closes either way.
+    /// The route wrote a complete chunked response directly to the
+    /// socket, terminal chunk included (with or without an error
+    /// trailer); the keep-alive loop carries on.
     Streamed,
-    /// The client is gone; there is nobody to answer.
+    /// The client is gone, or a response was abandoned part-way: there
+    /// is nobody to answer, and the connection closes.
     ClientGone,
 }
 
@@ -381,9 +386,10 @@ fn handle_connection<C: 'static>(sock: TcpStream, shared: &Shared<C>) {
                     return;
                 }
             }
-            // A chunked response went out with `connection: close`, or
-            // the client is gone: either way the connection is over.
-            Outcome::Streamed | Outcome::ClientGone => return,
+            // The terminal chunk framed the stream's end, so the next
+            // request can follow on this connection.
+            Outcome::Streamed => {}
+            Outcome::ClientGone => return,
         }
         if close_after {
             return;

@@ -20,15 +20,24 @@
 //! *Responses* may additionally be written with `Transfer-Encoding:
 //! chunked` framing ([`write_chunked_head`] / [`write_chunk`] /
 //! [`finish_chunked`]) — the server uses this to stream sweep budget
-//! points as they complete. Connection-reuse discipline is explicit: a
-//! chunked response **always** carries `Connection: close` and the
-//! connection is torn down after the terminal chunk. Keep-alive after a
-//! stream would make the next response's framing depend on the client
-//! having parsed every chunk boundary correctly; closing makes the
-//! boundary unmistakable (and lets an abandoned stream double as the
-//! cancellation signal). Mid-stream errors — after the status line is
-//! long gone — are reported in the terminating trailer section as an
+//! points as they complete. Mid-stream errors — after the status line
+//! is long gone — are reported in the terminating trailer section as an
 //! `x-fc-error` trailer; [`finish_chunked`] writes it.
+//!
+//! Connection reuse after a stream follows one rule: a **complete**
+//! stream (its terminal chunk written, with or without the error
+//! trailer) leaves the connection open for the next request, like any
+//! other response; an **abandoned** one closes it. Keep-alive after a
+//! stream is safe because every response the client side reads is
+//! framed by one incremental reader ([`Conn`](super::client::Conn)'s)
+//! that consumes exactly the terminal chunk and its trailer section and
+//! keeps any bytes past them for the next head, so the next response's
+//! framing never depends on a guess about where the stream ended. A
+//! stream the server stops part-way (the client hung up, a write
+//! failed) has no terminal chunk, so its connection cannot be reused
+//! and is closed — which is also how a hangup cancels the points still
+//! solving. A client that asked for `Connection: close`, and every
+//! connection during shutdown, still closes after the stream.
 //!
 //! ## One write per message
 //!
@@ -38,10 +47,11 @@
 //! message in one buffer and hands it to the socket in a single
 //! `write_all`. Both ends set `TCP_NODELAY`, so every `write` on a
 //! socket leaves as its own segment: a head formatted piece by piece
-//! onto the socket cost about ten sends. A caller sending two messages
-//! back to back (a chunked head and its first chunk) stages both in a
-//! `Vec<u8>` and writes that once. The bytes on the wire are the same
-//! either way.
+//! onto the socket cost about ten sends. A caller with several messages
+//! ready at once (a chunked head, its opening chunk and every budget
+//! point already solved; or the chunks one upstream read brought into
+//! the router) stages them in a `Vec<u8>` and writes that once. The
+//! bytes on the wire are the same either way.
 
 use std::io::{self, BufRead, Write};
 
@@ -325,15 +335,15 @@ pub fn write_response(w: &mut impl Write, status: u16, body: &str, close: bool) 
 /// [`finish_chunked`]).
 pub const ERROR_TRAILER: &str = "x-fc-error";
 
-/// Starts a `Transfer-Encoding: chunked` response. Always closes the
-/// connection after the stream (see the [module docs](self) for the
-/// keep-alive discipline) and declares the [`ERROR_TRAILER`] so clients
-/// know to look for it. Flushed immediately: the client sees the status
-/// line before the first chunk's data exists.
+/// Starts a `Transfer-Encoding: chunked` response, declaring the
+/// [`ERROR_TRAILER`] so clients know to look for it. The connection
+/// stays open once the stream completes (see the [module docs](self)
+/// for the keep-alive rule). Flushed immediately: the client sees the
+/// status line before the first chunk's data exists.
 pub fn write_chunked_head(w: &mut impl Write, status: u16) -> io::Result<()> {
     let head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\n\
-         transfer-encoding: chunked\r\ntrailer: {ERROR_TRAILER}\r\nconnection: close\r\n\r\n",
+         transfer-encoding: chunked\r\ntrailer: {ERROR_TRAILER}\r\n\r\n",
         status,
         reason_phrase(status),
     );
@@ -474,23 +484,32 @@ mod tests {
     }
 
     #[test]
-    fn chunked_writer_frames_and_always_closes() {
+    fn chunked_writer_frames_and_keeps_the_connection() {
         let mut out = Vec::new();
         write_chunked_head(&mut out, 200).unwrap();
         write_chunk(&mut out, b"{\"plans\":[").unwrap();
         write_chunk(&mut out, b"").unwrap(); // skipped, not terminal
         write_chunk(&mut out, b"]}").unwrap();
         finish_chunked(&mut out, None).unwrap();
+        // A second response on the same connection, right after the
+        // terminal chunk.
+        write_response(&mut out, 200, "{}", false).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
-        assert!(text.contains("transfer-encoding: chunked\r\n"));
-        assert!(
-            text.contains("connection: close\r\n"),
-            "chunked responses must close: {text}"
+        let (head, rest) = text.split_once("\r\n\r\n").unwrap();
+        assert_eq!(
+            head,
+            format!(
+                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                 transfer-encoding: chunked\r\ntrailer: {ERROR_TRAILER}"
+            ),
+            "a chunked head declares no close"
         );
-        assert!(text.contains(&format!("trailer: {ERROR_TRAILER}\r\n")));
-        let (_, body) = text.split_once("\r\n\r\n").unwrap();
-        assert_eq!(body, "a\r\n{\"plans\":[\r\n2\r\n]}\r\n0\r\n\r\n");
+        let (body, next) = rest.split_once("0\r\n\r\n").unwrap();
+        assert_eq!(body, "a\r\n{\"plans\":[\r\n2\r\n]}\r\n");
+        assert!(
+            next.starts_with("HTTP/1.1 200 OK\r\n"),
+            "the next response follows the terminal chunk directly: {next:?}"
+        );
     }
 
     #[test]
@@ -563,8 +582,16 @@ mod tests {
             one_write(|w| write_chunked_head(w, 200)),
             format!(
                 "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
-                 transfer-encoding: chunked\r\ntrailer: {ERROR_TRAILER}\r\nconnection: close\r\n\r\n"
+                 transfer-encoding: chunked\r\ntrailer: {ERROR_TRAILER}\r\n\r\n"
             )
+        );
+        assert_eq!(
+            one_write(|w| write_chunked_head(w, 503)),
+            format!(
+                "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
+                 transfer-encoding: chunked\r\ntrailer: {ERROR_TRAILER}\r\n\r\n"
+            ),
+            "no status makes a chunked head close"
         );
         assert_eq!(
             one_write(|w| write_chunk(w, b"{\"plans\":[")),

@@ -442,6 +442,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn round_trip(text: &str) -> String {
         Json::parse(text).expect(text).to_string()
@@ -544,5 +545,163 @@ mod tests {
             Json::Num(9_007_199_254_740_991.0).as_u64(),
             Some(9_007_199_254_740_991)
         );
+    }
+
+    /// Equality with numbers compared bit for bit: `Json`'s own
+    /// `PartialEq` compares `f64`s, under which `0.0 == -0.0`.
+    fn same_bits(a: &Json, b: &Json) -> bool {
+        match (a, b) {
+            (Json::Num(x), Json::Num(y)) => x.to_bits() == y.to_bits(),
+            (Json::Arr(xs), Json::Arr(ys)) => {
+                xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+            }
+            (Json::Obj(xs), Json::Obj(ys)) => {
+                xs.len() == ys.len()
+                    && xs
+                        .iter()
+                        .zip(ys)
+                        .all(|((kx, x), (ky, y))| kx == ky && same_bits(x, y))
+            }
+            _ => a == b,
+        }
+    }
+
+    /// Nesting the parser counts: a scalar or an empty container is 0,
+    /// a container one more than its deepest member.
+    fn depth(value: &Json) -> usize {
+        match value {
+            Json::Arr(items) => items.iter().map(|m| depth(m) + 1).max().unwrap_or(0),
+            Json::Obj(fields) => fields.iter().map(|(_, m)| depth(m) + 1).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    /// Finite extremes and awkward values for generated numbers.
+    const FLOATS: &[f64] = &[
+        0.0,
+        -0.0,
+        1.0,
+        -1.5,
+        0.1,
+        1.0 / 3.0,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        5e-324,
+        -5e-324,
+        f64::EPSILON,
+        9_007_199_254_740_993.0,
+        1e300,
+        -1e-300,
+    ];
+
+    /// Pieces of generated strings: every escape the writer emits,
+    /// raw control characters, and multi-byte UTF-8.
+    const STRINGS: &[&str] = &[
+        "",
+        "a",
+        "key",
+        "\"",
+        "\\",
+        "/",
+        "\n\r\t",
+        "\u{0}\u{1f}",
+        "\u{7f}",
+        "\u{8}\u{c}",
+        "é→𝄞",
+        "\u{2028}",
+        "\\u0041",
+    ];
+
+    /// A value built from `ops`, one op per node. A container with
+    /// members is allowed only while `room` (levels of nesting left
+    /// under the parser's cap) is positive; op kind 7 nests single
+    /// arrays down to the cap exactly.
+    fn build(ops: &mut impl Iterator<Item = u64>, room: usize) -> Json {
+        let op = ops.next().unwrap_or(0);
+        let arg = op >> 3;
+        match op % 8 {
+            0 => Json::Null,
+            1 => Json::Bool(arg % 2 == 1),
+            2 => Json::Num(FLOATS[arg as usize % FLOATS.len()]),
+            // Any bit pattern; non-finite ones lose their exponent and
+            // become subnormals.
+            3 => {
+                let n = f64::from_bits(arg.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                Json::Num(if n.is_finite() {
+                    n
+                } else {
+                    f64::from_bits(n.to_bits() & !(0x7ff << 52))
+                })
+            }
+            4 => Json::Str(text(arg)),
+            5 if room > 0 => Json::Arr((0..arg % 4).map(|_| build(ops, room - 1)).collect()),
+            6 if room > 0 => Json::Obj(
+                (0..arg % 4)
+                    .map(|i| (text(arg >> (8 * i)), build(ops, room - 1)))
+                    .collect(),
+            ),
+            7 => (0..room).fold(Json::Num(arg as f64), |inner, _| Json::Arr(vec![inner])),
+            _ => Json::Arr(Vec::new()),
+        }
+    }
+
+    /// A string of up to three [`STRINGS`] pieces and one arbitrary
+    /// character, chosen by `bits`.
+    fn text(bits: u64) -> String {
+        let mut s: String = (0..bits % 4)
+            .map(|i| STRINGS[(bits >> (4 * i + 2)) as usize % STRINGS.len()])
+            .collect();
+        s.extend(char::from_u32((bits >> 20) as u32 % 0x11_0000));
+        s
+    }
+
+    /// Fragments the fuzz property strings together, so random input
+    /// reaches into strings, escapes, numbers and nesting.
+    const FUZZ_PIECES: &[&str] = &[
+        "{", "}", "[", "]", "\"", "\\", "\\u", "d83d", "\\ude00", "00e9", ":", ",", "-", "0", "7",
+        ".5", "e", "E+", "1e999", "true", "nul", " ", "\n", "é", "\u{1}",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary text, and every prefix of it, parses to a value or
+        /// a typed error, never a panic; a value it parses to writes
+        /// back to text that parses to the same value.
+        #[test]
+        fn arbitrary_text_never_panics_the_parser(
+            raw in prop::collection::vec(0u8..=255, 0..96),
+            pieces in prop::collection::vec(0usize..FUZZ_PIECES.len(), 0..48),
+        ) {
+            let mut input: String = pieces.iter().map(|&p| FUZZ_PIECES[p]).collect();
+            input.push_str(&String::from_utf8_lossy(&raw));
+            for (cut, _) in input.char_indices().chain([(input.len(), ' ')]) {
+                if let Ok(value) = Json::parse(&input[..cut]) {
+                    let back = Json::parse(&value.to_string())
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    prop_assert!(same_bits(&value, &back), "{value} came back as {back}");
+                }
+            }
+        }
+
+        /// `parse(to_string(v)) == v` bit for bit on generated values
+        /// (finite float extremes, every escape, nesting up to
+        /// [`MAX_DEPTH`]), the text is a fixed point, and one more level
+        /// of nesting is accepted exactly while it stays under the cap.
+        #[test]
+        fn generated_values_round_trip_bit_for_bit(
+            ops in prop::collection::vec(0u64..u64::MAX, 1..64),
+            room in 0usize..=MAX_DEPTH,
+        ) {
+            let value = build(&mut ops.into_iter(), room);
+            let text = value.to_string();
+            let back = Json::parse(&text).map_err(|e| TestCaseError::fail(format!("{e}: {text}")))?;
+            prop_assert!(same_bits(&value, &back), "{text} came back as {back}");
+            prop_assert_eq!(back.to_string(), text);
+            let wrapped = Json::Arr(vec![value.clone()]).to_string();
+            prop_assert_eq!(Json::parse(&wrapped).is_ok(), depth(&value) < MAX_DEPTH);
+        }
     }
 }

@@ -32,21 +32,27 @@
 //!   marks the backend unhealthy and retries the next distinct
 //!   replica on the ring, each backend at most once. Cleans are
 //!   mutations: they are **broadcast** to every copy of the stream (see
-//!   *Replica sets*) and never retried; divergent outcomes surface as
-//!   `502`.
+//!   *Replica sets*) and never retried beyond the pool's
+//!   stale-keep-alive retry; divergent outcomes surface as `502`.
+//! * **Pipelined broadcast** — a clean or delete is written to every
+//!   target before any answer is read, and the answers are read in
+//!   target order, so the fan-out costs about one backend round trip
+//!   rather than one per replica.
 //! * **Cancellation relays** — while a solve is in flight upstream the
 //!   router probes its own client socket; a hangup drops the upstream
 //!   connection, which the backend's disconnect probe turns into a
 //!   cancel. The router never absorbs a disconnect.
 //! * **Streamed sweeps pass through unbuffered** — `POST
-//!   /v1/sweep?stream=1` is relayed chunk by chunk on a dedicated
-//!   upstream connection: each budget point's chunk is forwarded (and
-//!   flushed) the moment it arrives, so time-to-first-point through
-//!   the router tracks the backend's, not the whole sweep. Failover
-//!   happens only *before* response bytes reach the client; once the
-//!   stream has started, an upstream failure is surfaced on the error
-//!   trailer, and a client hangup mid-stream drops the upstream
-//!   connection so the backend cancels the points still solving.
+//!   /v1/sweep?stream=1` is relayed chunk by chunk on a connection from
+//!   the backend's keep-alive pool, parked again once the stream's
+//!   terminal chunk has framed: each budget point's chunk is forwarded
+//!   the moment it arrives (together with any chunks that arrived in the
+//!   same read), so time-to-first-point through the router tracks the
+//!   backend's, not the whole sweep. Failover happens only *before*
+//!   response bytes reach the client; once the stream has started, an
+//!   upstream failure is surfaced on the error trailer, and a client
+//!   hangup mid-stream drops the upstream connection — never parks it —
+//!   so the backend cancels the points still solving.
 //! * **Stream lifecycle is ring-routed** — `POST /v1/streams` hashes
 //!   the uploaded dataset's `id` onto the ring, so a created stream
 //!   lands exactly where later solves for it will route; if that
@@ -83,7 +89,7 @@
 //! load test checks), and `GET /v1/topology` reports the ring.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -356,11 +362,11 @@ fn vnode_points(name: &str) -> impl Iterator<Item = u64> + '_ {
 /// | route | behaviour |
 /// |---|---|
 /// | `POST /v1/recommend`, `/v1/sweep` | hash the body's stream id → forward, retrying the next replica on transport error |
-/// | `POST /v1/sweep?stream=1` | same routing, relayed chunk-by-chunk as points complete upstream |
+/// | `POST /v1/sweep?stream=1` | same routing, relayed chunk-by-chunk as points complete upstream, on a pooled upstream connection |
 /// | `POST /v1/streams` | hash the body's `id` → create on every member of its replica set (a dead member's slot falls to the next ring backend); `502` on divergent outcomes |
 /// | `GET /v1/streams/{id}` | relayed from the stream's replica (ring order, failing over to secondaries) |
-/// | `DELETE /v1/streams/{id}` | broadcast to the stream's replica set plus every probed holder; unanimous `404` relays as `404`; tombstoned for the repair pass |
-/// | `POST /v1/streams/{id}/clean` | broadcast to the stream's replica set plus every probed holder; a `404` from a member with no copy is ignored, other divergent outcomes are a `502` |
+/// | `DELETE /v1/streams/{id}` | broadcast (pipelined) to the stream's replica set plus every probed holder; unanimous `404` relays as `404`; tombstoned for the repair pass |
+/// | `POST /v1/streams/{id}/clean` | broadcast (pipelined) to the stream's replica set plus every probed holder; a `404` from a member with no copy is ignored, other divergent outcomes are a `502` |
 /// | `GET /v1/stats` | per-backend stats summed into the single-box shape |
 /// | `GET /v1/streams` | relayed from the first live backend |
 /// | `GET /v1/topology` | the ring: backends, health, drain flags, per-stream residency |
@@ -1084,8 +1090,8 @@ enum StreamRelay {
 }
 
 /// Relays `POST {path}?stream=1` chunk by chunk: the backend's chunks
-/// are forwarded (and flushed) as they arrive, so the client holds the
-/// first budget point while later ones are still solving upstream.
+/// are forwarded as they arrive, so the client holds the first budget
+/// point while later ones are still solving upstream.
 /// Replica failover stops the moment response bytes go downstream;
 /// from then on an upstream failure becomes an error trailer, and a
 /// client hangup drops the upstream connection (the cancellation
@@ -1108,11 +1114,13 @@ fn relay_solve_streamed(
     ApiError::unavailable("no live backend").into()
 }
 
-/// One streamed-relay attempt against `backend`, on a fresh dedicated
-/// connection bounded by `upstream_timeout` (never pooled: the backend
-/// closes it after the stream, and dropping it mid-way is how
-/// cancellation propagates). Every upstream read probes the client
-/// socket for disconnect.
+/// One streamed-relay attempt against `backend`, on a connection
+/// borrowed from its keep-alive pool (bounded by `upstream_timeout`)
+/// and parked again once the upstream stream has framed its terminal
+/// chunk. A client hangup mid-stream drops the connection instead,
+/// which is how cancellation propagates. Every upstream read probes the
+/// client socket for disconnect, and each downstream send carries every
+/// frame the last upstream read brought in.
 fn stream_from_backend(
     ctx: &RouterCtx,
     backend: &Backend,
@@ -1121,17 +1129,19 @@ fn stream_from_backend(
     body: &str,
     sock: &TcpStream,
 ) -> StreamRelay {
-    let wait = ctx.config.upstream_timeout;
     let mut alive = || client_connected(sock);
-    let mut probe = Probe::new(ctx.config.disconnect_poll, &mut alive, wait);
-    let opened = Conn::connect(backend.addr, Some(wait)).and_then(|mut upstream| {
-        upstream.write("POST", target, headers, body, Some(&probe))?;
-        Ok(upstream)
-    });
-    let Ok(mut upstream) = opened else {
+    let mut probe = Probe::new(
+        ctx.config.disconnect_poll,
+        &mut alive,
+        ctx.config.upstream_timeout,
+    );
+    let Ok(mut upstream) = backend
+        .pool
+        .start("POST", target, headers, body, Some(&probe))
+    else {
         return StreamRelay::Retry;
     };
-    let head = match upstream.reader.head(Some(&mut probe)) {
+    let head = match upstream.head(Some(&mut probe)) {
         Ok(head) => head,
         Err(e) if is_gone(&e) => return StreamRelay::Done(Outcome::ClientGone),
         Err(_) => return StreamRelay::Retry,
@@ -1139,46 +1149,60 @@ fn stream_from_backend(
     if !head.chunked {
         // A refusal (quota, bad request, …) arrives buffered; relay it
         // as such — the keep-alive loop stays usable.
-        return match upstream.reader.body(&head, Some(&mut probe)) {
-            Ok(body) => StreamRelay::Done(Outcome::Respond {
-                status: head.status,
-                body,
-            }),
+        return match upstream.reader().body(&head, Some(&mut probe)) {
+            Ok(body) => {
+                upstream.finish(&head);
+                StreamRelay::Done(Outcome::Respond {
+                    status: head.status,
+                    body,
+                })
+            }
             Err(e) if is_gone(&e) => StreamRelay::Done(Outcome::ClientGone),
             Err(_) => StreamRelay::Retry,
         };
     }
     let mut w = sock;
-    if write_chunked_head(&mut w, head.status).is_err() {
-        return StreamRelay::Done(Outcome::ClientGone);
-    }
-    loop {
-        match upstream.reader.frame(Some(&mut probe)) {
-            Ok(ChunkFrame::Data(data)) => {
-                if write_chunk(&mut w, &data).is_err() {
+    // Staging into a `Vec` cannot fail.
+    let mut batch = Vec::new();
+    let _ = write_chunked_head(&mut batch, head.status);
+    let error = loop {
+        let frame = match upstream.reader().buffered_frame() {
+            Ok(Some(frame)) => Ok(frame),
+            // Nothing whole is buffered: send what is staged, then wait.
+            Ok(None) => {
+                if w.write_all(&batch).is_err() {
                     // Client gone mid-stream: dropping the upstream
                     // connection cancels the points still solving.
                     return StreamRelay::Done(Outcome::ClientGone);
                 }
+                batch.clear();
+                upstream.reader().frame(Some(&mut probe))
+            }
+            Err(e) => Err(e),
+        };
+        match frame {
+            Ok(ChunkFrame::Data(data)) => {
+                let _ = write_chunk(&mut batch, &data);
             }
             Ok(ChunkFrame::End { error }) => {
-                let _ = finish_chunked(&mut w, error.as_deref());
-                return StreamRelay::Done(Outcome::Streamed);
+                upstream.finish(&head);
+                break error;
             }
             Err(e) if is_gone(&e) => return StreamRelay::Done(Outcome::ClientGone),
             // The head is already downstream, so an upstream failure
             // surfaces as the abort trailer.
-            Err(e) => {
-                let trailer = if e.kind() == io::ErrorKind::InvalidData {
-                    "502 upstream stream broke"
-                } else {
-                    "502 upstream failed mid-stream"
-                };
-                let _ = finish_chunked(&mut w, Some(trailer));
-                return StreamRelay::Done(Outcome::Streamed);
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                break Some("502 upstream stream broke".to_string())
             }
+            Err(_) => break Some("502 upstream failed mid-stream".to_string()),
         }
-    }
+    };
+    let _ = finish_chunked(&mut batch, error.as_deref());
+    StreamRelay::Done(if w.write_all(&batch).is_ok() {
+        Outcome::Streamed
+    } else {
+        Outcome::ClientGone
+    })
 }
 
 /// `POST /v1/streams`: create the uploaded stream on the effective
@@ -1324,7 +1348,8 @@ fn relay_delete_stream(ctx: &RouterCtx, request: &Request, id: &str) -> Outcome 
 /// byte-identical for its undrain. A `404` from a set member the probe
 /// never saw holding the stream (it has no copy yet for the repairer
 /// to refresh) is ignored; any other disagreement among the replicas
-/// is a `502`, not a guess. Never retried.
+/// is a `502`, not a guess. Never retried beyond the pool's
+/// stale-keep-alive retry (see [`broadcast`]).
 fn relay_clean(ctx: &RouterCtx, request: &Request, id: &str) -> Outcome {
     let Ok(body) = std::str::from_utf8(&request.body) else {
         return ApiError::bad_request("body is not UTF-8").into();
@@ -1373,12 +1398,16 @@ fn holds(backend: &Backend, id: &str) -> bool {
 }
 
 /// Broadcasts a mutation to the healthy members of `targets`, never
-/// retrying. A unanimous answer (success or the same canonical
-/// rejection) is relayed as-is; anything else is a `502` — except
-/// that a `404` from a target for which `tolerates_404` holds (a
-/// replica that simply doesn't host the stream) is ignored as long as
-/// every other replica agreed. A unanimous `404` (nobody hosts it) is
-/// relayed as the `404` it is.
+/// retrying beyond the pool's stale-keep-alive retry. The request is
+/// written to every target before any answer is read, and the answers
+/// are then read in target order, so the fan-out costs about one
+/// backend round trip rather than one per target. A transport error
+/// marks that backend unhealthy. A unanimous answer (success or the
+/// same canonical rejection) is relayed as-is; anything else is a
+/// `502` — except that a `404` from a target for which `tolerates_404`
+/// holds (a replica that simply doesn't host the stream) is ignored as
+/// long as every other replica agreed. A unanimous `404` (nobody hosts
+/// it) is relayed as the `404` it is.
 fn broadcast(
     ctx: &RouterCtx,
     targets: &[usize],
@@ -1388,15 +1417,22 @@ fn broadcast(
     body: &str,
     tolerates_404: impl Fn(usize) -> bool,
 ) -> Outcome {
-    let mut responses: Vec<(usize, u16, String)> = Vec::new();
+    let mut sent = Vec::new();
     for &idx in targets {
         let backend = &ctx.backends[idx];
         if !backend.healthy.load(Ordering::Relaxed) {
             continue;
         }
-        match backend.pool.request(method, path, headers, body) {
-            Ok((status, body)) => responses.push((idx, status, body)),
+        match backend.pool.start(method, path, headers, body, None) {
+            Ok(call) => sent.push((idx, call)),
             Err(_) => backend.healthy.store(false, Ordering::Relaxed),
+        }
+    }
+    let mut responses: Vec<(usize, u16, String)> = Vec::new();
+    for (idx, call) in sent {
+        match call.response(None) {
+            Ok((status, body)) => responses.push((idx, status, body)),
+            Err(_) => ctx.backends[idx].healthy.store(false, Ordering::Relaxed),
         }
     }
     let Some((_, first_status, first_body)) = responses.first().cloned() else {

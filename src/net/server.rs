@@ -41,7 +41,9 @@
 //! buffered `/v1/sweep` response byte-for-byte. A client hangup
 //! between chunks cancels the remaining points; a mid-stream solver
 //! error arrives as an `x-fc-error` trailer (the status line already
-//! said `200`).
+//! said `200`). Points that are already solved when a send goes out
+//! share that send, and the connection stays open for the next request
+//! once the terminal chunk is out.
 //!
 //! Streams themselves are wire-native too: `POST /v1/streams` creates
 //! one from an uploaded dataset (decoded and validated by
@@ -854,60 +856,69 @@ fn solve_route(ctx: &ServerCtx, call: &Call<'_>, sweep: bool) -> Outcome {
 /// `,plan` … `]}`), so a streamed sweep is byte-identical to a
 /// buffered one — the determinism gate holds per point.
 ///
+/// Every point that has already resolved when a send goes out rides in
+/// that send: the head and the opening chunk are staged with the points
+/// ready at submit (an inline sweep has them all), and after each wait
+/// the point that ended it is staged with any that resolved behind it.
+/// The handler blocks only when nothing is ready to send.
+///
 /// The client socket is probed between points: a hangup cancels the
 /// remaining budget points ([`SweepHandle::wait_next_point_or_cancel`]),
-/// as does a failed chunk write. A solver error on a later point —
-/// the `200` status line is long gone — terminates the stream with an
+/// as does a failed write. A solver error on a later point — the `200`
+/// status line is long gone — terminates the stream with an
 /// `x-fc-error` trailer and an unclosed JSON document, so no client
-/// mistakes the truncation for success.
+/// mistakes the truncation for success. Either way a stream whose
+/// terminal chunk went out is [`Outcome::Streamed`] and keeps the
+/// connection; one abandoned part-way is [`Outcome::ClientGone`].
 fn stream_sweep_response(ctx: &ServerCtx, sock: &TcpStream, mut handle: SweepHandle) -> Outcome {
     let mut w = sock;
-    // The head and the opening chunk leave in one send, as do the
-    // closing chunk and the terminator (see `http`'s one-write rule).
-    // Staging into a `Vec` cannot fail.
-    let mut opening = Vec::new();
-    let _ = write_chunked_head(&mut opening, 200);
-    let _ = write_chunk(&mut opening, b"{\"plans\":[");
-    if w.write_all(&opening).is_err() {
-        handle.cancel();
-        return Outcome::ClientGone;
-    }
+    // Staging into a `Vec` cannot fail; each batch leaves in one send
+    // (see `http`'s one-write rule).
+    let mut batch = Vec::new();
+    let _ = write_chunked_head(&mut batch, 200);
+    let _ = write_chunk(&mut batch, b"{\"plans\":[");
     let mut yielded = 0usize;
+    let mut next = handle.try_next_point();
     loop {
-        match handle
-            .wait_next_point_or_cancel(ctx.config.disconnect_poll, || client_connected(sock))
-        {
-            PointOutcome::Point(Ok(plan)) => {
-                let mut body = String::new();
-                if yielded > 0 {
-                    body.push(',');
+        let finished = loop {
+            match next {
+                PointOutcome::Point(Ok(plan)) => {
+                    let mut body = String::new();
+                    if yielded > 0 {
+                        body.push(',');
+                    }
+                    body.push_str(&plan_json(&plan).to_string());
+                    yielded += 1;
+                    let _ = write_chunk(&mut batch, body.as_bytes());
+                    next = handle.try_next_point();
                 }
-                body.push_str(&plan_json(&plan).to_string());
-                yielded += 1;
-                if write_chunk(&mut w, body.as_bytes()).is_err() {
+                // Nothing more is ready: send what is staged, then wait.
+                PointOutcome::TimedOut => break false,
+                PointOutcome::Point(Err(e)) => {
                     handle.cancel();
-                    return Outcome::ClientGone;
+                    let e = ApiError::from(e);
+                    let _ =
+                        finish_chunked(&mut batch, Some(&format!("{} {}", e.status, e.message)));
+                    break true;
                 }
-            }
-            PointOutcome::Point(Err(e)) => {
-                handle.cancel();
-                let e = ApiError::from(e);
-                let _ = finish_chunked(&mut w, Some(&format!("{} {}", e.status, e.message)));
-                return Outcome::Streamed;
-            }
-            PointOutcome::Done => {
-                let mut closing = Vec::new();
-                let _ = write_chunk(&mut closing, b"]}");
-                let _ = finish_chunked(&mut closing, None);
-                if w.write_all(&closing).is_err() {
-                    return Outcome::ClientGone;
+                PointOutcome::Done => {
+                    let _ = write_chunk(&mut batch, b"]}");
+                    let _ = finish_chunked(&mut batch, None);
+                    break true;
                 }
-                return Outcome::Streamed;
+                PointOutcome::Cancelled => return Outcome::ClientGone,
             }
-            PointOutcome::Cancelled => return Outcome::ClientGone,
-            // `wait_next_point_or_cancel` retries timeouts internally.
-            PointOutcome::TimedOut => {}
+        };
+        if w.write_all(&batch).is_err() {
+            handle.cancel();
+            return Outcome::ClientGone;
         }
+        if finished {
+            return Outcome::Streamed;
+        }
+        batch.clear();
+        next =
+            handle.wait_next_point_or_cancel(ctx.config.disconnect_poll, || client_connected(sock));
     }
 }
 

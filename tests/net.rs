@@ -543,6 +543,32 @@ fn streamed_sweep_chunks_concatenate_to_the_buffered_body() {
     assert!(Json::parse(&body).unwrap().get("error").is_some());
 }
 
+/// A complete stream keeps its connection: a streamed sweep and then
+/// a recommend on one client socket both answer, byte for byte as a
+/// reference server answers the same two requests on connections of
+/// their own.
+#[test]
+fn a_streamed_sweep_then_a_recommend_share_one_connection() {
+    let sweep = r#"{"stream":"crime","measure":"dup","budgets":[1,2,3]}"#;
+    let recommend = r#"{"stream":"crime","measure":"dup","budget":2}"#;
+    let (reference, _s1) = boot();
+    let expected = [
+        post(reference.addr(), "/v1/sweep", sweep, None),
+        post(reference.addr(), "/v1/recommend", recommend, None),
+    ];
+    let (server, _s2) = boot();
+    let mut conn = client::Conn::connect(server.addr(), Some(Duration::from_secs(10))).unwrap();
+    let streamed = conn
+        .send("POST", "/v1/sweep?stream=1", &[], sweep)
+        .expect("streamed sweep");
+    assert!(conn.reusable(), "a complete stream leaves the socket open");
+    // `Conn` never reconnects: this answer rides the sweep's socket.
+    let next = conn
+        .send("POST", "/v1/recommend", &[], recommend)
+        .expect("recommend after the stream");
+    assert_eq!([streamed, next], expected);
+}
+
 #[test]
 fn streamed_sweep_delivers_the_first_point_while_later_points_solve() {
     let (server, service) = boot_sequential(Duration::from_millis(300));

@@ -17,8 +17,9 @@
 //! (`405`/`404`, typed framing errors, the saturation `503`) closes
 //! the file.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,7 +27,8 @@ use fact_clean::net::api::{
     plan_identity_json, BudgetSpec, CleanRequest, CreateStreamRequest, RecommendRequest,
     SweepRequest,
 };
-use fact_clean::net::client::{self, ApiClient, ClientError, SweepStream};
+use fact_clean::net::client::{self, ApiClient, ClientError, Conn, SweepStream};
+use fact_clean::net::http;
 use fact_clean::net::json::Json;
 use fact_clean::net::router::VNODES;
 use fact_clean::net::{PlannerServer, RouterConfig, RouterHandle, RouterServer, ServerHandle};
@@ -113,6 +115,97 @@ fn syn_dropping_listener() -> (TcpListener, TcpStream) {
     assert_eq!(unsafe { listen(listener.as_raw_fd(), 0) }, 0);
     let filler = TcpStream::connect(listener.local_addr().unwrap()).expect("fill the queue");
     (listener, filler)
+}
+
+/// A pass-through TCP proxy to `upstream`. Returns its address and the
+/// number of proxied connections that carried at least one `POST
+/// /v1/sweep` request; the router's health probes open connections of
+/// their own and are not counted. A hangup on either side is passed on
+/// as a half-close, so a dropped relay still reads as a hangup upstream.
+fn sweep_connection_counter(upstream: SocketAddr) -> (SocketAddr, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let addr = listener.local_addr().expect("proxy addr");
+    let count = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&count);
+    std::thread::spawn(move || {
+        for downstream in listener.incoming() {
+            let Ok(mut downstream) = downstream else {
+                continue;
+            };
+            let Ok(mut server) = TcpStream::connect(upstream) else {
+                continue;
+            };
+            let (Ok(mut answers), Ok(mut client)) = (server.try_clone(), downstream.try_clone())
+            else {
+                continue;
+            };
+            std::thread::spawn(move || {
+                let _ = std::io::copy(&mut answers, &mut client);
+                let _ = client.shutdown(Shutdown::Write);
+            });
+            let counter = Arc::clone(&counter);
+            std::thread::spawn(move || {
+                let (mut seen, mut counted) = (Vec::new(), false);
+                let mut buf = [0u8; 4096];
+                while let Ok(n @ 1..) = downstream.read(&mut buf) {
+                    if !counted {
+                        seen.extend_from_slice(&buf[..n]);
+                        if seen.windows(14).any(|w| w == b"POST /v1/sweep") {
+                            counted = true;
+                            counter.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                    if server.write_all(&buf[..n]).is_err() {
+                        break;
+                    }
+                }
+                let _ = server.shutdown(Shutdown::Write);
+            });
+        }
+    });
+    (addr, count)
+}
+
+/// A fake backend holding stream `crime`: it answers its health probe
+/// at once and every other request (a clean) after `delay` with
+/// `status`, counting the cleans it answered. Each connection is served
+/// on its own thread, keep-alive.
+fn slow_clean_backend(delay: Duration, status: u16) -> (SocketAddr, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake backend");
+    let addr = listener.local_addr().expect("fake backend addr");
+    let cleans = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&cleans);
+    std::thread::spawn(move || {
+        for sock in listener.incoming() {
+            let Ok(mut sock) = sock else { continue };
+            let Ok(read_half) = sock.try_clone() else {
+                continue;
+            };
+            let counter = Arc::clone(&counter);
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(read_half);
+                while let Ok(request) = http::read_request(&mut reader, 1 << 16) {
+                    let (status, body) = if request.path() == "/v1/health" {
+                        (
+                            200,
+                            r#"{"ok":true,"streams":[{"id":"crime","warm_entries":0}]}"#,
+                        )
+                    } else {
+                        std::thread::sleep(delay);
+                        counter.fetch_add(1, Ordering::SeqCst);
+                        match status {
+                            200 => (200, r#"{"invalidated":0,"objects":1}"#),
+                            _ => (status, r#"{"error":"conflict"}"#),
+                        }
+                    };
+                    if http::write_response(&mut sock, status, body, false).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    (addr, cleans)
 }
 
 fn crime_request() -> RecommendRequest {
@@ -727,10 +820,112 @@ fn streamed_sweeps_relay_through_the_router_unchanged() {
     backend.shutdown();
 }
 
+/// Streamed relays ride the backend's keep-alive pool: five
+/// sequential streamed sweeps through an `R = 1` router open one
+/// upstream connection between them, and each body still equals the
+/// buffered sweep a reference backend answers at the same point of the
+/// same sequence. A streamed sweep and then a recommend on one client
+/// socket to the router both answer too, still on that one upstream
+/// connection.
+#[test]
+fn sequential_streamed_sweeps_share_one_upstream_connection() {
+    // A keep-alive window far past the test, so the parked upstream
+    // connection cannot be reaped between sweeps.
+    let service = PlannerService::new(
+        Arc::new(SolverRegistry::with_defaults()),
+        ServiceOptions::new(),
+    );
+    let backend = PlannerServer::new(service.clone())
+        .with_config(fact_clean::net::ServerConfig::new().with_read_timeout(Duration::from_secs(5)))
+        .with_stream("crime", ClaimStream::open(session(), service))
+        .serve("127.0.0.1:0")
+        .expect("bind backend");
+    let (_reference_service, reference) = boot_backend(&["crime"]);
+    let (proxy, sweep_connections) = sweep_connection_counter(backend.addr());
+    let router = boot_router(&[("a", proxy)]);
+
+    let sweep = r#"{"stream":"crime","measure":"dup","budgets":[1,2,3]}"#;
+    for i in 0..5 {
+        let (status, buffered) =
+            client::post(reference.addr(), "/v1/sweep", sweep, &[]).expect("buffered sweep");
+        assert_eq!(status, 200, "{buffered}");
+        let (status, streamed) =
+            client::post(router.addr(), "/v1/sweep?stream=1", sweep, &[]).expect("streamed");
+        assert_eq!(status, 200, "{streamed}");
+        assert_eq!(streamed, buffered, "sweep {i}");
+    }
+    assert_eq!(
+        sweep_connections.load(Ordering::SeqCst),
+        1,
+        "five streamed relays must ride one upstream connection"
+    );
+
+    let recommend = r#"{"stream":"crime","measure":"dup","budget":2}"#;
+    let expected = [
+        client::post(reference.addr(), "/v1/sweep", sweep, &[]).expect("buffered sweep"),
+        client::post(reference.addr(), "/v1/recommend", recommend, &[]).expect("recommend"),
+    ];
+    let mut conn = Conn::connect(router.addr(), Some(Duration::from_secs(10))).expect("connect");
+    let streamed = conn
+        .send("POST", "/v1/sweep?stream=1", &[], sweep)
+        .expect("streamed sweep");
+    assert!(
+        conn.reusable(),
+        "a complete relayed stream keeps the socket"
+    );
+    let next = conn
+        .send("POST", "/v1/recommend", &[], recommend)
+        .expect("recommend after the stream");
+    assert_eq!([streamed, next], expected);
+    assert_eq!(sweep_connections.load(Ordering::SeqCst), 1);
+
+    drop(conn);
+    router.shutdown();
+    backend.shutdown();
+    reference.shutdown();
+}
+
+/// A clean goes to every target before the router reads any answer:
+/// two backends that each take 200 ms to answer cost the routed clean
+/// one wait, not two. The unanimity rule is unchanged: one `409` among
+/// `200`s is still a `502`.
+#[test]
+fn broadcast_overlaps_its_targets() {
+    let delay = Duration::from_millis(200);
+    let (a, cleans_a) = slow_clean_backend(delay, 200);
+    let (b, cleans_b) = slow_clean_backend(delay, 200);
+    // Both fakes report `crime` resident, so a clean targets both.
+    let router = boot_router(&[("a", a), ("b", b)]);
+    let clean = r#"{"objects":[0],"revealed":[9050]}"#;
+    let started = Instant::now();
+    let (status, body) =
+        client::post(router.addr(), "/v1/streams/crime/clean", clean, &[]).expect("clean");
+    let took = started.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, r#"{"invalidated":0,"objects":1}"#);
+    assert_eq!(cleans_a.load(Ordering::SeqCst), 1);
+    assert_eq!(cleans_b.load(Ordering::SeqCst), 1);
+    assert!(
+        took < Duration::from_millis(350),
+        "two 200 ms answers must overlap: the clean took {took:?}"
+    );
+    router.shutdown();
+
+    let (c, _) = slow_clean_backend(delay, 200);
+    let (d, cleans_d) = slow_clean_backend(delay, 409);
+    let router = boot_router(&[("c", c), ("d", d)]);
+    let (status, body) =
+        client::post(router.addr(), "/v1/streams/crime/clean", clean, &[]).expect("clean");
+    assert_eq!(status, 502, "a 409 among 200s is a divergence: {body}");
+    assert_eq!(cleans_d.load(Ordering::SeqCst), 1);
+    router.shutdown();
+}
+
 #[test]
 fn client_hangup_mid_stream_cancels_upstream_points() {
     let (service, backend) = boot_slow_backend(Duration::from_millis(300));
-    let router = boot_router(&[("a", backend.addr())]);
+    let (proxy, sweep_connections) = sweep_connection_counter(backend.addr());
+    let router = boot_router(&[("a", proxy)]);
 
     let body = r#"{"stream":"crime","measure":"dup","strategy":"slow","budgets":[1,2,3,4]}"#;
     let raw = format!(
@@ -760,6 +955,27 @@ fn client_hangup_mid_stream_cancels_upstream_points() {
         );
         std::thread::sleep(Duration::from_millis(25));
     }
+
+    // The abandoned upstream connection was dropped, not parked: the
+    // next streamed sweep opens a connection of its own and reads a
+    // whole, well-formed stream rather than the leftover points.
+    let fast = r#"{"stream":"crime","measure":"dup","budgets":[1,2]}"#;
+    let (status, streamed) =
+        client::post(router.addr(), "/v1/sweep?stream=1", fast, &[]).expect("next sweep");
+    assert_eq!(status, 200, "{streamed}");
+    let plans = Json::parse(&streamed).expect("a whole JSON document");
+    assert_eq!(
+        plans
+            .get("plans")
+            .and_then(Json::as_array)
+            .map(<[Json]>::len),
+        Some(2)
+    );
+    assert_eq!(
+        sweep_connections.load(Ordering::SeqCst),
+        2,
+        "the abandoned upstream connection must not be reused"
+    );
 
     router.shutdown();
     backend.shutdown();
