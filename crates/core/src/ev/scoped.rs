@@ -358,226 +358,6 @@ impl ScopedTables {
     pub fn build_evals(&self) -> u64 {
         self.build_evals
     }
-
-    /// Appends a byte-exact encoding of the tables to `out` (floats by
-    /// bit pattern, so a decode → re-encode round trip is the identity
-    /// and rehydrated engines produce byte-identical plans). The
-    /// format is the payload of the
-    /// [`CacheStore` snapshot](crate::planner::cache::snapshot); the
-    /// adjacency lists are derivable and not encoded.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let put_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-        let put_f64 = |out: &mut Vec<u8>, v: f64| out.extend_from_slice(&v.to_bits().to_le_bytes());
-        let put_ids = |out: &mut Vec<u8>, ids: &[usize]| {
-            put_u64(out, ids.len() as u64);
-            for &id in ids {
-                put_u64(out, id as u64);
-            }
-        };
-        let put_f64s = |out: &mut Vec<u8>, vs: &[f64]| {
-            put_u64(out, vs.len() as u64);
-            for &v in vs {
-                put_f64(out, v);
-            }
-        };
-        put_u64(out, self.n as u64);
-        put_u64(out, self.build_evals);
-        put_u64(out, self.terms.len() as u64);
-        for term in &self.terms {
-            put_ids(out, &term.scope);
-            put_f64(out, term.e_g2);
-        }
-        put_u64(out, self.pairs.len() as u64);
-        for (k1, k2, pair) in &self.pairs {
-            put_u64(out, *k1 as u64);
-            put_u64(out, *k2 as u64);
-            put_ids(out, &pair.shared);
-            put_ids(out, &pair.shared_sizes);
-            for probs in &pair.shared_probs {
-                put_f64s(out, probs);
-            }
-            put_f64s(out, &pair.a);
-            put_f64s(out, &pair.b);
-            put_f64(out, pair.first);
-        }
-    }
-
-    /// Decodes tables previously written by [`ScopedTables::encode_into`]
-    /// from the front of `bytes`; returns the tables and the number of
-    /// bytes consumed. Structural invariants (sorted scopes, index
-    /// bounds, table dimensions) are re-validated, so corrupt input is
-    /// a typed error — never a panic and never tables that would pass
-    /// [`ScopedEv::with_tables`]'s checks while holding garbage. The
-    /// adjacency lists are rebuilt from the decoded scopes.
-    pub fn decode_from(bytes: &[u8]) -> Result<(Self, usize), &'static str> {
-        let mut r = TableReader { bytes, pos: 0 };
-        // Generous object-count ceiling: bounds the adjacency-list
-        // allocation a corrupt prefix could otherwise demand.
-        let n = r.usize_bounded(1 << 22)?;
-        let build_evals = r.u64()?;
-
-        let m = r.len(24)?;
-        let mut terms = Vec::with_capacity(m);
-        let mut term_of_obj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for k in 0..m {
-            let scope = r.sorted_ids(n)?;
-            for &o in &scope {
-                term_of_obj[o].push(k as u32);
-            }
-            let e_g2 = r.f64()?;
-            terms.push(TermInfo { scope, e_g2 });
-        }
-
-        let p = r.len(64)?;
-        let mut pairs = Vec::with_capacity(p);
-        let mut pair_of_obj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for pidx in 0..p {
-            let k1 = r.usize_bounded(m as u64)?;
-            let k2 = r.usize_bounded(m as u64)?;
-            if k1 >= k2 {
-                return Err("pair term indices out of order");
-            }
-            let shared = r.sorted_ids(n)?;
-            if shared.is_empty() {
-                return Err("pair with empty shared scope");
-            }
-            for &o in &shared {
-                pair_of_obj[o].push(pidx as u32);
-            }
-            let shared_sizes = r.sizes(shared.len())?;
-            let mut cells = 1usize;
-            for &size in &shared_sizes {
-                cells = cells
-                    .checked_mul(size)
-                    .filter(|&c| c <= 1 << 28)
-                    .ok_or("pair table too large")?;
-            }
-            let mut shared_probs = Vec::with_capacity(shared_sizes.len());
-            for &size in &shared_sizes {
-                shared_probs.push(r.f64s(size)?);
-            }
-            let a = r.f64s(cells)?;
-            let b = r.f64s(cells)?;
-            let first = r.f64()?;
-            pairs.push((
-                k1,
-                k2,
-                PairInfo {
-                    shared,
-                    shared_sizes,
-                    shared_probs,
-                    a,
-                    b,
-                    first,
-                },
-            ));
-        }
-
-        Ok((
-            Self {
-                n,
-                terms,
-                pairs,
-                term_of_obj,
-                pair_of_obj,
-                build_evals,
-            },
-            r.pos,
-        ))
-    }
-}
-
-/// Bounded little-endian reader for [`ScopedTables::decode_from`]:
-/// every read is checked against the remaining input, so truncation
-/// and wild length prefixes surface as errors, not panics or huge
-/// allocations.
-struct TableReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl TableReader<'_> {
-    fn u64(&mut self) -> Result<u64, &'static str> {
-        let end = self.pos.checked_add(8).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err("input truncated");
-        };
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.bytes[self.pos..end]);
-        self.pos = end;
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    fn f64(&mut self) -> Result<f64, &'static str> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A count whose encoded elements occupy at least `min_bytes`
-    /// each — bounding it by the remaining input rejects absurd
-    /// prefixes before any allocation.
-    fn len(&mut self, min_bytes: usize) -> Result<usize, &'static str> {
-        let v = self.u64()?;
-        let remaining = (self.bytes.len() - self.pos) / min_bytes.max(1);
-        if v as usize > remaining {
-            return Err("length prefix exceeds input");
-        }
-        Ok(v as usize)
-    }
-
-    fn usize_bounded(&mut self, bound: u64) -> Result<usize, &'static str> {
-        let v = self.u64()?;
-        if v >= bound {
-            return Err("index out of bounds");
-        }
-        Ok(v as usize)
-    }
-
-    /// A strictly increasing id list with ids `< n`.
-    fn sorted_ids(&mut self, n: usize) -> Result<Vec<usize>, &'static str> {
-        let len = self.len(8)?;
-        let mut ids = Vec::with_capacity(len);
-        for _ in 0..len {
-            let id = self.u64()?;
-            if id >= n as u64 {
-                return Err("object id out of bounds");
-            }
-            if ids.last().is_some_and(|&last| last >= id as usize) {
-                return Err("object ids not strictly increasing");
-            }
-            ids.push(id as usize);
-        }
-        Ok(ids)
-    }
-
-    /// Exactly `expect` nonzero axis sizes.
-    fn sizes(&mut self, expect: usize) -> Result<Vec<usize>, &'static str> {
-        let len = self.len(8)?;
-        if len != expect {
-            return Err("axis count mismatch");
-        }
-        let mut sizes = Vec::with_capacity(len);
-        for _ in 0..len {
-            let size = self.u64()?;
-            if size == 0 || size > 1 << 28 {
-                return Err("axis size out of range");
-            }
-            sizes.push(size as usize);
-        }
-        Ok(sizes)
-    }
-
-    /// Exactly `expect` floats (length prefix re-validated).
-    fn f64s(&mut self, expect: usize) -> Result<Vec<f64>, &'static str> {
-        let len = self.len(8)?;
-        if len != expect {
-            return Err("table length mismatch");
-        }
-        let mut vs = Vec::with_capacity(len);
-        for _ in 0..len {
-            vs.push(self.f64()?);
-        }
-        Ok(vs)
-    }
 }
 
 /// The scoped `EV` engine (see module docs).
@@ -1249,69 +1029,5 @@ mod tests {
         assert_eq!(eng.affected_by(0), vec![1]);
         assert_eq!(eng.affected_by(2), vec![3]);
         assert!(eng.relevant_objects() == vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn tables_encode_decode_round_trips_byte_exactly() {
-        let inst = random_instance(6, 11);
-        let cs = ClaimSet::new(
-            LinearClaim::window_sum(0, 3).unwrap(),
-            vec![
-                LinearClaim::window_sum(0, 3).unwrap(),
-                LinearClaim::window_sum(2, 3).unwrap(),
-                LinearClaim::window_sum(3, 3).unwrap(),
-            ],
-            vec![1.0, 0.5, 0.25],
-            Direction::HigherIsStronger,
-        )
-        .unwrap();
-        let q = DupQuery::new(cs, 5.0);
-        let tables = ScopedTables::build(&inst, &q);
-        let mut bytes = Vec::new();
-        tables.encode_into(&mut bytes);
-        let (decoded, consumed) = ScopedTables::decode_from(&bytes).expect("round trip");
-        assert_eq!(consumed, bytes.len(), "decode consumes the whole encoding");
-        let mut re_encoded = Vec::new();
-        decoded.encode_into(&mut re_encoded);
-        assert_eq!(bytes, re_encoded, "encode∘decode is the identity");
-        assert_eq!(decoded.len(), tables.len());
-        assert_eq!(decoded.num_terms(), tables.num_terms());
-        assert_eq!(decoded.num_sharing_pairs(), tables.num_sharing_pairs());
-        assert_eq!(decoded.build_evals(), tables.build_evals());
-        // A rehydrated engine evaluates bit-identically to the builder's.
-        let from_build = ScopedEv::with_tables(&inst, &q, Arc::new(tables));
-        let from_bytes = ScopedEv::with_tables(&inst, &q, Arc::new(decoded));
-        for t in [vec![], vec![1], vec![0, 2, 4], vec![1, 3, 5]] {
-            assert_eq!(
-                from_build.ev_of(&t).to_bits(),
-                from_bytes.ev_of(&t).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn tables_decode_rejects_corruption_without_panicking() {
-        let inst = random_instance(5, 3);
-        let cs = ClaimSet::new(
-            LinearClaim::window_sum(0, 2).unwrap(),
-            vec![
-                LinearClaim::window_sum(0, 2).unwrap(),
-                LinearClaim::window_sum(1, 2).unwrap(),
-            ],
-            vec![1.0, 1.0],
-            Direction::HigherIsStronger,
-        )
-        .unwrap();
-        let q = DupQuery::new(cs, 5.0);
-        let mut bytes = Vec::new();
-        ScopedTables::build(&inst, &q).encode_into(&mut bytes);
-        // Truncation at every prefix length is an error, never a panic.
-        for cut in 0..bytes.len() {
-            assert!(ScopedTables::decode_from(&bytes[..cut]).is_err(), "{cut}");
-        }
-        // A wild length prefix is rejected before allocating.
-        let mut huge = bytes.clone();
-        huge[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(ScopedTables::decode_from(&huge).is_err());
     }
 }

@@ -34,9 +34,8 @@ pub use instance::{GaussianInstance, Instance};
 pub use planner::{
     BatchJob, CacheKey, CacheStats, CacheStore, CancelToken, EngineCache, ExecOptions, Goal, Lane,
     Parallelism, Plan, PlanDiagnostics, PlannerService, PointOutcome, Problem, QuotaPolicy,
-    QuotaUsage, RequestHandle, ServiceOptions, ServiceStats, SnapshotError, SnapshotStats,
-    SolveRequest, Solver, SolverRegistry, SweepHandle, SweepMode, SweepRequest, TenantId,
-    WorkerPool,
+    QuotaUsage, RequestHandle, ServiceOptions, ServiceStats, SolveRequest, Solver, SolverRegistry,
+    SweepHandle, SweepMode, SweepRequest, TenantId, WorkerPool,
 };
 pub use selection::Selection;
 

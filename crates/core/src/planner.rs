@@ -38,7 +38,6 @@ pub mod exec;
 pub mod pool;
 pub mod service;
 
-pub use cache::snapshot::{SnapshotError, SnapshotStats};
 pub use cache::{CacheKey, CacheStats, CacheStore, Fnv1a};
 pub use exec::{BatchJob, CancelToken, ExecOptions, Parallelism, SweepMode};
 pub use pool::WorkerPool;

@@ -41,9 +41,7 @@
 //!   [`CacheStore::clear`] and [`CacheStore::invalidate_instance`]
 //!   drop them, and [`CacheStore::rekey`] carries the tables and
 //!   benefits but **clears** the plans (the moved entry now answers for
-//!   a different instance, and a plan over it is not proven equal);
-//! * snapshots carry tables and benefits only, so a restored or adopted
-//!   store starts with an empty plan memo.
+//!   a different instance, and a plan over it is not proven equal).
 //!
 //! A memo hit counts once in [`CacheStats::plan_hits`] and once in
 //! [`CacheStats::hits`] (one lookup served warm); a memo miss counts in
@@ -78,8 +76,6 @@ use super::{Goal, Plan};
 use crate::budget::Budget;
 use crate::ev::scoped::ScopedTables;
 use crate::instance::{GaussianInstance, Instance};
-
-pub mod snapshot;
 
 /// Incremental FNV-1a hasher over 64 bits — tiny, dependency-free, and
 /// stable across platforms and runs (unlike `std`'s randomized

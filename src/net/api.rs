@@ -1067,7 +1067,14 @@ pub fn data_model_from_json(v: &Json) -> Result<DataModel, ApiError> {
     ))
 }
 
-/// `POST /v1/streams`: create a stream from an uploaded dataset. The
+/// Most support points per object a stream may ask Gaussian
+/// discretization for (`discretize_support`). The first dup or frag
+/// read allocates that many points for every object, so an unbounded
+/// value lets one create abort the server.
+pub const MAX_DISCRETIZE_SUPPORT: usize = 64;
+
+/// `POST /v1/streams`: create a stream from an uploaded dataset (and,
+/// unchanged, the `adopt` body that replicates one). The
 /// decoded payload is fully validated — the server only has to build a
 /// session around it.
 #[derive(Debug, Clone, PartialEq)]
@@ -1080,7 +1087,7 @@ pub struct CreateStreamRequest {
     /// value on the current data).
     pub theta: Option<f64>,
     /// Support size for Gaussian discretization under non-affine
-    /// measures (optional).
+    /// measures (optional, at most [`MAX_DISCRETIZE_SUPPORT`]).
     pub discretize_support: Option<usize>,
     /// The uncertain data.
     pub data: DataModel,
@@ -1138,9 +1145,15 @@ impl CreateStreamRequest {
         };
         let discretize_support = match body.get("discretize_support") {
             None => None,
-            Some(v) => Some(v.as_usize().ok_or_else(|| {
-                ApiError::bad_request("\"discretize_support\" must be a non-negative integer")
-            })?),
+            Some(v) => Some(
+                v.as_usize()
+                    .filter(|&k| k <= MAX_DISCRETIZE_SUPPORT)
+                    .ok_or_else(|| {
+                        ApiError::bad_request(format!(
+                            "\"discretize_support\" must be an integer in 0..={MAX_DISCRETIZE_SUPPORT}"
+                        ))
+                    })?,
+            ),
         };
         let data = data_model_from_json(
             body.get("data")
@@ -1250,171 +1263,12 @@ impl StreamInfo {
     }
 }
 
-// ------------------------------------------------------------ base64
-
-const BASE64_ALPHABET: &[u8; 64] =
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-/// Standard padded base64 — the wire encoding for binary cache-slice
-/// payloads riding inside JSON string fields (`std` has no codec).
-pub fn base64_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
-    for chunk in bytes.chunks(3) {
-        let b = [
-            chunk[0],
-            chunk.get(1).copied().unwrap_or(0),
-            chunk.get(2).copied().unwrap_or(0),
-        ];
-        let quads = [
-            b[0] >> 2,
-            ((b[0] & 0b11) << 4) | (b[1] >> 4),
-            ((b[1] & 0b1111) << 2) | (b[2] >> 6),
-            b[2] & 0b11_1111,
-        ];
-        for (i, q) in quads.into_iter().enumerate() {
-            if i <= chunk.len() {
-                out.push(BASE64_ALPHABET[q as usize] as char);
-            } else {
-                out.push('=');
-            }
-        }
-    }
-    out
-}
-
-/// Inverse of [`base64_encode`]. Rejects bad lengths, characters
-/// outside the alphabet, and misplaced padding with a `400`-shaped
-/// [`ApiError`].
-pub fn base64_decode(text: &str) -> Result<Vec<u8>, ApiError> {
-    let bad = || ApiError::bad_request("invalid base64 payload");
-    let bytes = text.as_bytes();
-    if !bytes.len().is_multiple_of(4) {
-        return Err(bad());
-    }
-    let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
-    for (i, quad) in bytes.chunks(4).enumerate() {
-        let last = (i + 1) * 4 == bytes.len();
-        let mut vals = [0u8; 4];
-        let mut pad = 0usize;
-        for (j, &c) in quad.iter().enumerate() {
-            if c == b'=' {
-                // Padding is legal only in the last quad's tail.
-                if !last || j < 2 || quad[j..].iter().any(|&t| t != b'=') {
-                    return Err(bad());
-                }
-                pad = 4 - j;
-                break;
-            }
-            vals[j] = match c {
-                b'A'..=b'Z' => c - b'A',
-                b'a'..=b'z' => c - b'a' + 26,
-                b'0'..=b'9' => c - b'0' + 52,
-                b'+' => 62,
-                b'/' => 63,
-                _ => return Err(bad()),
-            };
-        }
-        let triple = [
-            (vals[0] << 2) | (vals[1] >> 4),
-            (vals[1] << 4) | (vals[2] >> 2),
-            (vals[2] << 6) | vals[3],
-        ];
-        out.extend_from_slice(&triple[..3 - pad.min(2)]);
-    }
-    Ok(out)
-}
-
-// ------------------------------------------------- snapshot transfer
-
-/// The `GET /v1/streams/{id}/snapshot` body: everything a peer needs
-/// to host a byte-identical replica of one stream — the full stream
-/// definition (dataset included, so no re-upload round-trip) plus the
-/// warm per-stream cache slice, one checksummed payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotTransfer {
-    /// The stream's complete definition, exactly as a create would
-    /// carry it (id, tenant, θ, discretization width, data, claims).
-    pub definition: CreateStreamRequest,
-    /// The per-stream cache slice (`snapshot_stream_bytes` format:
-    /// versioned, scope-fingerprinted, checksummed). Empty when the
-    /// stream has no warm entries yet.
-    pub cache_slice: Vec<u8>,
-    /// Warm entries carried in the slice (what the exporter counted).
-    pub warm_entries: usize,
-}
-
-impl SnapshotTransfer {
-    /// The wire body. Fails only for data with no wire encoding.
-    pub fn to_json(&self) -> Result<Json, ApiError> {
-        Ok(Json::obj([
-            ("definition", self.definition.to_json()?),
-            ("cache_slice", Json::Str(base64_encode(&self.cache_slice))),
-            ("warm_entries", Json::Num(self.warm_entries as f64)),
-        ]))
-    }
-
-    /// Parses and validates a transfer body.
-    pub fn from_json(body: &Json) -> Result<Self, ApiError> {
-        let definition = CreateStreamRequest::from_json(
-            body.get("definition")
-                .ok_or_else(|| ApiError::bad_request("missing \"definition\""))?,
-        )?;
-        let cache_slice = base64_decode(
-            body.get("cache_slice")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ApiError::bad_request("missing \"cache_slice\""))?,
-        )?;
-        let warm_entries = body
-            .get("warm_entries")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| ApiError::bad_request("missing \"warm_entries\""))?;
-        Ok(Self {
-            definition,
-            cache_slice,
-            warm_entries,
-        })
-    }
-
-    /// The serialized body string (fallible like
-    /// [`SnapshotTransfer::to_json`]).
-    pub fn encode(&self) -> Result<String, ApiError> {
-        Ok(self.to_json()?.to_string())
-    }
-}
-
-/// `POST /v1/streams/{id}/adopt`: install a replicated stream from a
-/// peer's [`SnapshotTransfer`]. The body is the transfer itself — a
-/// snapshot response can be adopted verbatim — so this type is a
-/// semantic wrapper sharing the codec.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdoptRequest {
-    /// The peer's snapshot of the stream being adopted.
-    pub transfer: SnapshotTransfer,
-}
-
-impl AdoptRequest {
-    /// The wire body (identical to the transfer's).
-    pub fn to_json(&self) -> Result<Json, ApiError> {
-        self.transfer.to_json()
-    }
-
-    /// Parses an adopt body.
-    pub fn from_json(body: &Json) -> Result<Self, ApiError> {
-        Ok(Self {
-            transfer: SnapshotTransfer::from_json(body)?,
-        })
-    }
-
-    /// The serialized body string.
-    pub fn encode(&self) -> Result<String, ApiError> {
-        self.transfer.encode()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::{prop, prop_assert_eq, proptest, ProptestConfig, TestCaseError};
+    use proptest::prelude::{
+        prop, prop_assert, prop_assert_eq, proptest, ProptestConfig, TestCaseError,
+    };
 
     #[test]
     fn spec_parsing_covers_measures_goals_strategies() {
@@ -1752,6 +1606,26 @@ mod tests {
         let err = CreateStreamRequest::from_json(&wide_claim).unwrap_err();
         assert_eq!(err.status, 400);
         assert!(err.message.contains("out of range"), "{}", err.message);
+
+        // The discretization support is capped: one past the cap is a
+        // 400 before any allocation, the cap itself decodes.
+        for (k, ok) in [
+            (MAX_DISCRETIZE_SUPPORT, true),
+            (MAX_DISCRETIZE_SUPPORT + 1, false),
+        ] {
+            let req = CreateStreamRequest {
+                discretize_support: Some(k),
+                ..good.clone()
+            };
+            match decode_body(&req.encode().unwrap(), CreateStreamRequest::from_json) {
+                Ok(decoded) => assert!(ok && decoded == req, "{k}"),
+                Err(e) => {
+                    assert!(!ok, "{k}: {}", e.message);
+                    assert_eq!(e.status, 400);
+                    assert!(e.message.contains("discretize_support"), "{}", e.message);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1832,116 +1706,257 @@ mod tests {
         assert_eq!(a.tenants[0].1.outstanding_evals, 11);
     }
 
-    #[test]
-    fn base64_round_trips_and_matches_reference_vectors() {
-        // RFC 4648 test vectors.
-        for (plain, encoded) in [
-            ("", ""),
-            ("f", "Zg=="),
-            ("fo", "Zm8="),
-            ("foo", "Zm9v"),
-            ("foob", "Zm9vYg=="),
-            ("fooba", "Zm9vYmE="),
-            ("foobar", "Zm9vYmFy"),
-        ] {
-            assert_eq!(base64_encode(plain.as_bytes()), encoded);
-            assert_eq!(base64_decode(encoded).unwrap(), plain.as_bytes());
+    /// Draws for the create-body generator, taken in order (zeros once
+    /// the draws run out).
+    struct Draws(std::vec::IntoIter<u64>);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            self.0.next().unwrap_or(0)
         }
-        // Every byte value survives.
-        let all: Vec<u8> = (0..=255).collect();
-        assert_eq!(base64_decode(&base64_encode(&all)).unwrap(), all);
-        for bad in ["Zg=", "====", "Zg=a", "Z***", "=Zg=", "Zm9v=A=="] {
-            assert_eq!(base64_decode(bad).unwrap_err().status, 400, "{bad}");
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A finite float: an awkward fixed value, a small decimal, or
+        /// any finite bit pattern.
+        fn float(&mut self) -> f64 {
+            const AWKWARD: &[f64] = &[
+                0.0,
+                -0.0,
+                0.1,
+                1.0 / 3.0,
+                -2.5,
+                f64::MAX,
+                f64::MIN,
+                f64::MIN_POSITIVE,
+                5e-324,
+                f64::EPSILON,
+                9_007_199_254_740_993.0,
+            ];
+            let bits = self.next();
+            match bits % 3 {
+                0 => AWKWARD[(bits >> 2) as usize % AWKWARD.len()],
+                1 => (bits >> 2) as f64 / 1e12 - 1e6,
+                _ => {
+                    let n = f64::from_bits(bits.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    if n.is_finite() {
+                        n
+                    } else {
+                        f64::from_bits(n.to_bits() & !(0x7ff << 52))
+                    }
+                }
+            }
+        }
+
+        /// A positive weight in (0, 1000].
+        fn weight(&mut self) -> f64 {
+            (self.below(1000) + 1) as f64 / 3.0
+        }
+
+        fn maybe(&mut self) -> bool {
+            self.below(2) == 1
         }
     }
 
-    #[test]
-    fn snapshot_transfer_round_trips_and_adopts_verbatim() {
-        let transfer = SnapshotTransfer {
-            definition: CreateStreamRequest {
-                id: "cdc".into(),
-                tenant: Some("newsroom".into()),
-                theta: Some(30.0),
-                discretize_support: None,
-                data: discrete_model(),
-                claims: two_object_claims(),
-            },
-            cache_slice: vec![0xFC, 0x00, 0x5A, 0xFF, 0x01],
-            warm_entries: 3,
+    /// A discrete create definition: 1–6 objects with 1–4 support
+    /// values each, window-sum claims over them, and optional θ,
+    /// tenant and discretization support.
+    fn generated_definition(draws: &mut Draws) -> CreateStreamRequest {
+        let n = draws.below(6) as usize + 1;
+        let dists = (0..n)
+            .map(|_| {
+                let support = draws.below(4) + 1;
+                let pairs: Vec<(f64, f64)> = (0..support)
+                    .map(|_| (draws.float(), draws.weight()))
+                    .collect();
+                DiscreteDist::from_weights(pairs).expect("finite values, positive weights")
+            })
+            .collect();
+        let current = (0..n).map(|_| draws.float()).collect();
+        let costs = (0..n).map(|_| draws.below((1 << 53) - 1) + 1).collect();
+        let window = |draws: &mut Draws| {
+            let start = draws.below(n as u64) as usize;
+            let width = draws.below((n - start) as u64) as usize + 1;
+            LinearClaim::window_sum(start, width).expect("window fits")
         };
-        let body = transfer.encode().unwrap();
-        let decoded = decode_body(&body, SnapshotTransfer::from_json).unwrap();
-        assert_eq!(decoded, transfer);
-        // A snapshot response body IS a valid adopt body.
-        let adopt = decode_body(&body, AdoptRequest::from_json).unwrap();
-        assert_eq!(adopt.transfer, transfer);
-        assert_eq!(adopt.encode().unwrap(), body);
-
-        // Missing fields and a corrupt slice encoding are typed 400s.
-        for mangled in [
-            r#"{"cache_slice":"","warm_entries":0}"#.to_string(),
-            body.replace("cache_slice", "slice"),
-            body.replace("warm_entries", "entries"),
-        ] {
-            let err = decode_body(&mangled, SnapshotTransfer::from_json).unwrap_err();
-            assert_eq!(err.status, 400, "{mangled}");
+        let original = window(draws);
+        let family = draws.below(4) as usize + 1;
+        let perturbations = (0..family).map(|_| window(draws)).collect();
+        let sensibilities = (0..family).map(|_| draws.weight()).collect();
+        let direction = if draws.maybe() {
+            Direction::HigherIsStronger
+        } else {
+            Direction::LowerIsStronger
+        };
+        const ID_CHARS: &[u8] = b"azAZ09._~-";
+        const TENANT_PIECES: &[&str] = &["a", "newsroom", "\"", "\\", "\n", "\u{1}", "é→𝄞", " "];
+        let id_len = draws.below(8) + 1;
+        CreateStreamRequest {
+            id: (0..id_len)
+                .map(|_| ID_CHARS[draws.below(ID_CHARS.len() as u64) as usize] as char)
+                .collect(),
+            tenant: draws.maybe().then(|| {
+                (0..draws.below(4))
+                    .map(|_| TENANT_PIECES[draws.below(TENANT_PIECES.len() as u64) as usize])
+                    .collect()
+            }),
+            theta: draws.maybe().then(|| draws.float()),
+            discretize_support: draws
+                .maybe()
+                .then(|| draws.below(MAX_DISCRETIZE_SUPPORT as u64 + 1) as usize),
+            data: DataModel::Discrete(
+                Instance::new(dists, current, costs).expect("valid instance"),
+            ),
+            claims: ClaimSet::new(original, perturbations, sensibilities, direction)
+                .expect("positive sensibilities"),
         }
-        let bad_b64 = body.replace(&base64_encode(&transfer.cache_slice), "not base64!");
-        assert_eq!(
-            decode_body(&bad_b64, SnapshotTransfer::from_json)
-                .unwrap_err()
-                .status,
-            400
-        );
     }
 
-    /// Fragments for the base64 fuzz property: alphabet runs, padding
-    /// in and out of place, and characters outside the alphabet.
-    const BASE64_PIECES: &[&str] = &[
-        "A", "Zg", "Zm9v", "+/", "=", "==", "===", "Zg==", "Zm8=", "-_", "*", " ", "\n", "é", "\0",
+    /// How many [`replacement`]s the decoder fuzz draws from.
+    const REPLACEMENTS: usize = 15;
+
+    /// A value the decoder fuzz swaps into a body node: the wrong type,
+    /// an out-of-range number, an unroutable id, or (`None`) a dropped
+    /// field.
+    fn replacement(k: usize) -> Option<Json> {
+        Some(match k {
+            0 => Json::Null,
+            1 => Json::Bool(true),
+            2 => Json::Num(-1.0),
+            3 => Json::Num(0.5),
+            4 => Json::Num(1e308),
+            5 => Json::Num((MAX_DISCRETIZE_SUPPORT + 1) as f64),
+            6 => Json::Num(9_007_199_254_740_992.0),
+            7 => Json::Num(1e13),
+            8 => Json::Str("a/b".into()),
+            9 => Json::Str(String::new()),
+            10 => Json::Arr(Vec::new()),
+            11 => Json::Arr(vec![Json::Num(0.0)]),
+            12 => Json::Arr(vec![Json::Arr(vec![Json::Num(9.0), Json::Num(1.0)])]),
+            13 => Json::Obj(Vec::new()),
+            _ => return None,
+        })
+    }
+
+    /// Replaces the `target`-th node of `value` in preorder with `with`;
+    /// whether a node was replaced.
+    fn replace_node(value: &mut Json, target: &mut usize, with: &Json) -> bool {
+        if *target == 0 {
+            *value = with.clone();
+            return true;
+        }
+        *target -= 1;
+        match value {
+            Json::Arr(items) => items.iter_mut().any(|m| replace_node(m, target, with)),
+            Json::Obj(fields) => fields
+                .iter_mut()
+                .any(|(_, m)| replace_node(m, target, with)),
+            _ => false,
+        }
+    }
+
+    /// Removes the `target`-th object field of `value`, counting the
+    /// fields of each object before descending; whether one was removed.
+    fn drop_field(value: &mut Json, target: &mut usize) -> bool {
+        match value {
+            Json::Obj(fields) if *target < fields.len() => {
+                fields.remove(*target);
+                true
+            }
+            Json::Obj(fields) => {
+                *target -= fields.len();
+                fields.iter_mut().any(|(_, m)| drop_field(m, target))
+            }
+            Json::Arr(items) => items.iter_mut().any(|m| drop_field(m, target)),
+            _ => false,
+        }
+    }
+
+    /// Pieces the decoder fuzz splices into the text of a create body:
+    /// JSON punctuation and values of the wrong type or out of range.
+    const CREATE_PIECES: &[&str] = &[
+        "{", "}", "[", "]", ",", ":", "\"", "0", "-1", "0.5", "65", "1e999", "null", "true", "[]",
+        "{}", "[[0,1]]", "\"a/b\"",
     ];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Arbitrary text never panics the decoder: it decodes or is a
-        /// `400`, and what it decodes to has the length the text's
-        /// padding implies and survives an encode-decode unchanged.
+        /// Arbitrary text never panics the create (and adopt) decoder:
+        /// a valid discrete or Gaussian body with random nodes replaced
+        /// by values of the wrong type or out of range, fields dropped,
+        /// and then random pieces inserted, spans cut out, or spans
+        /// replaced in its text either decodes or is a typed 4xx.
         #[test]
-        fn arbitrary_text_never_panics_the_base64_decoder(
-            raw in prop::collection::vec(0u8..=255, 0..48),
-            pieces in prop::collection::vec(0usize..BASE64_PIECES.len(), 0..16),
-            layout in 0usize..3,
+        fn arbitrary_text_never_panics_the_create_decoder(
+            ops in prop::collection::vec(0u64..u64::MAX, 96),
+            gaussian in 0u8..2,
+            swaps in prop::collection::vec((0usize..200, 0usize..REPLACEMENTS), 1..6),
+            edits in prop::collection::vec(
+                (0usize..usize::MAX, 0u8..3, 0usize..CREATE_PIECES.len()),
+                0..3,
+            ),
         ) {
-            let fuzz = String::from_utf8_lossy(&raw);
-            let pieces: String = pieces.iter().map(|&p| BASE64_PIECES[p]).collect();
-            let text = match layout {
-                0 => pieces,
-                1 => format!("{pieces}{fuzz}"),
-                _ => format!("{fuzz}{pieces}"),
-            };
-            match base64_decode(&text) {
-                Ok(bytes) => {
-                    let padding = text.bytes().rev().take_while(|&b| b == b'=').count();
-                    prop_assert_eq!(bytes.len(), text.len() / 4 * 3 - padding);
-                    let again = base64_decode(&base64_encode(&bytes))
-                        .map_err(|e| TestCaseError::fail(e.message))?;
-                    prop_assert_eq!(again, bytes);
+            let mut draws = Draws(ops.into_iter());
+            let mut definition = generated_definition(&mut draws);
+            if gaussian == 1 {
+                let n = definition.data.len();
+                let means = (0..n).map(|_| draws.float()).collect();
+                let sds: Vec<f64> = (0..n).map(|_| draws.weight()).collect();
+                let current = (0..n).map(|_| draws.float()).collect();
+                definition.data = DataModel::Gaussian(
+                    GaussianInstance::independent(means, &sds, current, vec![1; n])
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?,
+                );
+            }
+            let mut body = definition.to_json().map_err(|e| TestCaseError::fail(e.message))?;
+            for (node, with) in swaps {
+                match replacement(with) {
+                    Some(value) => replace_node(&mut body, &mut { node }, &value),
+                    None => drop_field(&mut body, &mut { node }),
+                };
+            }
+            let mut text = body.to_string();
+            for (at, kind, piece) in edits {
+                let mut at = at % (text.len() + 1);
+                while !text.is_char_boundary(at) {
+                    at -= 1;
                 }
-                Err(e) => prop_assert_eq!(e.status, 400),
+                let mut end = (at + piece % 8 + 1).min(text.len());
+                while !text.is_char_boundary(end) {
+                    end += 1;
+                }
+                match kind {
+                    0 => text.insert_str(at, CREATE_PIECES[piece]),
+                    1 => text.replace_range(at..end, ""),
+                    _ => text.replace_range(at..end, CREATE_PIECES[piece]),
+                }
+            }
+            if let Ok(json) = Json::parse(&text) {
+                if let Err(e) = CreateStreamRequest::from_json(&json) {
+                    prop_assert!((400..500).contains(&e.status), "{}: {text}", e.status);
+                }
             }
         }
 
-        /// Encode then decode is the identity on any bytes, and the
-        /// encoding is padded to whole quads.
+        /// Generated discrete definitions (random supports,
+        /// probabilities, costs and current values, window-sum claims,
+        /// optional θ, tenant and support) round-trip bit for bit:
+        /// decoding the encoding gives the definition back, and it
+        /// re-encodes to the same text.
         #[test]
-        fn base64_encode_then_decode_is_the_identity(
-            bytes in prop::collection::vec(0u8..=255, 0..96),
+        fn generated_definitions_round_trip_bit_for_bit(
+            ops in prop::collection::vec(0u64..u64::MAX, 96),
         ) {
-            let text = base64_encode(&bytes);
-            prop_assert_eq!(text.len(), bytes.len().div_ceil(3) * 4);
-            let back = base64_decode(&text).map_err(|e| TestCaseError::fail(e.message))?;
-            prop_assert_eq!(back, bytes);
+            let definition = generated_definition(&mut Draws(ops.into_iter()));
+            let text = definition.encode().map_err(|e| TestCaseError::fail(e.message))?;
+            let json = Json::parse(&text).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let back = CreateStreamRequest::from_json(&json)
+                .map_err(|e| TestCaseError::fail(format!("{}: {text}", e.message)))?;
+            prop_assert_eq!(&back, &definition);
+            prop_assert_eq!(back.encode().map_err(|e| TestCaseError::fail(e.message))?, text);
         }
     }
 }

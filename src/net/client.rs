@@ -35,8 +35,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use super::api::{
-    AdoptRequest, ApiError, CleanRequest, CleanResponse, CreateStreamRequest, PlanView,
-    RecommendRequest, SnapshotTransfer, StatsResponse, StreamInfo, SweepRequest,
+    ApiError, CleanRequest, CleanResponse, CreateStreamRequest, PlanView, RecommendRequest,
+    StatsResponse, StreamInfo, SweepRequest,
 };
 use super::http::{ERROR_TRAILER, MAX_HEADER_BYTES};
 use super::json::Json;
@@ -1146,30 +1146,25 @@ impl ApiClient {
         CleanResponse::from_json(&json).map_err(|e| ClientError::Decode(e.message))
     }
 
-    /// `GET /v1/streams/{id}/snapshot` — the stream's definition plus
-    /// its warm per-stream cache slice, ready to [`adopt`] on a peer.
+    /// `GET /v1/streams/{id}/snapshot` — the stream's definition,
+    /// ready to [`adopt`] on a peer.
     ///
     /// [`adopt`]: ApiClient::adopt
-    pub fn snapshot(&self, id: &str) -> Result<SnapshotTransfer, ClientError> {
+    pub fn snapshot(&self, id: &str) -> Result<CreateStreamRequest, ClientError> {
         let json = self.exchange("GET", &format!("/v1/streams/{id}/snapshot"), None, "")?;
-        SnapshotTransfer::from_json(&json).map_err(|e| ClientError::Decode(e.message))
+        CreateStreamRequest::from_json(&json).map_err(|e| ClientError::Decode(e.message))
     }
 
     /// `POST /v1/streams/{id}/adopt` — install a replicated stream
     /// from a peer's [`snapshot`](ApiClient::snapshot) without
-    /// re-uploading the dataset. Answers how many warm entries were
-    /// restored; adopting onto an id that already hosts the same
-    /// definition merges the slice idempotently.
-    pub fn adopt(&self, id: &str, transfer: &SnapshotTransfer) -> Result<usize, ClientError> {
-        let body = AdoptRequest {
-            transfer: transfer.clone(),
-        }
-        .encode()
-        .map_err(ClientError::Api)?;
+    /// re-uploading the dataset. Answers whether the id already hosted
+    /// the same definition (adopt is idempotent).
+    pub fn adopt(&self, id: &str, definition: &CreateStreamRequest) -> Result<bool, ClientError> {
+        let body = definition.encode().map_err(ClientError::Api)?;
         let json = self.exchange("POST", &format!("/v1/streams/{id}/adopt"), None, &body)?;
-        json.get("restored_entries")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| ClientError::Decode("adopt response missing restored_entries".into()))
+        json.get("merged")
+            .and_then(Json::as_bool)
+            .ok_or_else(|| ClientError::Decode("adopt response missing merged".into()))
     }
 
     /// `GET /v1/stats` — service, store, and tenant counters.

@@ -23,7 +23,8 @@
 //!   mapping for malformed input;
 //! * [`PlannerServer`] — the route table, per-request tenancy
 //!   (`x-tenant` header), wire-native stream creation,
-//!   disconnect-driven cancellation, and warm-boot snapshot restore;
+//!   disconnect-driven cancellation, and stream snapshot/adopt for
+//!   replication;
 //! * [`router`] — the consistent-hash shard front that spreads streams
 //!   across N `PlannerServer` backends with health probes, drain, and
 //!   bounded retry.

@@ -64,23 +64,21 @@
 //!   backends of its ring walk (one backend at the default `R = 1`).
 //!   Creates fan out to the whole set (unanimity required; a `409`
 //!   member holding an identical-definition leftover copy is
-//!   reconciled via an empty-slice adopt, any other divergence is a
-//!   `502`). Cleans and deletes share one target rule: the set plus
+//!   reconciled by adopting the create body, any other divergence is
+//!   a `502`). Cleans and deletes share one target rule: the set plus
 //!   every healthy backend whose probed residency holds the stream, so
 //!   a copy outside the set — left by ring churn, or registered on a
 //!   backend up front — is never skipped. A delete leaves a tombstone.
 //!   Reads prefer the primary but fail over to secondaries that
 //!   already host the stream — same session, byte-identical plans, no
-//!   recreate round-trip. A background repair pass (or `POST
-//!   /v1/admin/repair` for a synchronous one) re-replicates
-//!   under-replicated streams onto the next ring successor and
-//!   re-warms cold secondaries by relaying `GET
-//!   /v1/streams/{id}/snapshot` bodies into `POST
-//!   /v1/streams/{id}/adopt` — so a failover lands on a warm replica
-//!   (`store_misses == 0`). The pass prefers in-set donors, purges
-//!   lingering copies of tombstoned (deleted) streams instead of
-//!   adopting them back, and backs off a re-warm that restored
-//!   nothing (a capacity-bound target) until the donor grows warmer.
+//!   recreate round-trip; the first read on a replica builds its
+//!   tables. A background repair pass (or `POST /v1/admin/repair` for
+//!   a synchronous one) re-replicates under-replicated streams onto
+//!   the next ring successor by relaying the donor's `GET
+//!   /v1/streams/{id}/snapshot` body (the stream's definition) into
+//!   `POST /v1/streams/{id}/adopt`. The donor is the first in-set
+//!   holder in ring order. The pass purges lingering copies of
+//!   tombstoned (deleted) streams instead of adopting them back.
 //!   [`RouterServer::serve`] probes every backend once before it
 //!   accepts, so residency is known from the first request.
 //!
@@ -228,11 +226,11 @@ struct Backend {
     /// The backend's own advisory drain flag, read off its health
     /// probe.
     advertised_draining: AtomicBool,
-    /// Per-stream residency off the last health probe: `(stream id,
-    /// warm entry count)` for every stream the backend hosts. The
-    /// repair pass reads this to spot under-replicated or cold
-    /// replicas; `/v1/topology` surfaces it to operators.
-    residency: Mutex<Vec<(String, u64)>>,
+    /// Residency off the last health probe: the ids of the streams the
+    /// backend hosts. The repair pass reads this to spot
+    /// under-replicated streams; `/v1/topology` surfaces it to
+    /// operators.
+    residency: Mutex<Vec<String>>,
 }
 
 impl Backend {
@@ -262,14 +260,6 @@ struct RouterCtx {
     /// id is re-created, or once a fully-healthy fleet reports no copy
     /// left.
     tombstones: Mutex<BTreeSet<String>>,
-    /// Re-warm attempts that made no progress: `(stream id, target
-    /// backend name)` → the donor's warm count when an adopt-merge
-    /// restored nothing. A target whose store is at capacity can
-    /// never catch up to the donor (restores don't evict), so without
-    /// this memo the pass would re-fetch and re-adopt the full
-    /// snapshot every interval, forever. Retried only once the donor
-    /// has grown warmer than the recorded level.
-    repair_stalls: Mutex<BTreeMap<(String, String), u64>>,
 }
 
 impl RouterCtx {
@@ -455,7 +445,6 @@ impl RouterServer {
             config: self.config,
             stopping: (Mutex::new(false), Condvar::new()),
             tombstones: Mutex::new(BTreeSet::new()),
-            repair_stalls: Mutex::new(BTreeMap::new()),
         });
         let front = Front::serve("fc-router", listener, limits, Arc::clone(&ctx), ROUTES)?;
         let probe_ctx = Arc::clone(&ctx);
@@ -507,8 +496,8 @@ impl RouterHandle {
 
     /// Runs one synchronous repair pass (the same thing `POST
     /// /v1/admin/repair` does over the wire): re-probes the fleet,
-    /// then re-replicates and re-warms every under-replicated stream
-    /// via snapshot transfer. Answers the pass's report.
+    /// then re-replicates every under-replicated stream via snapshot
+    /// transfer. Answers the pass's report.
     pub fn repair(&self) -> Json {
         repair_pass(&self.ctx)
     }
@@ -627,11 +616,7 @@ fn probe_backend(backend: &Backend, mut get: impl FnMut(&str) -> io::Result<(u16
                 .and_then(|j| j.get("streams").and_then(Json::as_array))
                 .unwrap_or_default()
                 .iter()
-                .filter_map(|s| {
-                    let id = s.get("id").and_then(Json::as_str)?;
-                    let warm = s.get("warm_entries").and_then(Json::as_u64)?;
-                    Some((id.to_string(), warm))
-                })
+                .filter_map(|s| Some(s.get("id").and_then(Json::as_str)?.to_string()))
                 .collect();
             *backend
                 .residency
@@ -662,19 +647,15 @@ fn repairer_loop(ctx: &RouterCtx) {
 
 /// One repair pass: re-probe the fleet for a current health/residency
 /// view, then for every hosted stream bring its effective replica set
-/// up to strength — a member that lacks the stream adopts a snapshot
-/// from the warmest holder (re-replication after a host loss), and a
-/// member that hosts it colder than the donor adopts the same slice as
-/// an idempotent merge (re-warming, so a later failover serves with
-/// `store_misses == 0`). Copies of *deleted* streams (tombstoned by
-/// the router's `DELETE`) are purged from whoever still holds them
-/// rather than re-replicated, and a re-warm that restored nothing is
-/// not retried until the donor grows warmer. Answers a report of what
-/// moved.
+/// up to strength — each member that lacks the stream adopts the
+/// donor's snapshot (re-replication after a host loss). Copies of
+/// *deleted* streams (tombstoned by the router's `DELETE`) are purged
+/// from whoever still holds them rather than re-replicated. Answers a
+/// report of what moved.
 fn repair_pass(ctx: &RouterCtx) -> Json {
     probe_fleet(&ctx.backends, ctx.config.read_timeout);
-    // stream id → healthy holders as (backend index, warm entries).
-    let mut hosts: BTreeMap<String, Vec<(usize, u64)>> = BTreeMap::new();
+    // stream id → indices of the healthy backends holding it.
+    let mut hosts: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for (idx, backend) in ctx.backends.iter().enumerate() {
         if !backend.healthy.load(Ordering::Relaxed) {
             continue;
@@ -684,8 +665,8 @@ fn repair_pass(ctx: &RouterCtx) -> Json {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
-        for (id, warm) in residency {
-            hosts.entry(id).or_default().push((idx, warm));
+        for id in residency {
+            hosts.entry(id).or_default().push(idx);
         }
     }
     // Settle tombstones against the fresh residency view. A tombstone
@@ -707,10 +688,6 @@ fn repair_pass(ctx: &RouterCtx) -> Json {
         }
         tombs.clone()
     };
-    ctx.repair_stalls
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .retain(|(id, _), _| hosts.contains_key(id) && !tombstoned.contains(id));
     let mut transfers: Vec<Json> = Vec::new();
     let mut purges: Vec<Json> = Vec::new();
     let mut conflicts: Vec<Json> = Vec::new();
@@ -732,7 +709,7 @@ fn repair_pass(ctx: &RouterCtx) -> Json {
             // The stream was deleted; every surviving copy is a
             // leftover the delete could not reach. Purge it instead of
             // using it as a donor.
-            for &(holder, _) in holders {
+            for &holder in holders {
                 let backend = &ctx.backends[holder];
                 match backend
                     .pool
@@ -755,142 +732,57 @@ fn repair_pass(ctx: &RouterCtx) -> Json {
         }
         let order = ctx.route_order(id);
         let targets = ctx.replica_set(&order);
-        // Donor: the warmest *in-set* holder, ring order breaking ties
-        // — so the primary donates unless a secondary is strictly
-        // warmer, and a straggler copy outside the set (which scoped
-        // mutations no longer reach) never donates over a live member.
-        // Only when no set member hosts the stream at all — the true
-        // host-loss case — does an out-of-set copy donate.
-        let in_set: Vec<(usize, u64)> = holders
+        if targets.iter().all(|target| holders.contains(target)) {
+            continue;
+        }
+        // Donor: the first *in-set* holder in ring order, so a
+        // straggler copy outside the set (which scoped mutations no
+        // longer reach) never donates over a live member. Only when no
+        // set member hosts the stream at all — the true host-loss case
+        // — does an out-of-set copy donate.
+        let Some(donor) = order
             .iter()
             .copied()
-            .filter(|(idx, _)| targets.contains(idx))
-            .collect();
-        let candidates: &[(usize, u64)] = if in_set.is_empty() { holders } else { &in_set };
-        let donor_warm = candidates.iter().map(|&(_, warm)| warm).max().unwrap_or(0);
-        let Some(&donor) = order
-            .iter()
-            .filter_map(|idx| candidates.iter().find(|(h, _)| h == idx))
-            .find(|(_, warm)| *warm == donor_warm)
-            .map(|(idx, _)| idx)
+            .filter(|idx| holders.contains(idx))
+            .min_by_key(|idx| !targets.contains(idx))
         else {
             continue;
         };
-        // The snapshot is fetched once, lazily, and adopted verbatim —
-        // the adopt body *is* the snapshot body.
-        let mut snapshot: Option<String> = None;
-        for &target in &targets {
-            let resident_warm = holders.iter().find(|(idx, _)| *idx == target);
-            let stall_key = (id.clone(), ctx.backends[target].name.clone());
-            let needs = match resident_warm {
-                None => true,
-                // A re-warm recorded as stalled is skipped until the
-                // donor has grown warmer — a target at store capacity
-                // can never catch up, and re-adopting the same
-                // snapshot every interval is unbounded churn.
-                Some(&(_, warm)) => {
-                    warm < donor_warm
-                        && ctx
-                            .repair_stalls
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .get(&stall_key)
-                            .is_none_or(|&at| donor_warm > at)
-                }
-            };
-            if !needs || target == donor {
+        let donor = &ctx.backends[donor];
+        let snapshot = match donor.pool.get(&format!("/v1/streams/{id}/snapshot")) {
+            Ok((200, body)) => body,
+            Ok((status, body)) => {
+                failures.push(failure("snapshot", id.as_str(), donor, Some(status), &body));
                 continue;
             }
-            let body = match &snapshot {
-                Some(body) => body,
-                None => match ctx.backends[donor]
-                    .pool
-                    .get(&format!("/v1/streams/{id}/snapshot"))
-                {
-                    Ok((200, body)) => snapshot.insert(body),
-                    Ok((status, body)) => {
-                        failures.push(failure(
-                            "snapshot",
-                            id.as_str(),
-                            &ctx.backends[donor],
-                            Some(status),
-                            &body,
-                        ));
-                        break;
-                    }
-                    Err(_) => {
-                        ctx.backends[donor].healthy.store(false, Ordering::Relaxed);
-                        failures.push(failure(
-                            "snapshot",
-                            id.as_str(),
-                            &ctx.backends[donor],
-                            None,
-                            "",
-                        ));
-                        break;
-                    }
-                },
-            };
-            match ctx.backends[target].pool.request(
-                "POST",
-                &format!("/v1/streams/{id}/adopt"),
-                &[],
-                body,
-            ) {
-                Ok((status @ (200 | 201), response)) => {
-                    let restored = Json::parse(&response)
-                        .ok()
-                        .and_then(|j| j.get("restored_entries").and_then(Json::as_u64))
-                        .unwrap_or(0);
-                    // An adopt-merge that restored nothing is a
-                    // stalled transfer: note the donor's warm level so
-                    // the pass stops retrying until the donor grows
-                    // past it.
-                    let mut stalls = ctx
-                        .repair_stalls
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    if status == 200 && restored == 0 {
-                        stalls.insert(stall_key.clone(), donor_warm);
-                    } else {
-                        stalls.remove(&stall_key);
-                    }
-                    drop(stalls);
-                    transfers.push(Json::obj([
-                        ("stream", Json::Str(id.clone())),
-                        ("from", Json::Str(ctx.backends[donor].name.clone())),
-                        ("to", Json::Str(ctx.backends[target].name.clone())),
-                        ("installed", Json::Bool(status == 201)),
-                        ("restored_entries", Json::Num(restored as f64)),
-                    ]));
-                }
+            Err(_) => {
+                donor.healthy.store(false, Ordering::Relaxed);
+                failures.push(failure("snapshot", id.as_str(), donor, None, ""));
+                continue;
+            }
+        };
+        // The snapshot body *is* the adopt body.
+        for &target in targets.iter().filter(|target| !holders.contains(target)) {
+            let backend = &ctx.backends[target];
+            match backend
+                .pool
+                .request("POST", &format!("/v1/streams/{id}/adopt"), &[], &snapshot)
+            {
+                Ok((status @ (200 | 201), _)) => transfers.push(Json::obj([
+                    ("stream", Json::Str(id.clone())),
+                    ("from", Json::Str(donor.name.clone())),
+                    ("to", Json::Str(backend.name.clone())),
+                    ("installed", Json::Bool(status == 201)),
+                ])),
                 Ok((409, body)) => {
-                    conflicts.push(failure(
-                        "adopt",
-                        id.as_str(),
-                        &ctx.backends[target],
-                        Some(409),
-                        &body,
-                    ));
+                    conflicts.push(failure("adopt", id.as_str(), backend, Some(409), &body));
                 }
                 Ok((status, body)) => {
-                    failures.push(failure(
-                        "adopt",
-                        id.as_str(),
-                        &ctx.backends[target],
-                        Some(status),
-                        &body,
-                    ));
+                    failures.push(failure("adopt", id.as_str(), backend, Some(status), &body));
                 }
                 Err(_) => {
-                    ctx.backends[target].healthy.store(false, Ordering::Relaxed);
-                    failures.push(failure(
-                        "adopt",
-                        id.as_str(),
-                        &ctx.backends[target],
-                        None,
-                        "",
-                    ));
+                    backend.healthy.store(false, Ordering::Relaxed);
+                    failures.push(failure("adopt", id.as_str(), backend, None, ""));
                 }
             }
         }
@@ -979,12 +871,7 @@ fn topology(ctx: &RouterCtx) -> Outcome {
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner)
                             .iter()
-                            .map(|(id, warm)| {
-                                Json::obj([
-                                    ("id", Json::Str(id.clone())),
-                                    ("warm_entries", Json::Num(*warm as f64)),
-                                ])
-                            })
+                            .map(|id| Json::obj([("id", Json::Str(id.clone()))]))
                             .collect();
                         Json::obj([
                             ("name", Json::Str(b.name.clone())),
@@ -1216,7 +1103,7 @@ fn stream_from_backend(
 /// the survivors, and the repair pass restores full strength. One
 /// divergence self-heals instead of festering: a `409` member amid
 /// `201`s may hold an identical-definition leftover copy (a partial
-/// create, ring churn), so it is probed with an empty-slice adopt —
+/// create, ring churn), so it is probed by adopting the create body —
 /// the backend's definition-equality gate answers `200` for an
 /// identical copy, which counts as success, and `409` for a genuine
 /// conflict, which stays a `502`.
@@ -1247,37 +1134,26 @@ fn relay_create_stream(ctx: &RouterCtx, request: &Request) -> Outcome {
         .iter()
         .all(|&(_, status, _)| status == first_status);
     // A mixed 201/409 fan-out need not be a dead end: each 409 member
-    // may hold an identical-definition leftover copy, so probe it with
-    // an empty-slice adopt. A 200 merge proves the copy matches — the
+    // may hold an identical-definition leftover copy, so probe it by
+    // adopting the create body. A 200 proves the copy matches — the
     // member effectively hosts the created stream, so the create as a
     // whole converges instead of answering 502 to every retry forever.
     let reconciled = !unanimous
         && responses.iter().all(|&(_, s, _)| matches!(s, 201 | 409))
-        && match Json::parse(body).ok() {
-            None => false,
-            Some(definition) => {
-                let adopt_body = Json::obj([
-                    ("definition", definition),
-                    ("cache_slice", Json::Str(String::new())),
-                    ("warm_entries", Json::Num(0.0)),
-                ])
-                .to_string();
-                responses
-                    .iter()
-                    .filter(|&&(_, s, _)| s == 409)
-                    .all(|&(idx, _, _)| {
-                        matches!(
-                            ctx.backends[idx].pool.request(
-                                "POST",
-                                &format!("/v1/streams/{key}/adopt"),
-                                &[],
-                                &adopt_body,
-                            ),
-                            Ok((200, _))
-                        )
-                    })
-            }
-        };
+        && responses
+            .iter()
+            .filter(|&&(_, s, _)| s == 409)
+            .all(|&(idx, _, _)| {
+                matches!(
+                    ctx.backends[idx].pool.request(
+                        "POST",
+                        &format!("/v1/streams/{key}/adopt"),
+                        &[],
+                        body,
+                    ),
+                    Ok((200, _))
+                )
+            });
     if unanimous || reconciled {
         let (status, response) = responses
             .iter()
@@ -1394,7 +1270,7 @@ fn holds(backend: &Backend, id: &str) -> bool {
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .iter()
-        .any(|(resident, _)| resident == id)
+        .any(|resident| resident == id)
 }
 
 /// Broadcasts a mutation to the healthy members of `targets`, never
@@ -1534,7 +1410,6 @@ mod tests {
             config: RouterConfig::new(),
             stopping: (Mutex::new(false), Condvar::new()),
             tombstones: Mutex::new(BTreeSet::new()),
-            repair_stalls: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -1627,7 +1502,7 @@ mod tests {
                 .residency
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner) =
-                ids.iter().map(|id| (id.to_string(), 1)).collect();
+                ids.iter().map(|id| id.to_string()).collect();
         };
         for replicas in [1, 2] {
             ctx.config.replication_factor = replicas;
@@ -1685,7 +1560,7 @@ mod tests {
         *ctx.backends[outsider]
             .residency
             .lock()
-            .unwrap_or_else(PoisonError::into_inner) = vec![("stream-x".to_string(), 3)];
+            .unwrap_or_else(PoisonError::into_inner) = vec!["stream-x".to_string()];
         let widened = write_targets(&ctx, "stream-x");
         assert!(widened.contains(&outsider), "straggler copy is reached");
         assert_eq!(widened.len(), set.len() + 1);

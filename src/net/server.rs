@@ -48,30 +48,24 @@
 //! Streams themselves are wire-native too: `POST /v1/streams` creates
 //! one from an uploaded dataset (decoded and validated by
 //! [`CreateStreamRequest`]), `GET /v1/streams/{id}` summarizes it,
-//! `DELETE /v1/streams/{id}` removes it. The snapshot scope
-//! fingerprint is computed from the *live* stream set at write time,
-//! so a snapshot taken after dynamic creates only restores into a
-//! server with the same topology.
+//! `DELETE /v1/streams/{id}` removes it. Replication carries the
+//! definition only: `GET /v1/streams/{id}/snapshot` answers the
+//! stream's [`CreateStreamRequest`], and a peer `adopt`s that body. A
+//! replica rebuilds its own tables on its first read.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 
-use fc_core::planner::cache::snapshot::{
-    restore_snapshot, restore_stream_bytes, snapshot_stream_bytes, stream_entry_count,
-    write_snapshot,
-};
 use fc_core::planner::service::{PlannerService, PointOutcome, SweepHandle, TenantId};
-use fc_core::planner::Fnv1a;
 use fc_core::CoreError;
 
 use super::api::{
-    decode_body, plan_json, stats_json, AdoptRequest, ApiError, CleanRequest, CleanResponse,
-    CreateStreamRequest, RecommendRequest, SnapshotTransfer, StreamInfo, SweepRequest,
+    decode_body, plan_json, stats_json, ApiError, CleanRequest, CleanResponse, CreateStreamRequest,
+    RecommendRequest, StreamInfo, SweepRequest,
 };
 use super::front::{client_connected, Call, Front, Limits, Outcome, Route};
 use super::http::{finish_chunked, write_chunk, write_chunked_head, Request};
@@ -103,13 +97,6 @@ pub struct ServerConfig {
     /// How often an in-flight wait probes the client socket for
     /// disconnect (the cancel-on-hangup latency). Default: 50ms.
     pub disconnect_poll: Duration,
-    /// Where this server persists its [`CacheStore`](fc_core::CacheStore)
-    /// snapshot. When set: [`PlannerServer::serve`] restores from the
-    /// file if present (warm boot — corruption or a topology mismatch
-    /// falls back to a cold start), `POST /v1/admin/snapshot` writes
-    /// it on demand, and graceful shutdown writes it so a successor
-    /// process boots warm. Default: none (no persistence).
-    pub snapshot_path: Option<PathBuf>,
 }
 
 impl ServerConfig {
@@ -120,7 +107,6 @@ impl ServerConfig {
             max_connections: 64,
             read_timeout: Duration::from_secs(5),
             disconnect_poll: Duration::from_millis(50),
-            snapshot_path: None,
         }
     }
 
@@ -147,12 +133,6 @@ impl ServerConfig {
         self.disconnect_poll = poll;
         self
     }
-
-    /// Sets the snapshot file (see [`ServerConfig::snapshot_path`]).
-    pub fn with_snapshot_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.snapshot_path = Some(path.into());
-        self
-    }
 }
 
 impl Default for ServerConfig {
@@ -173,46 +153,12 @@ struct ServerCtx {
     /// Operator-set drain flag, reported through `GET /v1/health` so a
     /// routing front rehashes new work away while in-flight finishes.
     draining: AtomicBool,
-    /// Entries rehydrated from the snapshot at boot (0 on cold start).
-    restored: usize,
 }
 
 impl ServerCtx {
     fn streams(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, Arc<RwLock<ClaimStream>>>> {
         self.streams.read().unwrap_or_else(PoisonError::into_inner)
     }
-
-    /// The snapshot scope of the *current* stream set. Dynamically
-    /// created or deleted streams change it, so a snapshot written
-    /// after a topology change only restores into a matching topology.
-    fn live_scope(&self) -> u64 {
-        scope_fingerprint(&self.streams())
-    }
-}
-
-/// FNV-1a over the sorted stream ids: stable across restarts and
-/// insertion order, changed by any topology change.
-fn scope_fingerprint(streams: &HashMap<String, Arc<RwLock<ClaimStream>>>) -> u64 {
-    let mut ids: Vec<&str> = streams.keys().map(String::as_str).collect();
-    ids.sort_unstable();
-    let mut h = Fnv1a::new();
-    h.write_usize(ids.len());
-    for id in ids {
-        h.write_str(id);
-    }
-    h.finish()
-}
-
-/// The scope a *per-stream* snapshot slice is cut and restored under:
-/// FNV-1a over a domain tag plus the one stream id. Both ends of a
-/// snapshot transfer compute it independently, so a slice cut for one
-/// stream can never restore as another's (or as a full-topology
-/// snapshot — the tag keeps the domains apart).
-fn stream_scope_fingerprint(id: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_str("stream-slice");
-    h.write_str(id);
-    h.finish()
 }
 
 /// The dependency-free HTTP/1.1 front over a [`PlannerService`] and its
@@ -273,17 +219,6 @@ impl PlannerServer {
     /// the bound address and owns graceful shutdown.
     pub fn serve(self, addr: impl ToSocketAddrs) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
-        let scope = scope_fingerprint(&self.streams);
-        // Warm boot: rehydrate the store from the snapshot when one is
-        // configured and valid. Every failure (missing file, torn
-        // write, different topology) is a cold start, never an error —
-        // the snapshot is an optimization, not state of record.
-        let restored = match &self.config.snapshot_path {
-            Some(path) => restore_snapshot(self.service.store(), path, scope)
-                .map(|stats| stats.entries)
-                .unwrap_or(0),
-            None => 0,
-        };
         let limits = Limits {
             max_body_bytes: self.config.max_body_bytes,
             max_connections: self.config.max_connections,
@@ -294,7 +229,6 @@ impl PlannerServer {
             streams: RwLock::new(self.streams),
             config: self.config,
             draining: AtomicBool::new(false),
-            restored,
         });
         let front = Front::serve("fc-net", listener, limits, Arc::clone(&ctx), ROUTES)?;
         Ok(ServerHandle { ctx, front })
@@ -336,26 +270,13 @@ impl ServerHandle {
     /// returns. Idle keep-alive connections are released at the next
     /// [`ServerConfig::read_timeout`] tick.
     pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        if !self.front.shutdown() {
-            return;
-        }
-        // Every in-flight request has resolved: the store is settled,
-        // so persist it for a warm successor. Best-effort — a failed
-        // write costs the successor a cold start, nothing more. The
-        // scope reflects streams created or deleted over the wire.
-        if let Some(path) = &self.ctx.config.snapshot_path {
-            let _ = write_snapshot(self.ctx.service.store(), path, self.ctx.live_scope());
-        }
+        self.front.shutdown();
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        self.front.shutdown();
     }
 }
 
@@ -419,9 +340,6 @@ const ROUTES: &[Route<ServerCtx>] = &[
     ("POST", &["v1", "admin", "undrain"], |ctx, _| {
         set_draining(ctx, false)
     }),
-    ("POST", &["v1", "admin", "snapshot"], |ctx, _| {
-        snapshot_route(ctx)
-    }),
 ];
 
 /// `POST /v1/streams`: builds a session from the uploaded dataset and
@@ -431,14 +349,33 @@ const ROUTES: &[Route<ServerCtx>] = &[
 /// different data). The new session shares the service's engine store,
 /// so repeated datasets boot warm.
 fn create_stream_route(ctx: &ServerCtx, request: &Request) -> Outcome {
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return ApiError::bad_request("body is not UTF-8").into(),
-    };
-    let req = match decode_body(text, CreateStreamRequest::from_json) {
-        Ok(req) => req,
+    let (id, stream) = match open_stream(ctx, request) {
+        Ok(opened) => opened,
         Err(e) => return e.into(),
     };
+    let info = stream_info(&id, &stream);
+    let mut streams = ctx.streams.write().unwrap_or_else(PoisonError::into_inner);
+    if streams.contains_key(&id) {
+        return ApiError {
+            status: 409,
+            message: format!("stream {id:?} already exists"),
+        }
+        .into();
+    }
+    streams.insert(id, Arc::new(RwLock::new(stream)));
+    drop(streams);
+    Outcome::Respond {
+        status: 201,
+        body: info.to_json().to_string(),
+    }
+}
+
+/// Decodes a [`CreateStreamRequest`] body and opens its stream over the
+/// service's store, unregistered: the shared half of create and adopt.
+fn open_stream(ctx: &ServerCtx, request: &Request) -> Result<(String, ClaimStream), ApiError> {
+    let text = std::str::from_utf8(&request.body)
+        .map_err(|_| ApiError::bad_request("body is not UTF-8"))?;
+    let req = decode_body(text, CreateStreamRequest::from_json)?;
     let mut builder = SessionBuilder::new()
         .data(req.data)
         .claims(req.claims)
@@ -449,29 +386,11 @@ fn create_stream_route(ctx: &ServerCtx, request: &Request) -> Outcome {
     if let Some(k) = req.discretize_support {
         builder = builder.discretize_support(k);
     }
-    let session = match builder.build() {
-        Ok(session) => session,
-        Err(e) => return ApiError::from(e).into(),
-    };
-    let mut stream = ClaimStream::open(session, ctx.service.clone());
+    let mut stream = ClaimStream::open(builder.build()?, ctx.service.clone());
     if let Some(tenant) = &req.tenant {
         stream = stream.with_tenant(tenant.as_str());
     }
-    let info = stream_info(&req.id, &stream);
-    let mut streams = ctx.streams.write().unwrap_or_else(PoisonError::into_inner);
-    if streams.contains_key(&req.id) {
-        return ApiError {
-            status: 409,
-            message: format!("stream {:?} already exists", req.id),
-        }
-        .into();
-    }
-    streams.insert(req.id, Arc::new(RwLock::new(stream)));
-    drop(streams);
-    Outcome::Respond {
-        status: 201,
-        body: info.to_json().to_string(),
-    }
+    Ok((req.id, stream))
 }
 
 /// `GET /v1/streams/{id}`: one stream's summary.
@@ -513,8 +432,8 @@ fn stream_info(id: &str, stream: &ClaimStream) -> StreamInfo {
 }
 
 /// Reconstructs the full wire definition of a live stream — the exact
-/// [`CreateStreamRequest`] a peer must replay to derive byte-identical
-/// cache fingerprints. `θ` and the discretization width are pinned
+/// [`CreateStreamRequest`] a peer must replay to serve byte-identical
+/// plans. `θ` and the discretization width are pinned
 /// explicitly (not left to defaults), so the replica cannot re-resolve
 /// them differently; comparing two *reconstructed* definitions is
 /// therefore a normalized equality.
@@ -554,63 +473,34 @@ fn definition_diff(a: &CreateStreamRequest, b: &CreateStreamRequest) -> Vec<&'st
     fields
 }
 
-/// The `GET /v1/health` body: liveness, drain flag, boot restore
-/// count, and per-stream residency — which streams this replica hosts
-/// and how many warm store entries each currently owns. A routing
-/// front's repair pass reads the residency to spot under-replicated
-/// streams; the warm counts use the fingerprints *derived so far*
-/// (cheap — no problem is lowered on the probe path), so a stream
-/// reads `0` until its first solve or adopt.
+/// The `GET /v1/health` body: liveness, drain flag, and residency —
+/// the ids of the streams this replica hosts, one `{"id": …}` object
+/// each. A routing front's repair pass reads the residency to spot
+/// under-replicated streams.
 fn health_json(ctx: &ServerCtx) -> Json {
     let streams = ctx.streams();
     let mut ids: Vec<&String> = streams.keys().collect();
     ids.sort_unstable();
-    let residency: Vec<Json> = ids
+    let residency = ids
         .iter()
-        .map(|id| {
-            let stream = streams.get(*id).expect("listed id is resident");
-            let guard = stream.read().unwrap_or_else(PoisonError::into_inner);
-            let fps = guard.session().active_instance_fingerprints();
-            let warm = stream_entry_count(ctx.service.store(), &fps);
-            Json::obj([
-                ("id", Json::Str((*id).clone())),
-                ("warm_entries", Json::Num(warm as f64)),
-            ])
-        })
+        .map(|id| Json::obj([("id", Json::Str((*id).clone()))]))
         .collect();
     Json::obj([
         ("ok", Json::Bool(true)),
         ("draining", Json::Bool(ctx.draining.load(Ordering::Relaxed))),
-        ("restored_entries", Json::Num(ctx.restored as f64)),
         ("streams", Json::Arr(residency)),
     ])
 }
 
-/// `GET /v1/streams/{id}/snapshot`: the stream's full definition plus
-/// its warm per-stream cache slice — one checksummed body a peer can
-/// `adopt` verbatim, with no dataset re-upload. The slice is cut under
-/// the per-stream scope fingerprint and filtered to the session's
-/// instance fingerprints, so it carries exactly this stream's warm
-/// state.
+/// `GET /v1/streams/{id}/snapshot`: the stream's full definition, the
+/// body a peer `adopt`s verbatim to host a replica with no dataset
+/// re-upload.
 fn stream_snapshot_route(ctx: &ServerCtx, id: &str) -> Outcome {
     let Some(stream) = ctx.streams().get(id).cloned() else {
         return ApiError::not_found(format!("unknown stream {id:?}")).into();
     };
     let guard = stream.read().unwrap_or_else(PoisonError::into_inner);
-    let definition = stream_definition(id, &guard);
-    let fingerprints = guard.session().all_instance_fingerprints();
-    drop(guard);
-    let (cache_slice, warm_entries) = snapshot_stream_bytes(
-        ctx.service.store(),
-        stream_scope_fingerprint(id),
-        &fingerprints,
-    );
-    let transfer = SnapshotTransfer {
-        definition,
-        cache_slice,
-        warm_entries,
-    };
-    match transfer.to_json() {
+    match stream_definition(id, &guard).to_json() {
         Ok(body) => Outcome::ok(body),
         // Only data with no wire encoding (a correlated Gaussian
         // model) lands here — the server's limitation, not the
@@ -623,76 +513,33 @@ fn stream_snapshot_route(ctx: &ServerCtx, id: &str) -> Outcome {
     }
 }
 
-/// `POST /v1/streams/{id}/adopt`: installs a replicated stream from a
-/// peer's [`SnapshotTransfer`].
+/// `POST /v1/streams/{id}/adopt`: installs a replica of a peer's stream
+/// from its [`CreateStreamRequest`] (a snapshot body).
 ///
 /// * path id ≠ definition id → `400`;
-/// * occupied id with a **different** definition → `409` (live state
-///   is never silently replaced);
-/// * occupied id with a **matching** definition → idempotent
-///   warm-slice merge, `200` — the repair pass uses this to re-warm a
-///   replica that already hosts the stream;
-/// * free id → install the stream and restore the slice, `201`.
-///
-/// A corrupt, foreign, or wrong-scope slice is refused with a typed
-/// `400` before anything lands — neither the registry nor the store is
-/// touched (the slice restore itself is all-or-nothing).
+/// * occupied id with a **different** definition → `409` naming the
+///   fields (live state is never silently replaced);
+/// * occupied id with a **matching** definition → `200`, nothing
+///   changes (adopt is idempotent);
+/// * free id → install the stream, `201`.
 fn adopt_stream_route(ctx: &ServerCtx, request: &Request, id: &str) -> Outcome {
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return ApiError::bad_request("body is not UTF-8").into(),
-    };
-    let req = match decode_body(text, AdoptRequest::from_json) {
-        Ok(req) => req,
+    let (adopted, stream) = match open_stream(ctx, request) {
+        Ok(opened) => opened,
         Err(e) => return e.into(),
     };
-    let transfer = req.transfer;
-    if transfer.definition.id != id {
+    if adopted != id {
         return ApiError::bad_request(format!(
-            "adopt id mismatch: path says {id:?}, definition says {:?}",
-            transfer.definition.id
+            "adopt id mismatch: path says {id:?}, definition says {adopted:?}"
         ))
         .into();
     }
-    let CreateStreamRequest {
-        tenant,
-        theta,
-        discretize_support,
-        data,
-        claims,
-        ..
-    } = transfer.definition;
-    let mut builder = SessionBuilder::new()
-        .data(data)
-        .claims(claims)
-        .cache_store(Arc::clone(ctx.service.store()));
-    if let Some(theta) = theta {
-        builder = builder.theta(theta);
-    }
-    if let Some(k) = discretize_support {
-        builder = builder.discretize_support(k);
-    }
-    let session = match builder.build() {
-        Ok(session) => session,
-        Err(e) => return ApiError::from(e).into(),
-    };
-    // Derive the full fingerprint set up front: it validates the slice
-    // and leaves the adopted session's keys memoized, so the health
-    // report attributes the restored entries to this stream at once.
-    let fingerprints = session.all_instance_fingerprints();
-    let mut stream = ClaimStream::open(session, ctx.service.clone());
-    if let Some(tenant) = &tenant {
-        stream = stream.with_tenant(tenant.as_str());
-    }
-
-    // Hold the registry write lock across conflict check, restore, and
-    // insert so a racing create cannot interleave. The restore only
-    // takes store shard locks — never a solve — so the hold is short.
+    // Hold the registry write lock across the conflict check and the
+    // insert so a racing create cannot interleave.
     let mut streams = ctx.streams.write().unwrap_or_else(PoisonError::into_inner);
     let merged = match streams.get(id) {
         Some(existing) => {
-            let guard = existing.read().unwrap_or_else(PoisonError::into_inner);
-            let resident = stream_definition(id, &guard);
+            let resident =
+                stream_definition(id, &existing.read().unwrap_or_else(PoisonError::into_inner));
             let incoming = stream_definition(id, &stream);
             if resident != incoming {
                 return ApiError {
@@ -704,39 +551,19 @@ fn adopt_stream_route(ctx: &ServerCtx, request: &Request, id: &str) -> Outcome {
                 }
                 .into();
             }
-            // Force the resident session's fingerprints too, so the
-            // health residency attributes the merged entries to it —
-            // otherwise a never-solved replica keeps reporting cold
-            // and the repair pass re-merges forever.
-            let _ = guard.session().all_instance_fingerprints();
             true
         }
-        None => false,
-    };
-    let restored = if transfer.cache_slice.is_empty() {
-        0
-    } else {
-        match restore_stream_bytes(
-            ctx.service.store(),
-            &transfer.cache_slice,
-            stream_scope_fingerprint(id),
-            &fingerprints,
-        ) {
-            Ok(stats) => stats.entries,
-            Err(e) => return ApiError::bad_request(format!("cache slice refused: {e}")).into(),
+        None => {
+            streams.insert(id.to_string(), Arc::new(RwLock::new(stream)));
+            false
         }
     };
-    if !merged {
-        streams.insert(id.to_string(), Arc::new(RwLock::new(stream)));
-    }
     drop(streams);
     Outcome::Respond {
         status: if merged { 200 } else { 201 },
         body: Json::obj([
             ("adopted", Json::Str(id.to_string())),
             ("merged", Json::Bool(merged)),
-            ("restored_entries", Json::Num(restored as f64)),
-            ("slice_entries", Json::Num(transfer.warm_entries as f64)),
         ])
         .to_string(),
     }
@@ -749,25 +576,6 @@ fn adopt_stream_route(ctx: &ServerCtx, request: &Request, id: &str) -> Outcome {
 fn set_draining(ctx: &ServerCtx, draining: bool) -> Outcome {
     ctx.draining.store(draining, Ordering::Relaxed);
     Outcome::ok(Json::obj([("draining", Json::Bool(draining))]))
-}
-
-/// `POST /v1/admin/snapshot`: persists the store now (rotate hook — a
-/// successor process pointed at the same path boots warm).
-fn snapshot_route(ctx: &ServerCtx) -> Outcome {
-    let Some(path) = &ctx.config.snapshot_path else {
-        return ApiError::bad_request("no snapshot path configured").into();
-    };
-    match write_snapshot(ctx.service.store(), path, ctx.live_scope()) {
-        Ok(stats) => Outcome::ok(Json::obj([
-            ("entries", Json::Num(stats.entries as f64)),
-            ("bytes", Json::Num(stats.bytes as f64)),
-        ])),
-        Err(e) => ApiError {
-            status: 500,
-            message: format!("snapshot failed: {e}"),
-        }
-        .into(),
-    }
 }
 
 /// Parses the body as JSON and resolves the target stream first (an

@@ -339,30 +339,6 @@ impl CleaningSession {
         fps
     }
 
-    /// Derives (and memoizes) the cache keys for **all three**
-    /// measures, then returns the full fingerprint set. Unlike
-    /// [`CleaningSession::active_instance_fingerprints`] — which only
-    /// reports keys derived by earlier solves — this covers every
-    /// store entry the session's data could own, which is what a
-    /// snapshot-slice export or adopt needs to cut/validate a complete
-    /// per-stream slice. Discrete sessions derive without lowering;
-    /// Gaussian sessions lower one problem per measure (bias
-    /// fingerprints the Gaussian instance, dup/frag a derived
-    /// discretization).
-    pub(crate) fn all_instance_fingerprints(&self) -> Vec<u64> {
-        for (index, measure) in [Measure::Bias, Measure::Dup, Measure::Frag]
-            .into_iter()
-            .enumerate()
-        {
-            if self.prederive_cache_key(index).is_none() {
-                if let Ok(problem) = self.build_problem(&ObjectiveSpec::ascertain(measure)) {
-                    let _ = self.cache_key(&problem, measure);
-                }
-            }
-        }
-        self.active_instance_fingerprints()
-    }
-
     /// The measure-indexed cache keys actually derived so far — the
     /// candidate entries for a [`CacheStore::rekey`] carry after a
     /// data update whose touched objects sit outside every claim

@@ -2,9 +2,8 @@
 //! with in-process plans, the full malformed-input matrix (each bad
 //! request yields a typed 4xx — or a cancelled request — without
 //! tearing down the listener or leaking quota), disconnect-driven
-//! cancellation, keep-alive, graceful-shutdown drain, snapshot →
-//! adopt hops that keep a stream's definition bit for bit, and the
-//! whole-store snapshot a graceful shutdown leaves for a warm restart.
+//! cancellation, keep-alive, graceful-shutdown drain, and snapshot →
+//! adopt hops that keep a stream's definition bit for bit.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -13,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use fact_clean::net::api::{
     plan_identity_json, plan_json, BudgetSpec, CreateStreamRequest, SweepRequest,
+    MAX_DISCRETIZE_SUPPORT,
 };
 use fact_clean::net::client::{self, ApiClient, ClientError};
 use fact_clean::net::json::Json;
@@ -703,6 +703,51 @@ fn wire_created_streams_solve_describe_and_delete() {
     api.create_stream(&request).expect("recreate after delete");
 }
 
+/// An oversized `discretize_support` is refused when the stream is
+/// created: the first dup read would otherwise allocate that many
+/// support points per object, and an allocation failure aborts the
+/// process. The server keeps creating and serving streams.
+#[test]
+fn oversized_discretize_support_is_refused_and_the_server_survives() {
+    let (server, _service) = boot_empty();
+    let api = ApiClient::connect(server.addr()).expect("connect");
+    let current = vec![9_010.0, 9_275.0, 9_300.0, 9_125.0, 9_430.0];
+    let gaussian = |id: &str, support: usize| CreateStreamRequest {
+        id: id.into(),
+        tenant: None,
+        theta: None,
+        discretize_support: Some(support),
+        data: DataModel::Gaussian(
+            GaussianInstance::independent(current.clone(), &[40.0; 5], current.clone(), vec![1; 5])
+                .expect("independent Gaussian"),
+        ),
+        claims: session().claims().clone(),
+    };
+    for support in [MAX_DISCRETIZE_SUPPORT + 1, 10_000_000_000_000] {
+        match api.create_stream(&gaussian("huge", support)) {
+            Err(ClientError::Api(e)) => {
+                assert_eq!(e.status, 400, "{support}: {}", e.message);
+                assert!(e.message.contains("discretize_support"), "{}", e.message);
+            }
+            other => panic!("support {support} must be refused, got {other:?}"),
+        }
+    }
+    match api.stream_info("huge") {
+        Err(ClientError::Api(e)) => assert_eq!(e.status, 404),
+        other => panic!("a refused create must not install, got {other:?}"),
+    }
+
+    api.create_stream(&gaussian("gauss", 6))
+        .expect("create within the cap");
+    let (status, body) = post(
+        server.addr(),
+        "/v1/recommend",
+        r#"{"stream":"gauss","measure":"dup","budget":2}"#,
+        None,
+    );
+    assert_eq!(status, 200, "{body}");
+}
+
 /// A peer server with an empty stream registry — the adoption target
 /// in the replication tests.
 fn boot_empty() -> (ServerHandle, PlannerService) {
@@ -727,26 +772,22 @@ fn served_store_misses(body: &str) -> u64 {
         .expect("plan diagnostics carry store_misses")
 }
 
-/// The `warm_entries` residency reported for `id` in a health body.
-fn health_warm_entries(body: &str, id: &str) -> Option<u64> {
+/// Whether a health body lists `id` among the streams it hosts.
+fn health_hosts(body: &str, id: &str) -> bool {
     Json::parse(body)
         .expect("health JSON")
         .get("streams")
         .and_then(Json::as_array)
         .expect("health reports per-stream residency")
         .iter()
-        .find(|s| s.get("id").and_then(Json::as_str) == Some(id))
-        .map(|s| {
-            s.get("warm_entries")
-                .and_then(Json::as_u64)
-                .expect("residency carries warm_entries")
-        })
+        .any(|s| s.get("id").and_then(Json::as_str) == Some(id))
 }
 
-/// The tentpole lifecycle: snapshot a warm stream off one host, adopt
-/// it on a peer that never saw the dataset, and have the peer serve
-/// byte-identical plans fully warm (`store_misses == 0`) — the no
-/// recreate-round-trip path a replica failover takes.
+/// The replication lifecycle: snapshot a stream's definition off one
+/// host, adopt it on a peer that never saw the dataset, and have the
+/// peer serve byte-identical plans — the no recreate-round-trip path a
+/// replica failover takes. The peer builds its own tables on its first
+/// read and serves the repeat warm.
 #[test]
 fn stream_snapshot_adopts_onto_a_peer_and_serves_warm() {
     let (host_a, _service_a) = boot();
@@ -754,63 +795,56 @@ fn stream_snapshot_adopts_onto_a_peer_and_serves_warm() {
     let api_a = ApiClient::connect(host_a.addr()).expect("connect a");
     let api_b = ApiClient::connect(host_b.addr()).expect("connect b");
 
-    // Warm the donor, then check its residency shows up in health.
     let recommend = r#"{"stream":"crime","measure":"dup","budget":2}"#;
     let (status, on_a) = post(host_a.addr(), "/v1/recommend", recommend, None);
     assert_eq!(status, 200, "{on_a}");
-    let (status, health_a) = get(host_a.addr(), "/v1/health");
-    assert_eq!(status, 200, "{health_a}");
-    let warm_a = health_warm_entries(&health_a, "crime").expect("donor hosts crime");
-    assert!(warm_a >= 1, "solved stream must report warm entries");
 
-    // Snapshot: definition plus the stream's warm slice, one body.
-    let transfer = api_a.snapshot("crime").expect("snapshot");
-    assert_eq!(transfer.definition.id, "crime");
-    assert!(
-        transfer.warm_entries >= 1 && !transfer.cache_slice.is_empty(),
-        "snapshot of a solved stream must carry warm entries"
-    );
+    // Snapshot: the stream's definition, one body.
+    let definition = api_a.snapshot("crime").expect("snapshot");
+    assert_eq!(definition.id, "crime");
     match api_a.snapshot("nope") {
         Err(ClientError::Api(e)) => assert_eq!(e.status, 404),
         other => panic!("unknown stream snapshot must 404, got {other:?}"),
     }
 
-    // Adopt on the peer: no dataset upload, stream installed + warm.
-    let restored = api_b.adopt("crime", &transfer).expect("adopt");
-    assert_eq!(restored, transfer.warm_entries, "whole slice restores");
+    // Adopt on the peer: no dataset upload, the vacant id installs.
+    let body = definition.encode().expect("wire definition");
+    let (status, text) = post(host_b.addr(), "/v1/streams/crime/adopt", &body, None);
+    assert_eq!(status, 201, "{text}");
     assert_eq!(api_b.streams().expect("list"), vec!["crime".to_string()]);
     let (status, health_b) = get(host_b.addr(), "/v1/health");
     assert_eq!(status, 200, "{health_b}");
-    assert_eq!(
-        health_warm_entries(&health_b, "crime"),
-        Some(restored as u64),
-        "adopted residency must be visible before any solve"
-    );
+    assert!(health_hosts(&health_b, "crime"), "{health_b}");
 
-    // The peer serves the same plan bytes without a single store miss.
+    // The peer serves the same plan bytes: the first read builds its
+    // tables, the repeat is served warm.
     let (status, on_b) = post(host_b.addr(), "/v1/recommend", recommend, None);
     assert_eq!(status, 200, "{on_b}");
     assert_eq!(served_identity(&on_b), served_identity(&on_a));
-    assert_eq!(
-        served_store_misses(&on_b),
-        0,
-        "adopted replica must serve fully warm: {on_b}"
+    assert!(
+        served_store_misses(&on_b) > 0,
+        "first read rebuilds: {on_b}"
     );
+    let (status, again) = post(host_b.addr(), "/v1/recommend", recommend, None);
+    assert_eq!(status, 200, "{again}");
+    assert_eq!(served_identity(&again), served_identity(&on_a));
+    assert_eq!(served_store_misses(&again), 0, "repeat is warm: {again}");
 
-    // Re-adopting the same definition is an idempotent merge (200),
-    // not a conflict — the repair pass leans on this to re-warm. Every
-    // entry is already resident, so nothing fresh installs.
-    let merged = api_b.adopt("crime", &transfer).expect("idempotent adopt");
-    assert_eq!(merged, 0, "merge onto a warm replica installs nothing new");
+    // Re-adopting the same definition is idempotent (200), not a
+    // conflict.
+    let (status, text) = post(host_b.addr(), "/v1/streams/crime/adopt", &body, None);
+    assert_eq!(status, 200, "{text}");
+    assert!(api_b.adopt("crime", &definition).expect("idempotent adopt"));
 
-    // Occupied id + different definition: refused with 409, and the
-    // resident stream is untouched.
-    let mut altered = transfer.clone();
-    altered.definition.theta = Some(transfer.definition.theta.unwrap() + 25.0);
-    altered.cache_slice.clear();
-    altered.warm_entries = 0;
+    // Occupied id + different definition: refused with a 409 naming
+    // the field, and the resident stream is untouched.
+    let mut altered = definition.clone();
+    altered.theta = Some(definition.theta.unwrap() + 25.0);
     match api_b.adopt("crime", &altered) {
-        Err(ClientError::Api(e)) => assert_eq!(e.status, 409, "{}", e.message),
+        Err(ClientError::Api(e)) => {
+            assert_eq!(e.status, 409, "{}", e.message);
+            assert!(e.message.contains("fields: theta"), "{}", e.message);
+        }
         other => panic!("conflicting adopt must 409, got {other:?}"),
     }
     assert_eq!(
@@ -819,7 +853,7 @@ fn stream_snapshot_adopts_onto_a_peer_and_serves_warm() {
     );
 
     // Path/definition id mismatch is a 400 before anything installs.
-    match api_b.adopt("other", &transfer) {
+    match api_b.adopt("other", &definition) {
         Err(ClientError::Api(e)) => assert_eq!(e.status, 400, "{}", e.message),
         other => panic!("id mismatch must 400, got {other:?}"),
     }
@@ -834,8 +868,9 @@ fn stream_snapshot_adopts_onto_a_peer_and_serves_warm() {
 /// normalized sensibilities used to move their last bits on every
 /// decode) snapshotted A → B → C carries its exact definition, so adopting
 /// C's snapshot back onto A is an idempotent merge (200), not a
-/// `409 … different definition`, and all three hosts pick the same
-/// MaxPr plans as the in-process session.
+/// `409 … different definition`, all three hosts pick the same MaxPr
+/// plans as the in-process session, and they answer byte-identical
+/// plans at every budget.
 #[test]
 fn snapshot_hops_keep_the_definition_and_the_maxpr_plans() {
     let hosts = [boot_empty(), boot_empty(), boot_empty()];
@@ -860,13 +895,14 @@ fn snapshot_hops_keep_the_definition_and_the_maxpr_plans() {
             })
             .expect("create on A");
         let a_to_b = apis[0].snapshot(&id).expect("snapshot A");
-        apis[1].adopt(&id, &a_to_b).expect("adopt on B");
+        assert!(!apis[1].adopt(&id, &a_to_b).expect("adopt on B"));
         let b_to_c = apis[1].snapshot(&id).expect("snapshot B");
-        apis[2].adopt(&id, &b_to_c).expect("adopt on C");
+        assert!(!apis[2].adopt(&id, &b_to_c).expect("adopt on C"));
         let c_to_a = apis[2].snapshot(&id).expect("snapshot C");
-        assert_eq!(c_to_a.definition, a_to_b.definition, "seed {seed}");
-        if let Err(e) = apis[0].adopt(&id, &c_to_a) {
-            panic!("seed {seed}: re-adopting C's snapshot onto A must merge: {e:?}");
+        assert_eq!(c_to_a, a_to_b, "seed {seed}");
+        match apis[0].adopt(&id, &c_to_a) {
+            Ok(merged) => assert!(merged, "seed {seed}"),
+            Err(e) => panic!("seed {seed}: re-adopting C's snapshot onto A must merge: {e:?}"),
         }
 
         let total = base.data().total_cost();
@@ -885,60 +921,22 @@ fn snapshot_hops_keep_the_definition_and_the_maxpr_plans() {
             spec: spec.clone(),
             budgets: fractions.iter().map(|&f| BudgetSpec::Fraction(f)).collect(),
         };
+        let mut identities_on_a = None;
         for (host, api) in ["A", "B", "C"].iter().zip(&apis) {
-            let picks: Vec<Vec<usize>> = api
-                .sweep(&request, None)
-                .expect("sweep")
-                .into_iter()
-                .map(|plan| plan.objects)
-                .collect();
+            let plans = api.sweep(&request, None).expect("sweep");
+            let picks: Vec<Vec<usize>> = plans.iter().map(|plan| plan.objects.clone()).collect();
             assert_eq!(picks, expected, "seed {seed}: host {host}");
+            let identities: Vec<String> = plans
+                .iter()
+                .map(|plan| plan.identity_json().to_string())
+                .collect();
+            assert_eq!(
+                &identities,
+                identities_on_a.get_or_insert_with(|| identities.clone()),
+                "seed {seed}: host {host} against A"
+            );
         }
     }
-}
-
-/// Whole-store snapshot lifecycle: a server booted with a snapshot
-/// path persists its settled store on graceful shutdown, and a
-/// successor booted on the same path reports the restored entries in
-/// `/v1/health` and serves its first repeat request fully warm, plan
-/// bytes unchanged.
-#[test]
-fn graceful_shutdown_snapshot_boots_the_successor_warm() {
-    let dir = std::env::temp_dir().join(format!("fc-net-snapshot-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("snapshot dir");
-    let path = dir.join("store.fcsnap");
-    let boot_snapshotting = || {
-        boot_with(
-            registry_with_slow(Duration::from_millis(400)),
-            test_config().with_snapshot_path(&path),
-        )
-    };
-    let restored = |addr| {
-        let (status, body) = get(addr, "/v1/health");
-        assert_eq!(status, 200, "{body}");
-        Json::parse(&body)
-            .unwrap()
-            .get("restored_entries")
-            .and_then(Json::as_u64)
-            .expect("health reports restored_entries")
-    };
-    let recommend = r#"{"stream":"crime","measure":"dup","budget":2}"#;
-
-    let (first, _service) = boot_snapshotting();
-    assert_eq!(restored(first.addr()), 0, "no snapshot yet: a cold boot");
-    let (status, cold) = post(first.addr(), "/v1/recommend", recommend, None);
-    assert_eq!(status, 200, "{cold}");
-    assert!(served_store_misses(&cold) > 0, "the first solve is cold");
-    first.shutdown(); // persists the settled store
-
-    let (successor, _service) = boot_snapshotting();
-    assert!(restored(successor.addr()) > 0, "the successor boots warm");
-    let (status, warm) = post(successor.addr(), "/v1/recommend", recommend, None);
-    assert_eq!(status, 200, "{warm}");
-    assert_eq!(served_store_misses(&warm), 0, "first repeat is fully warm");
-    assert_eq!(served_identity(&warm), served_identity(&cold));
-    successor.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Regression for the saturation path: at `max_connections`, refused

@@ -11,8 +11,8 @@
 //! deletes broadcast, and a dead host's streams recreate on the next
 //! replica), and the replication edge cases: deletes reach straggler
 //! copies, tombstones keep deleted streams deleted across repair
-//! passes, divergent creates reconcile on identical leftover copies,
-//! and a capacity-bound re-warm backs off instead of looping. The edge
+//! passes, and divergent creates reconcile on identical leftover
+//! copies. The edge
 //! matrix of the connection front the router shares with the server
 //! (`405`/`404`, typed framing errors, the saturation `503`) closes
 //! the file.
@@ -42,13 +42,10 @@ use common::{registry_with_slow, session, session_over};
 /// Boots one backend registering `session()` under each given stream
 /// id; the short read timeout keeps drains (and the test suite) fast.
 fn boot_backend(streams: &[&str]) -> (PlannerService, ServerHandle) {
-    boot_backend_with(streams, ServiceOptions::new())
-}
-
-/// [`boot_backend`] with explicit service options (e.g. a starved
-/// store capacity for the repair-backoff test).
-fn boot_backend_with(streams: &[&str], options: ServiceOptions) -> (PlannerService, ServerHandle) {
-    let service = PlannerService::new(Arc::new(SolverRegistry::with_defaults()), options);
+    let service = PlannerService::new(
+        Arc::new(SolverRegistry::with_defaults()),
+        ServiceOptions::new(),
+    );
     let mut server = PlannerServer::new(service.clone()).with_config(
         fact_clean::net::ServerConfig::new().with_read_timeout(Duration::from_millis(200)),
     );
@@ -186,10 +183,7 @@ fn slow_clean_backend(delay: Duration, status: u16) -> (SocketAddr, Arc<AtomicUs
                 let mut reader = BufReader::new(read_half);
                 while let Ok(request) = http::read_request(&mut reader, 1 << 16) {
                     let (status, body) = if request.path() == "/v1/health" {
-                        (
-                            200,
-                            r#"{"ok":true,"streams":[{"id":"crime","warm_entries":0}]}"#,
-                        )
+                        (200, r#"{"ok":true,"streams":[{"id":"crime"}]}"#)
                     } else {
                         std::thread::sleep(delay);
                         counter.fetch_add(1, Ordering::SeqCst);
@@ -1065,14 +1059,14 @@ fn wire_created_streams_fail_over_to_the_next_replica() {
     survivor.shutdown();
 }
 
-/// The tentpole end-to-end: with `replication_factor(2)` a created
-/// stream lands on two ring backends, the repair pass warms the
-/// secondary via snapshot transfer, and killing the primary mid-run
-/// leaves every subsequent read served by the secondary — same plan
-/// bytes, `store_misses == 0`, no recreate — while another repair
-/// restores two-replica residency on the survivors.
+/// The replication lifecycle end to end: with `replication_factor(2)`
+/// a created stream lands on two ring backends, a converged fleet
+/// repairs nothing, and killing the primary mid-run leaves every
+/// subsequent read served by the secondary — same plan bytes, no
+/// recreate — while a repair pass restores two-replica residency on
+/// the survivors by snapshot transfer.
 #[test]
-fn replicated_streams_survive_primary_loss_with_warm_failover() {
+fn replicated_streams_survive_primary_loss_with_failover() {
     let names = ["a", "b", "c"];
     let mut fleet: Vec<(PlannerService, Option<ServerHandle>)> = names
         .iter()
@@ -1129,22 +1123,13 @@ fn replicated_streams_survive_primary_loss_with_warm_failover() {
     let before = api.recommend(&request, None).expect("solve via router");
 
     // The solve landed on the primary: the replica-set member that saw
-    // traffic. The other host is the (cold) secondary.
+    // traffic. The other host is the secondary.
     let primary = *hosts
         .iter()
         .find(|&&i| fleet[i].0.stats().submitted > 0)
         .expect("one replica served the solve");
 
-    // Repair re-warms the cold secondary over the wire: snapshot off
-    // the warm primary, adopt-merge onto the secondary. A second pass
-    // finds nothing left to move — the pass is idempotent.
-    let report = router.repair();
-    let moved = report
-        .get("transfers")
-        .and_then(Json::as_array)
-        .unwrap()
-        .len();
-    assert!(moved >= 1, "repair must warm the cold secondary: {report}");
+    // Both set members host the stream, so repair has nothing to move.
     let report = router.repair();
     assert_eq!(
         report
@@ -1163,18 +1148,14 @@ fn replicated_streams_survive_primary_loss_with_warm_failover() {
     });
 
     // Every subsequent read is served by the secondary: same plan
-    // bytes, fully warm, and no recreate round-trip happened — the
-    // stream was simply already there.
+    // bytes, and no recreate round-trip happened — the stream was
+    // simply already there.
     for _ in 0..3 {
         let after = api.recommend(&request, None).expect("failover read");
         assert_eq!(
             before.identity_json().to_string(),
             after.identity_json().to_string(),
             "failover must not change plan bytes"
-        );
-        assert_eq!(
-            after.diagnostics.store_misses, 0,
-            "the secondary must serve fully warm"
         );
     }
     let survivors_hosting = fleet
@@ -1453,8 +1434,8 @@ fn repair_purges_deleted_stream_copies_instead_of_resurrecting() {
 
 /// A replicated create that finds an identical-definition leftover
 /// copy on one member (409 amid 201s) converges to success — the
-/// router probes the 409 member with an empty-slice adopt and counts
-/// the idempotent merge as created. A *different* definition stays a
+/// router probes the 409 member by adopting the create body and counts
+/// the idempotent adopt as created. A *different* definition stays a
 /// genuine divergence: 502.
 #[test]
 fn divergent_create_converges_on_identical_leftover_copies() {
@@ -1503,94 +1484,6 @@ fn divergent_create_converges_on_identical_leftover_copies() {
     for (_, handle) in fleet {
         handle.shutdown();
     }
-}
-
-/// A secondary whose store is at capacity can never absorb the
-/// donor's warm slice; the repair pass must notice the stalled
-/// transfer and stop re-shipping the snapshot every pass instead of
-/// looping forever.
-#[test]
-fn capacity_bound_rewarm_backs_off_instead_of_looping() {
-    let names = ["a", "b"];
-    // Pick a stream id whose primary is the *roomy* backend, so the
-    // starved one is the re-warm target.
-    let id = (0..64)
-        .map(|i| format!("wire-{i}"))
-        .find(|id| ring_order(&names, id)[0] == 0)
-        .expect("some id hashes primary onto backend a");
-    let roomy = boot_backend(&[]);
-    let starved = boot_backend_with(&[], ServiceOptions::new().with_store_capacity(1));
-    let mut router = RouterServer::new().with_config(
-        RouterConfig::new()
-            .with_probe_interval(Duration::from_millis(25))
-            .with_read_timeout(Duration::from_millis(500))
-            .with_replication_factor(2)
-            .with_repair_interval(Duration::from_secs(120)),
-    );
-    router = router.with_backend("a", roomy.1.addr().to_string());
-    router = router.with_backend("b", starved.1.addr().to_string());
-    let router = router.serve("127.0.0.1:0").expect("bind router");
-    let api = ApiClient::connect(router.addr()).expect("connect router");
-
-    api.create_stream(&wire_create(&id)).expect("create");
-    // Two distinct measures warm the primary past anything a
-    // one-entry store can hold (budgets share a resumable sweep
-    // entry; measures do not).
-    for measure in [Measure::Dup, Measure::Frag] {
-        let request = RecommendRequest {
-            stream: id.clone(),
-            spec: ObjectiveSpec::ascertain(measure),
-            budget: BudgetSpec::Absolute(2),
-        };
-        api.recommend(&request, None).expect("warm the primary");
-    }
-    let (_, health) = client::get(roomy.1.addr(), "/v1/health").expect("health");
-    let donor_warm = Json::parse(&health)
-        .ok()
-        .and_then(|j| {
-            j.get("streams").and_then(Json::as_array).and_then(|s| {
-                s.iter()
-                    .find(|e| e.get("id").and_then(Json::as_str) == Some(id.as_str()))
-                    .and_then(|e| e.get("warm_entries").and_then(Json::as_u64))
-            })
-        })
-        .unwrap_or(0);
-    assert!(donor_warm >= 2, "primary must outgrow the starved store");
-
-    // The transfer stalls against the capacity wall within a few
-    // passes — and *stays* quiet, instead of re-shipping the full
-    // snapshot on every pass forever.
-    let mut quiet_at = None;
-    for pass in 0..4 {
-        let report = router.repair();
-        let moved = report
-            .get("transfers")
-            .and_then(Json::as_array)
-            .unwrap()
-            .len();
-        if moved == 0 {
-            quiet_at = Some(pass);
-            break;
-        }
-    }
-    assert!(
-        quiet_at.is_some(),
-        "the stalled transfer must stop being retried"
-    );
-    let report = router.repair();
-    assert_eq!(
-        report
-            .get("transfers")
-            .and_then(Json::as_array)
-            .unwrap()
-            .len(),
-        0,
-        "a stalled transfer must stay parked: {report}"
-    );
-
-    router.shutdown();
-    roomy.1.shutdown();
-    starved.1.shutdown();
 }
 
 /// Sends `raw` on a fresh connection to `addr` and reads one response.
