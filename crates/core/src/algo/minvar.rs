@@ -111,7 +111,8 @@ pub fn greedy_min_var_resumed<Q: DecomposableQuery + ?Sized>(
 
 /// The ablation variant: a straightforward `O(n²γ)` greedy that
 /// recomputes every candidate's `EV` delta from scratch each iteration
-/// (no incremental state, no heap maintenance). Kept for the
+/// (no incremental state, no heap maintenance, and the full-pass
+/// [`ScopedEv::ev_of_mask`], so every term is recomputed). Kept for the
 /// `ablate_incremental_ev` benchmark and as a correctness cross-check.
 pub fn greedy_min_var_from_scratch<Q: DecomposableQuery + ?Sized>(
     instance: &Instance,
@@ -125,10 +126,13 @@ pub fn greedy_min_var_from_scratch<Q: DecomposableQuery + ?Sized>(
         instance.costs(),
         budget,
         |sel, i| {
-            let mut with: Vec<usize> = sel.objects().to_vec();
-            let base = eng.ev_of(&with);
-            with.push(i);
-            base - eng.ev_of(&with)
+            let mut mask = vec![false; instance.len()];
+            for &o in sel.objects() {
+                mask[o] = true;
+            }
+            let base = eng.ev_of_mask(&mask);
+            mask[i] = true;
+            base - eng.ev_of_mask(&mask)
         },
         GreedyConfig::default(),
     )

@@ -30,6 +30,19 @@
 //! planner's parallel executor shard budget sweeps across workers and
 //! its [`CacheStore`](crate::planner::CacheStore) persist the prefix
 //! work across sessions.
+//!
+//! The tables also hold the `T = ∅` [`EvState`] — every term's and
+//! pair's second moment with nothing cleaned, and `EV(∅)` — computed
+//! once per build with the same arithmetic in the same order as a full
+//! pass (each moment in the pass that sums the term's `E[g²]` or the
+//! pair's first term, so it costs no extra query-term evaluations), and
+//! shared through the store like the rest.
+//! [`ScopedEv::initial_state`] clones it, and [`ScopedEv::ev_of`] is
+//! local: a term or pair whose scope the cleaned set does not touch has
+//! its `T = ∅` value, so only the touched ones are recomputed and the
+//! sum is bit for bit the full pass of [`ScopedEv::ev_of_mask`]. A
+//! plan's `EV(∅)` is therefore a read and its `EV(T)` costs what `T`
+//! touches.
 
 use crate::instance::Instance;
 use fc_claims::DecomposableQuery;
@@ -178,8 +191,8 @@ impl EvState {
 }
 
 /// The owned, `T`-independent precomputation of the scoped engine: per-
-/// term `E[g²]` values, shared-scope conditional-expectation tables, and
-/// the object → term/pair adjacency lists.
+/// term `E[g²]` values, shared-scope conditional-expectation tables,
+/// the object → term/pair adjacency lists, and the `T = ∅` state.
 ///
 /// `ScopedTables` holds **no borrows** and is `Send + Sync`, so one
 /// build can back many [`ScopedEv`] engines — per-worker engines in a
@@ -197,6 +210,9 @@ pub struct ScopedTables {
     term_of_obj: Vec<Vec<u32>>,
     /// Pairs whose *shared* scope contains each object.
     pair_of_obj: Vec<Vec<u32>>,
+    /// The `T = ∅` state: every term's and pair's second moment with
+    /// nothing cleaned, and `EV(∅)`.
+    empty: EvState,
     /// Query-term evaluations spent building the tables.
     build_evals: u64,
 }
@@ -225,8 +241,9 @@ impl ScopedTables {
         let mut build_evals = 0u64;
         let mut dists: Vec<&DiscreteDist> = Vec::new();
 
-        // --- per-term: E[g²] ---
+        // --- per-term: E[g²] and the T = ∅ second moment ---
         let mut terms = Vec::with_capacity(m);
+        let mut term_sec = Vec::with_capacity(m);
         let mut term_of_obj: Vec<Vec<u32>> = vec![Vec::new(); n];
         for k in 0..m {
             let scope = query.term_objects(k).to_vec();
@@ -236,6 +253,11 @@ impl ScopedTables {
             dists.clear();
             dists.extend(scope.iter().map(|&i| joint.dist(i)));
             let mut e_g2 = 0.0;
+            // With nothing cleaned every outcome falls in one bucket, so
+            // this pass also sums Σ p·g and Σ p exactly as
+            // `ScopedEv::term_second` does for `T = ∅`, in the same
+            // outcome order.
+            let (mut num, mut den) = (0.0, 0.0);
             for_each_pos_outcome_with(
                 &dists,
                 &mut scratch.pos,
@@ -245,8 +267,15 @@ impl ScopedTables {
                     let g = query.eval_term(k, vals);
                     build_evals += 1;
                     e_g2 += p * g * g;
+                    num += p * g;
+                    den += p;
                 },
             );
+            let mut sec = 0.0;
+            if den > 0.0 {
+                sec += num * num / den;
+            }
+            term_sec.push(sec);
             terms.push(TermInfo { scope, e_g2 });
         }
 
@@ -263,8 +292,9 @@ impl ScopedTables {
         pair_set.sort_unstable();
         pair_set.dedup();
 
-        // --- per-pair: shared tables and first terms ---
+        // --- per-pair: shared tables, first terms and T = ∅ moments ---
         let mut pairs = Vec::with_capacity(pair_set.len());
+        let mut pair_sec = Vec::with_capacity(pair_set.len());
         let mut pair_of_obj: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (pidx, &(k1, k2)) in pair_set.iter().enumerate() {
             let shared: Vec<usize> = terms[k1]
@@ -304,10 +334,22 @@ impl ScopedTables {
                 scratch,
             );
             let mut first = 0.0;
+            // With nothing cleaned the shared scope is one bucket, so this
+            // pass also sums the `T = ∅` moment exactly as
+            // `ScopedEv::pair_second` does, in the same outcome order.
+            let (mut ared, mut bred, mut pkept) = (0.0, 0.0, 0.0);
             let flat = flat_probs(&shared_sizes, &shared_probs);
             for ((pa, pb), pf) in a.iter().zip(&b).zip(&flat) {
                 first += pf * pa * pb;
+                ared += pf * pa;
+                bred += pf * pb;
+                pkept += pf;
             }
+            let mut sec = 0.0;
+            if pkept > 0.0 {
+                sec += ared * bred / pkept;
+            }
+            pair_sec.push(sec);
             pairs.push((
                 k1,
                 k2,
@@ -322,12 +364,20 @@ impl ScopedTables {
             ));
         }
 
+        let ev = ev_from_seconds(&terms, &pairs, &term_sec, &pair_sec);
+
         Self {
             n,
             terms,
             pairs,
             term_of_obj,
             pair_of_obj,
+            empty: EvState {
+                cleaned: vec![false; n],
+                term_sec,
+                pair_sec,
+                ev,
+            },
             build_evals,
         }
     }
@@ -420,6 +470,14 @@ impl<'a, Q: DecomposableQuery + ?Sized> ScopedEv<'a, Q> {
             scratch: std::cell::RefCell::new(ScopedScratch::take()),
             dist_buf: std::cell::RefCell::new(Vec::new()),
         }
+    }
+
+    /// The engine with its evaluation counter set to `evals` — an
+    /// engine rebuilt around the tables of an earlier one continues its
+    /// count.
+    pub(crate) fn with_eval_count(self, evals: u64) -> Self {
+        self.evals.set(evals);
+        self
     }
 
     /// The shared precomputed tables (clone the `Arc` to seed further
@@ -587,7 +645,9 @@ impl<'a, Q: DecomposableQuery + ?Sized> ScopedEv<'a, Q> {
         }
     }
 
-    /// Stateless `EV(T)` for a cleaned mask.
+    /// Stateless `EV(T)` for a cleaned mask: a full pass over every
+    /// term and pair (the reference [`ScopedEv::ev_of`] is checked
+    /// against, and the evaluator of the from-scratch greedy ablation).
     pub fn ev_of_mask(&self, cleaned: &[bool]) -> f64 {
         self.count_eval();
         let mut ev = 0.0;
@@ -600,16 +660,51 @@ impl<'a, Q: DecomposableQuery + ?Sized> ScopedEv<'a, Q> {
         ev.max(0.0)
     }
 
-    /// Stateless `EV(T)` for a cleaned index list.
+    /// Stateless `EV(T)` for a cleaned index list, bit for bit
+    /// [`ScopedEv::ev_of_mask`] of the same set. Only the terms and
+    /// pairs `cleaned` touches are recomputed; every other one reads
+    /// its stored `T = ∅` value, summed in the same order.
     pub fn ev_of(&self, cleaned: &[usize]) -> f64 {
+        let tables = &*self.tables;
+        let empty = &tables.empty;
+        if cleaned.is_empty() {
+            self.count_eval();
+            return empty.ev;
+        }
         let mut mask = vec![false; self.instance.len()];
+        let mut term_touched = vec![false; tables.terms.len()];
+        let mut pair_touched = vec![false; tables.pairs.len()];
         for &i in cleaned {
             mask[i] = true;
+            for &k in &tables.term_of_obj[i] {
+                term_touched[k as usize] = true;
+            }
+            for &p in &tables.pair_of_obj[i] {
+                pair_touched[p as usize] = true;
+            }
         }
-        self.ev_of_mask(&mask)
+        self.count_eval();
+        let mut ev = 0.0;
+        for (k, term) in tables.terms.iter().enumerate() {
+            let sec = if term_touched[k] {
+                self.term_second(k, &mask, None)
+            } else {
+                empty.term_sec[k]
+            };
+            ev += term.e_g2 - sec;
+        }
+        for (p, (_, _, info)) in tables.pairs.iter().enumerate() {
+            let sec = if pair_touched[p] {
+                self.pair_second(p, &mask, None)
+            } else {
+                empty.pair_sec[p]
+            };
+            ev += 2.0 * (info.first - sec);
+        }
+        ev.max(0.0)
     }
 
-    /// Builds the incremental state for a cleaned set.
+    /// Builds the incremental state for a cleaned set (a full pass).
     pub fn state_for(&self, cleaned: &[usize]) -> EvState {
         let mut mask = vec![false; self.instance.len()];
         for &i in cleaned {
@@ -621,24 +716,18 @@ impl<'a, Q: DecomposableQuery + ?Sized> ScopedEv<'a, Q> {
         let pair_sec: Vec<f64> = (0..self.tables.pairs.len())
             .map(|p| self.pair_second(p, &mask, None))
             .collect();
-        let mut ev = 0.0;
-        for (k, t) in self.tables.terms.iter().enumerate() {
-            ev += t.e_g2 - term_sec[k];
-        }
-        for (p, (_, _, info)) in self.tables.pairs.iter().enumerate() {
-            ev += 2.0 * (info.first - pair_sec[p]);
-        }
+        let ev = ev_from_seconds(&self.tables.terms, &self.tables.pairs, &term_sec, &pair_sec);
         EvState {
             cleaned: mask,
             term_sec,
             pair_sec,
-            ev: ev.max(0.0),
+            ev,
         }
     }
 
-    /// The empty-set state (`T = ∅`).
+    /// The empty-set state (`T = ∅`), computed once per table build.
     pub fn initial_state(&self) -> EvState {
-        self.state_for(&[])
+        self.tables.empty.clone()
     }
 
     /// `EV(T) − EV(T ∪ {i})` — the MinVar benefit of additionally
@@ -731,6 +820,24 @@ impl<'a, Q: DecomposableQuery + ?Sized> ScopedEv<'a, Q> {
         out.retain(|&o| o != i);
         out
     }
+}
+
+/// `EV` from every term's and pair's second moment, summed terms
+/// first, then pairs, in index order, and clamped at zero.
+fn ev_from_seconds(
+    terms: &[TermInfo],
+    pairs: &[(usize, usize, PairInfo)],
+    term_sec: &[f64],
+    pair_sec: &[f64],
+) -> f64 {
+    let mut ev = 0.0;
+    for (t, sec) in terms.iter().zip(term_sec) {
+        ev += t.e_g2 - sec;
+    }
+    for ((_, _, info), sec) in pairs.iter().zip(pair_sec) {
+        ev += 2.0 * (info.first - sec);
+    }
+    ev.max(0.0)
 }
 
 /// `E[g_k | shared = s]` flat over the shared axes (in shared order).
@@ -1008,6 +1115,80 @@ mod tests {
             let gain_small = eng.ev_of(&[1]) - eng.ev_of(&[1, 4]);
             let gain_large = eng.ev_of(&[1, 3]) - eng.ev_of(&[1, 3, 4]);
             assert!(gain_small <= gain_large + 1e-9, "seed {seed}");
+        }
+    }
+
+    /// Random overlapping window-sum claims over `n` objects.
+    fn random_claimset(n: usize, rng: &mut impl Rng) -> ClaimSet {
+        fn window(n: usize, rng: &mut impl Rng) -> LinearClaim {
+            let start = rng.gen_range(0..n);
+            let width = rng.gen_range(1..=(n - start).min(3));
+            LinearClaim::window_sum(start, width).unwrap()
+        }
+        let original = window(n, rng);
+        let family = rng.gen_range(1..=4);
+        let perturbations: Vec<LinearClaim> = (0..family).map(|_| window(n, rng)).collect();
+        let weights = (0..family).map(|_| rng.gen_range(0.5..2.0)).collect();
+        ClaimSet::new(
+            original,
+            perturbations,
+            weights,
+            Direction::HigherIsStronger,
+        )
+        .unwrap()
+    }
+
+    /// The local `ev_of` is the full pass bit for bit, and the stored
+    /// `T = ∅` state is a freshly computed one, on random instances,
+    /// queries and selections (`∅` and every object included).
+    #[test]
+    fn local_evaluator_and_stored_empty_state_match_the_full_pass_bit_for_bit() {
+        fn check<Q: DecomposableQuery + ?Sized>(inst: &Instance, q: &Q, rng: &mut impl Rng) {
+            let eng = ScopedEv::new(inst, q);
+            let n = inst.len();
+            let stored = eng.initial_state();
+            let fresh = eng.state_for(&[]);
+            assert_eq!(stored.cleaned, fresh.cleaned);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&stored.term_sec), bits(&fresh.term_sec));
+            assert_eq!(bits(&stored.pair_sec), bits(&fresh.pair_sec));
+            assert_eq!(stored.ev.to_bits(), fresh.ev.to_bits());
+            let mut selections = vec![Vec::new(), (0..n).collect::<Vec<usize>>()];
+            for _ in 0..8 {
+                selections.push((0..n).filter(|_| rng.gen_range(0..3) == 0).collect());
+            }
+            for sel in selections {
+                let mut mask = vec![false; n];
+                for &i in &sel {
+                    mask[i] = true;
+                }
+                let (local, full) = (eng.ev_of(&sel), eng.ev_of_mask(&mask));
+                assert_eq!(
+                    local.to_bits(),
+                    full.to_bits(),
+                    "{sel:?}: {local} vs {full}"
+                );
+            }
+        }
+        for seed in 0..40u64 {
+            let mut rng = rng_from_seed(1_000 + seed);
+            let n = rng.gen_range(2..=7);
+            let inst = random_instance(n, seed);
+            let theta = rng.gen_range(2.0..20.0);
+            check(
+                &inst,
+                &DupQuery::new(random_claimset(n, &mut rng), theta),
+                &mut rng,
+            );
+            check(
+                &inst,
+                &FragQuery::new(random_claimset(n, &mut rng), theta),
+                &mut rng,
+            );
+            let start = rng.gen_range(0..n);
+            let claim = LinearClaim::window_sum(start, n - start).unwrap();
+            let indicator = ThresholdIndicatorQuery::new(claim, theta, IndicatorSense::Below);
+            check(&inst, &indicator, &mut rng);
         }
     }
 

@@ -424,6 +424,10 @@ impl Problem {
 #[derive(Default)]
 pub struct EngineCache<'p> {
     scoped: OnceCell<ScopedEv<'p, dyn DecomposableQuery + Send + Sync>>,
+    /// Tables (and the engine's evaluation count) carried over from a
+    /// [`ParkedCache`]; the scoped engine is rebuilt around them on
+    /// first use, without a store lookup.
+    parked_tables: std::cell::Cell<Option<(Arc<ScopedTables>, u64)>>,
     benefits: OnceCell<Option<Arc<Vec<f64>>>>,
     /// Identity of the problem this cache is bound to.
     bound: std::cell::Cell<Option<*const Problem>>,
@@ -480,15 +484,22 @@ impl<'p> EngineCache<'p> {
         self.bind(problem);
         match &problem.model {
             Model::Discrete { instance, query } => {
-                Ok(self.scoped.get_or_init(|| match &self.store {
-                    Some((store, key)) => {
-                        let (tables, warm) = store
-                            .tables_tracked(*key, || ScopedTables::build(instance, query.as_ref()));
-                        self.record_store_lookup(warm);
-                        ScopedEv::with_tables(instance, query.as_ref(), tables)
-                    }
-                    None => ScopedEv::new(instance, query.as_ref()),
-                }))
+                Ok(self
+                    .scoped
+                    .get_or_init(|| match (self.parked_tables.take(), &self.store) {
+                        (Some((tables, evals)), _) => {
+                            ScopedEv::with_tables(instance, query.as_ref(), tables)
+                                .with_eval_count(evals)
+                        }
+                        (None, Some((store, key))) => {
+                            let (tables, warm) = store.tables_tracked(*key, || {
+                                ScopedTables::build(instance, query.as_ref())
+                            });
+                            self.record_store_lookup(warm);
+                            ScopedEv::with_tables(instance, query.as_ref(), tables)
+                        }
+                        (None, None) => ScopedEv::new(instance, query.as_ref()),
+                    }))
             }
             Model::Gaussian { .. } => Err(CoreError::StrategyUnsupported {
                 strategy: "scoped-engine".into(),
@@ -567,6 +578,52 @@ impl<'p> EngineCache<'p> {
     fn sweep_engine(&self) -> Option<std::cell::RefMut<'_, algo::SweepEngine>> {
         std::cell::RefMut::filter_map(self.sweep.borrow_mut(), Option::as_mut).ok()
     }
+
+    /// Parks the cache between two solves of one chain; see
+    /// [`ParkedCache`].
+    pub(crate) fn park(self) -> ParkedCache {
+        let tables = match self.scoped.into_inner() {
+            Some(eng) => Some((Arc::clone(eng.tables()), eng.eval_count())),
+            None => self.parked_tables.take(),
+        };
+        ParkedCache {
+            tables,
+            benefits: self.benefits.into_inner(),
+            store: self.store,
+            store_hits: self.store_hits.get(),
+            store_misses: self.store_misses.get(),
+            sweep: self.sweep.into_inner(),
+        }
+    }
+
+    /// Resumes a parked cache. It binds to the next problem it is used
+    /// with, which must be the one it was parked from.
+    pub(crate) fn unpark(parked: ParkedCache) -> Self {
+        Self {
+            parked_tables: std::cell::Cell::new(parked.tables),
+            benefits: parked.benefits.map_or_else(OnceCell::new, OnceCell::from),
+            store: parked.store,
+            store_hits: std::cell::Cell::new(parked.store_hits),
+            store_misses: std::cell::Cell::new(parked.store_misses),
+            sweep: std::cell::RefCell::new(parked.sweep),
+            ..Self::default()
+        }
+    }
+}
+
+/// An [`EngineCache`] between two solves of one chain: the scoped
+/// tables it built or fetched, its modular benefits, its store binding
+/// and lookup counters, and the sweep-resumption trajectory. It borrows
+/// nothing, so a chain of budget points can pause after one point and
+/// resume in a later stack frame, with plans and diagnostics identical
+/// to an unbroken chain.
+pub(crate) struct ParkedCache {
+    tables: Option<(Arc<ScopedTables>, u64)>,
+    benefits: Option<Option<Arc<Vec<f64>>>>,
+    store: Option<(Arc<CacheStore>, CacheKey)>,
+    store_hits: u64,
+    store_misses: u64,
+    sweep: Option<algo::SweepEngine>,
 }
 
 /// Evaluation-count diagnostics attached to every [`Plan`].

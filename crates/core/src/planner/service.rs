@@ -24,9 +24,14 @@
 //! (times the number of budget points) and routed to a [`Lane`]:
 //!
 //! * **Inline** — below [`ServiceOptions::inline_threshold`] the
-//!   request is solved synchronously at `submit`; queueing a pool job
-//!   would cost more than the solve (the same admission rule as the
-//!   batch executor).
+//!   request runs on its caller's thread; queueing a pool job would
+//!   cost more than the solve (the same admission rule as the batch
+//!   executor). `submit` solves the first budget point, and each later
+//!   point is solved on the same resuming chain when the handle is
+//!   waited on, so a streamed sweep can send its first point before it
+//!   solves the second, and a consumer that goes away leaves the rest
+//!   unsolved. Points the plan memo holds are replayed as soon as the
+//!   chain reaches them; [`SweepHandle::try_next_point`] never solves.
 //! * **Interactive** — below
 //!   [`ServiceOptions::interactive_threshold`]: the latency-sensitive
 //!   lane.
@@ -101,7 +106,7 @@ use std::time::{Duration, Instant};
 use super::cache::{CacheKey, CacheStore, PlanKey};
 use super::exec::{CancelToken, ExecOptions};
 use super::pool::{TwoLaneQueue, WorkerPool};
-use super::{EngineCache, Plan, Problem, Solver, SolverRegistry};
+use super::{EngineCache, ParkedCache, Plan, Problem, Solver, SolverRegistry};
 use crate::budget::Budget;
 use crate::{CoreError, Result};
 
@@ -109,7 +114,8 @@ use crate::{CoreError, Result};
 /// docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
-    /// Solved synchronously at `submit` (admission control).
+    /// Solved on the caller's thread (admission control): the first
+    /// point at `submit`, the others as the handle is waited on.
     Inline,
     /// Queued on the latency-sensitive lane.
     Interactive,
@@ -229,7 +235,7 @@ struct TenantState {
 #[non_exhaustive]
 pub struct ServiceOptions {
     /// Requests whose total estimated engine evaluations fall below
-    /// this are solved synchronously at `submit` (default:
+    /// this run on their caller's thread, the inline lane (default:
     /// [`ExecOptions::DEFAULT_INLINE_THRESHOLD`]).
     pub inline_threshold: u64,
     /// Queued requests below this estimate ride the interactive lane;
@@ -393,7 +399,7 @@ pub struct ServiceStats {
     pub submitted: u64,
     /// Requests whose handle has resolved.
     pub completed: u64,
-    /// Requests solved synchronously at `submit`.
+    /// Requests solved on their caller's thread (the inline lane).
     pub inline: u64,
     /// Requests queued on the interactive lane.
     pub interactive: u64,
@@ -521,11 +527,24 @@ pub struct SweepHandle {
     state: Arc<SweepState>,
     /// Points already taken, from the front of the grid.
     next: usize,
+    /// An inline sweep's chain while it has points left to resolve.
+    inline: Option<InlineChain>,
+}
+
+/// An inline sweep's resuming chain between two of its consumer's
+/// waits: the next point to resolve, whether the plan memo already
+/// missed it, and the engine cache the points before it left behind.
+#[derive(Default)]
+struct InlineChain {
+    next: usize,
+    missed: bool,
+    cache: Option<ParkedCache>,
 }
 
 impl SweepHandle {
     /// Which lane the request was routed to ([`Lane::Inline`] handles
-    /// are ready immediately).
+    /// have their first point ready at submit and solve the rest as
+    /// they are waited on).
     pub fn lane(&self) -> Lane {
         self.state.lane
     }
@@ -575,7 +594,10 @@ impl SweepHandle {
 
     /// Takes the next point if it already resolved; otherwise reports —
     /// without consuming anything — that it is still solving, that
-    /// every point was taken, or that the request was cancelled.
+    /// every point was taken, or that the request was cancelled. It
+    /// never solves: an inline sweep's later points are solved by the
+    /// waits, and replayed as soon as its chain reaches them when the
+    /// plan memo holds them, which is when a poll can take them.
     pub fn try_next_point(&mut self) -> PointOutcome {
         self.next_point(WaitLimit::Poll)
     }
@@ -590,7 +612,8 @@ impl SweepHandle {
     /// Like [`SweepHandle::wait_next_point`], waiting at most
     /// `timeout`. [`PointOutcome::TimedOut`] does not consume the
     /// point. A `timeout` too large to represent as a deadline (e.g.
-    /// [`Duration::MAX`]) waits forever — it can never elapse.
+    /// [`Duration::MAX`]) waits forever — it can never elapse. An inline
+    /// sweep solves the point on this thread, whatever the timeout.
     pub fn wait_next_point_timeout(&mut self, timeout: Duration) -> PointOutcome {
         self.next_point(WaitLimit::after(timeout))
     }
@@ -598,12 +621,23 @@ impl SweepHandle {
     /// Like [`SweepHandle::wait_next_point`], but re-checks `alive()`
     /// every `poll` interval and cancels the request the moment it
     /// returns `false`, so a client that hangs up stops the points
-    /// still solving.
+    /// still solving. An inline sweep solves the point on this thread,
+    /// so `alive()` runs once before that solve starts.
     pub fn wait_next_point_or_cancel(
         &mut self,
         poll: Duration,
         mut alive: impl FnMut() -> bool,
     ) -> PointOutcome {
+        if self.inline.is_some() {
+            match self.try_next_point() {
+                PointOutcome::TimedOut if !alive() => {
+                    self.cancel();
+                    return PointOutcome::Cancelled;
+                }
+                PointOutcome::TimedOut => {}
+                outcome => return outcome,
+            }
+        }
         loop {
             match self.wait_next_point_timeout(poll) {
                 PointOutcome::TimedOut => {
@@ -621,6 +655,9 @@ impl SweepHandle {
         if self.next == self.points() {
             return PointOutcome::Done;
         }
+        if !matches!(limit, WaitLimit::Poll) {
+            self.advance_inline(self.next);
+        }
         let outcome = self.state.wait_point(self.next, limit);
         if matches!(outcome, PointOutcome::Point(_)) {
             self.next += 1;
@@ -628,16 +665,56 @@ impl SweepHandle {
         outcome
     }
 
+    /// Moves an inline sweep's chain forward on this thread: it solves
+    /// the points through `through`, then resolves each following point
+    /// that needs no solve (the plan memo holds it, or the lookup
+    /// failed) and stops at the first that does, or at a cancel. The
+    /// memo is asked about each point once.
+    fn advance_inline(&mut self, through: usize) {
+        let Some(chain) = &mut self.inline else {
+            return;
+        };
+        let state = &*self.state;
+        let mut cache = chain.cache.take().map(EngineCache::unpark);
+        while chain.next < state.budgets.len() && !state.cancel.is_cancelled() {
+            let index = chain.next;
+            let free = if chain.missed {
+                None
+            } else {
+                state.resolved_without_solve(index)
+            };
+            let result = match free {
+                Some(result) => result,
+                None if index <= through => state.solve(index, &mut cache),
+                None => {
+                    chain.missed = true;
+                    break;
+                }
+            };
+            state.finish_point(index, Some(result));
+            chain.next += 1;
+            chain.missed = false;
+        }
+        if chain.next == state.budgets.len() || state.cancel.is_cancelled() {
+            self.inline = None;
+        } else {
+            chain.cache = cache.map(EngineCache::park);
+        }
+    }
+
     /// [`SweepHandle::wait`] with a liveness probe: re-checks `alive()`
     /// every `poll` interval and cancels the request the moment it
     /// returns `false` — the network front's disconnect-driven cancel
     /// hook, so a client that hangs up mid-solve stops burning worker
-    /// time.
+    /// time. An inline sweep's remaining points are solved here, on
+    /// this thread, without probing: together they cost less than the
+    /// queue hop the inline lane saves.
     pub fn wait_or_cancel(
         mut self,
         poll: Duration,
         mut alive: impl FnMut() -> bool,
     ) -> Result<Vec<Plan>> {
+        self.advance_inline(usize::MAX);
         let all_resolved = |points: &Points| points.resolved == points.slots.len();
         let mut points = loop {
             // Only settling can satisfy this wait, so no point wakes it.
@@ -940,14 +1017,15 @@ impl SweepState {
         lock_recover(&self.points)
     }
 
-    /// Solves every `chains`-th point from `chain`, in budget order, on
-    /// one engine cache — a multi-point chain carries the greedy
-    /// trajectory memo from point to point, with plans byte-identical
-    /// to independent solves (see [`super::exec::SweepMode`]). A point
-    /// whose plan the store has memoized is replayed instead of solved,
-    /// and a point solved without error is memoized. Once the request
-    /// is cancelled the remaining points are skipped, so abandoning a
-    /// 50-point sweep stops after the point being solved.
+    /// A queued request's chain task: solves every `chains`-th point
+    /// from `chain`, in budget order, on one engine cache — a
+    /// multi-point chain carries the greedy trajectory memo from point
+    /// to point, with plans byte-identical to independent solves (see
+    /// [`super::exec::SweepMode`]). A point whose plan the store has
+    /// memoized is replayed instead of solved, and a point solved
+    /// without error is memoized. Once the request is cancelled the
+    /// remaining points are skipped, so abandoning a 50-point sweep
+    /// stops after the point being solved.
     fn run_chain(&self, chain: usize, chains: usize) {
         let mut running = None;
         let mut cache = None;
@@ -956,46 +1034,49 @@ impl SweepState {
                 self.finish_point(index, None);
                 continue;
             }
-            if self.lane != Lane::Inline {
-                running.get_or_insert_with(|| RunningGuard::enter(&self.inner.stats, self.lane));
-            }
-            let budget = self.budgets[index];
-            let result = match &self.solver {
-                Ok(solver) => self.memoized(budget, || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let cache = cache.get_or_insert_with(|| self.engine_cache());
-                        solver.solve_with_cache(&self.problem, budget, cache)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        self.inner.stats.panics.fetch_add(1, Ordering::Relaxed);
-                        // The panic may have torn the resume chain
-                        // mid-update; the next point starts from a fresh
-                        // cache.
-                        cache = None;
-                        Err(CoreError::WorkerPanicked {
-                            detail: panic_detail(payload.as_ref()),
-                        })
-                    })
-                }),
-                Err(e) => Err(e.clone()),
-            };
+            running.get_or_insert_with(|| RunningGuard::enter(&self.inner.stats, self.lane));
+            let result = self
+                .resolved_without_solve(index)
+                .unwrap_or_else(|| self.solve(index, &mut cache));
             self.finish_point(index, Some(result));
         }
     }
 
-    /// The store's memoized plan for `budget`, or the result of
-    /// `solve`, memoized when it is a plan. A request without a store
-    /// just solves.
-    fn memoized(&self, budget: Budget, solve: impl FnOnce() -> Result<Plan>) -> Result<Plan> {
-        let Some((store, key)) = &self.store else {
-            return solve();
-        };
-        let plan_key = PlanKey::new(&self.strategy, self.problem.goal(), budget);
-        if let Some(plan) = store.plan(*key, &plan_key) {
-            return Ok(plan);
+    /// Point `index`'s result when it needs no solve: the failed
+    /// registry lookup's error, or the plan the store has memoized.
+    fn resolved_without_solve(&self, index: usize) -> Option<Result<Plan>> {
+        match &self.solver {
+            Ok(_) => {
+                let (store, key) = self.store.as_ref()?;
+                let plan_key =
+                    PlanKey::new(&self.strategy, self.problem.goal(), self.budgets[index]);
+                store.plan(*key, &plan_key).map(Ok)
+            }
+            Err(e) => Some(Err(e.clone())),
         }
-        let result = solve();
-        if let Ok(plan) = &result {
+    }
+
+    /// Solves point `index` on the chain's engine `cache` (built on
+    /// first use), containing a panic, and memoizes a plan in the
+    /// request's store.
+    fn solve<'s>(&'s self, index: usize, cache: &mut Option<EngineCache<'s>>) -> Result<Plan> {
+        let solver = self.solver.as_ref().expect("a failed lookup never solves");
+        let budget = self.budgets[index];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let cache = cache.get_or_insert_with(|| self.engine_cache());
+            solver.solve_with_cache(&self.problem, budget, cache)
+        }))
+        .unwrap_or_else(|payload| {
+            self.inner.stats.panics.fetch_add(1, Ordering::Relaxed);
+            // The panic may have torn the resume chain mid-update; the
+            // next point starts from a fresh cache.
+            *cache = None;
+            Err(CoreError::WorkerPanicked {
+                detail: panic_detail(payload.as_ref()),
+            })
+        });
+        if let (Ok(plan), Some((store, key))) = (&result, &self.store) {
+            let plan_key = PlanKey::new(&self.strategy, self.problem.goal(), budget);
             store.memoize_plan(*key, plan_key, plan.clone());
         }
         result
@@ -1242,13 +1323,15 @@ impl PlannerService {
     /// Submits a budget sweep. Quota is checked first: a tenant over
     /// its [`QuotaPolicy`] gets a typed [`CoreError::QuotaExceeded`]
     /// and nothing is queued. The request is costed by its *total*
-    /// estimate (points × per-point); small requests are solved inline
-    /// before this returns, and an unknown strategy resolves every
-    /// point with [`CoreError::UnknownStrategy`]. Prefix work is shared
-    /// across points through the service store when a key is supplied,
-    /// or a request-private store otherwise — plans are byte-identical
-    /// to [`SolverRegistry::sweep`] either way. The returned
-    /// [`SweepHandle`] yields each plan as its point completes
+    /// estimate (points × per-point). A small request rides the inline
+    /// lane: its first point is solved before this returns, and each
+    /// later one on the waiting thread when the handle is waited on. An
+    /// unknown strategy resolves every point with
+    /// [`CoreError::UnknownStrategy`] before this returns. Prefix work
+    /// is shared across points through the service store when a key is
+    /// supplied, or a request-private store otherwise — plans are
+    /// byte-identical to [`SolverRegistry::sweep`] either way. The
+    /// returned [`SweepHandle`] yields each plan as its point completes
     /// ([`SweepHandle::wait_next_point`]) or the whole grid at once
     /// ([`SweepHandle::wait`]).
     pub fn submit_sweep(&self, request: SweepRequest) -> Result<SweepHandle> {
@@ -1300,23 +1383,31 @@ impl PlannerService {
             }),
             point_ready: Condvar::new(),
         });
+        let mut handle = SweepHandle {
+            state,
+            next: 0,
+            inline: None,
+        };
         if lane == Lane::Inline {
-            state.run_chain(0, 1);
+            // Point 0 is solved here, and the consumer's waits solve the
+            // rest on the same resuming chain.
+            handle.inline = Some(InlineChain::default());
+            handle.advance_inline(0);
             // An empty grid has no point whose resolution settles it.
-            state.settle_if_complete(&mut state.lock());
+            handle.state.settle_if_complete(&mut handle.state.lock());
         } else {
             // Deal the points round-robin to at most `pool.threads()`
             // chain tasks, each solving its points in order on one
             // sweep-resuming cache.
             let chains = inner.pool.threads().min(points);
             for chain in 0..chains {
-                let task = Arc::clone(&state);
-                inner.enqueue(lane, state.cancel.clone(), move || {
+                let task = Arc::clone(&handle.state);
+                inner.enqueue(lane, handle.state.cancel.clone(), move || {
                     task.run_chain(chain, chains);
                 });
             }
         }
-        Ok(SweepHandle { state, next: 0 })
+        Ok(handle)
     }
 }
 
@@ -1488,8 +1579,9 @@ mod tests {
 
     #[test]
     fn inline_sweep_points_are_ready_at_submit() {
-        // Inline-lane sweeps resolve at submit: every point can be
-        // taken without blocking, and wait() takes the rest.
+        // An inline-lane sweep solves point 0 at submit, so it can be
+        // taken without blocking; a poll never solves the later points,
+        // and wait() solves and takes the rest.
         let svc = service(ServiceOptions::new());
         let problem = dup_problem(6, 32);
         let budgets: Vec<Budget> = (1..=3).map(Budget::absolute).collect();
@@ -1502,18 +1594,75 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(handle.lane(), Lane::Inline);
-        assert!(handle.is_ready());
+        assert!(!handle.is_ready(), "later points wait for the consumer");
         let first = handle
             .try_next_point()
             .point()
             .expect("inline point 0 is ready at submit")
             .unwrap();
         assert_eq!(first.divergence(&expected[0]), None);
+        assert!(
+            handle.try_next_point().is_timed_out(),
+            "a poll never solves"
+        );
         let rest = handle.wait().unwrap();
         assert_eq!(rest.len(), expected.len() - 1, "wait() takes only the rest");
         for (i, (a, b)) in rest.iter().zip(&expected[1..]).enumerate() {
             assert_eq!(a.divergence(b), None, "inline point {}", i + 1);
         }
+        let stats = svc.stats();
+        assert_eq!((stats.completed, stats.cancelled), (1, 0));
+    }
+
+    #[test]
+    fn a_paused_inline_chain_reports_what_an_unbroken_chain_does() {
+        // Point by point, the inline chain parks its engine cache between
+        // waits; the plans, store counters included, equal those of one
+        // queued chain that never pauses.
+        let problem = dup_problem(8, 35);
+        let budgets: Vec<Budget> = (1..=4).map(Budget::absolute).collect();
+        let request = || SweepRequest::new("greedy", Arc::clone(&problem), budgets.clone());
+        let queued = service(
+            ServiceOptions::new()
+                .with_inline_threshold(0)
+                .with_pool(Arc::new(WorkerPool::new(1))),
+        )
+        .submit_sweep(request())
+        .unwrap()
+        .wait()
+        .unwrap();
+        let inline = service(ServiceOptions::new());
+        let mut handle = inline.submit_sweep(request()).unwrap();
+        assert_eq!(handle.lane(), Lane::Inline);
+        for (i, expected) in queued.iter().enumerate() {
+            let plan = handle.wait_next_point().point().unwrap().unwrap();
+            assert_eq!(plan.divergence(expected), None, "point {i}");
+            assert_eq!(plan.diagnostics, expected.diagnostics, "point {i}");
+        }
+    }
+
+    #[test]
+    fn memoized_inline_points_are_taken_by_polls() {
+        // A poll never solves, but it replays what the plan memo holds:
+        // a repeated keyed inline sweep is whole without a wait.
+        let svc = service(ServiceOptions::new());
+        let problem = dup_problem(6, 34);
+        let key = CacheKey::new(problem.instance_fingerprint(), 1);
+        let budgets: Vec<Budget> = (1..=3).map(Budget::absolute).collect();
+        let request =
+            || SweepRequest::new("greedy", Arc::clone(&problem), budgets.clone()).with_key(key);
+        let cold = svc.submit_sweep(request()).unwrap().wait().unwrap();
+        let mut warm = svc.submit_sweep(request()).unwrap();
+        for (i, expected) in cold.iter().enumerate() {
+            let plan = warm
+                .try_next_point()
+                .point()
+                .unwrap_or_else(|| panic!("memoized point {i} is taken by a poll"))
+                .unwrap();
+            assert_eq!(plan.divergence(expected), None, "point {i}");
+        }
+        assert!(warm.is_ready());
+        assert!(warm.try_next_point().is_done());
     }
 
     #[test]

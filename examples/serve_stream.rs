@@ -83,7 +83,11 @@ fn main() {
     // A budget sweep is still in flight when the cleaning lands — its
     // plans would answer yesterday's question, so cancel it instead of
     // letting it burn worker time (dropping the handle would do the
-    // same implicitly).
+    // same implicitly). That holds on every lane: a queued sweep stops
+    // after the point it is solving, and an inline one (below the
+    // service's inline threshold) solves only its first point at
+    // submit and the others as its handle is waited on, so a cancel
+    // after the first point leaves the rest unsolved.
     let budgets: Vec<Budget> = (1..=5).map(Budget::absolute).collect();
     let stale_sweep = stream.submit_sweep(&spec, &budgets).unwrap();
     let objects = cold.selection.objects().to_vec();

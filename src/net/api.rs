@@ -1958,5 +1958,66 @@ mod tests {
             prop_assert_eq!(&back, &definition);
             prop_assert_eq!(back.encode().map_err(|e| TestCaseError::fail(e.message))?, text);
         }
+
+        /// Independent Gaussian definitions with `sds` drawn over a
+        /// wide log range (1e-200 to 1e200, each independent of the
+        /// others): one that constructs round-trips bit for bit and
+        /// re-encodes to the same text; one that construction refuses
+        /// decodes from the wire to a typed 4xx.
+        #[test]
+        fn generated_gaussian_definitions_round_trip_or_are_refused(
+            ops in prop::collection::vec(0u64..u64::MAX, 128),
+        ) {
+            let mut draws = Draws(ops.into_iter());
+            let mut definition = generated_definition(&mut draws);
+            let n = definition.data.len();
+            let means: Vec<f64> = (0..n).map(|_| draws.float()).collect();
+            let sds: Vec<f64> = (0..n)
+                .map(|_| draws.weight() * 10f64.powi(draws.below(401) as i32 - 200))
+                .collect();
+            let current: Vec<f64> = (0..n).map(|_| draws.float()).collect();
+            let costs: Vec<u64> = (0..n).map(|_| draws.below(1000) + 1).collect();
+            match GaussianInstance::independent(means.clone(), &sds, current.clone(), costs.clone()) {
+                Ok(instance) => {
+                    definition.data = DataModel::Gaussian(instance);
+                    let text = definition.encode().map_err(|e| TestCaseError::fail(e.message))?;
+                    let json = Json::parse(&text).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    let back = CreateStreamRequest::from_json(&json)
+                        .map_err(|e| TestCaseError::fail(format!("{}: {text}", e.message)))?;
+                    prop_assert_eq!(&back, &definition);
+                    prop_assert_eq!(
+                        back.encode().map_err(|e| TestCaseError::fail(e.message))?,
+                        text
+                    );
+                }
+                Err(_) => {
+                    // The body a client would send for the refused model.
+                    let nums = |v: &[f64]| Json::Arr(v.iter().map(|&x| Json::Num(x)).collect());
+                    let data = Json::obj([(
+                        "gaussian",
+                        Json::obj([
+                            ("means", nums(&means)),
+                            ("sds", nums(&sds)),
+                            ("current", nums(&current)),
+                            ("costs", Json::Arr(costs.iter().map(|&c| Json::Num(c as f64)).collect())),
+                        ]),
+                    )]);
+                    let mut body = definition.to_json().map_err(|e| TestCaseError::fail(e.message))?;
+                    if let Json::Obj(fields) = &mut body {
+                        for (name, value) in fields.iter_mut() {
+                            if name == "data" {
+                                *value = data.clone();
+                            }
+                        }
+                    }
+                    let text = body.to_string();
+                    let json = Json::parse(&text).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    match CreateStreamRequest::from_json(&json) {
+                        Ok(_) => prop_assert!(false, "a refused model decoded: {text}"),
+                        Err(e) => prop_assert!((400..500).contains(&e.status), "{}: {text}", e.status),
+                    }
+                }
+            }
+        }
     }
 }

@@ -37,7 +37,10 @@
 //! and emits one JSON object per budget point *as each point
 //! completes* ([`SweepHandle::wait_next_point_or_cancel`]), so a
 //! client sees the cheap early points while the expensive tail is
-//! still solving. Concatenating the chunk bodies reproduces the
+//! still solving. An inline-lane sweep solves its points on the
+//! handler thread, one between each send and the next, so its first
+//! point leaves before its second is solved. Concatenating the chunk
+//! bodies reproduces the
 //! buffered `/v1/sweep` response byte-for-byte. A client hangup
 //! between chunks cancels the remaining points; a mid-stream solver
 //! error arrives as an `x-fc-error` trailer (the status line already
@@ -666,13 +669,16 @@ fn solve_route(ctx: &ServerCtx, call: &Call<'_>, sweep: bool) -> Outcome {
 ///
 /// Every point that has already resolved when a send goes out rides in
 /// that send: the head and the opening chunk are staged with the points
-/// ready at submit (an inline sweep has them all), and after each wait
-/// the point that ended it is staged with any that resolved behind it.
-/// The handler blocks only when nothing is ready to send.
+/// ready at submit (an inline sweep has its first point there, plus any
+/// the plan memo holds), and after each wait the point that ended it is
+/// staged with any that resolved behind it. The handler blocks only
+/// when nothing is ready to send; for an inline sweep that wait is the
+/// next point's solve, on this thread, after the previous send is out.
 ///
 /// The client socket is probed between points: a hangup cancels the
-/// remaining budget points ([`SweepHandle::wait_next_point_or_cancel`]),
-/// as does a failed write. A solver error on a later point — the `200`
+/// remaining budget points ([`SweepHandle::wait_next_point_or_cancel`],
+/// which for an inline sweep probes before each solve), as does a
+/// failed write. A solver error on a later point — the `200`
 /// status line is long gone — terminates the stream with an
 /// `x-fc-error` trailer and an unclosed JSON document, so no client
 /// mistakes the truncation for success. Either way a stream whose

@@ -7,6 +7,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -18,7 +19,7 @@ use fact_clean::net::client::{self, ApiClient, ClientError};
 use fact_clean::net::json::Json;
 use fact_clean::net::{PlannerServer, ServerConfig, ServerHandle};
 use fact_clean::prelude::*;
-use fc_core::{SolverRegistry, WorkerPool};
+use fc_core::{EngineCache, Result as CoreResult, SolverRegistry, WorkerPool};
 use fc_datasets::cdc::cdc_firearms_gaussian;
 
 mod common;
@@ -628,6 +629,135 @@ fn mid_stream_disconnect_cancels_the_remaining_points() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// Parks every solve after the first until the gate opens (or 10 s
+/// pass, so a failing test still shuts its server down), then delegates
+/// to greedy; counts solves and parked solves.
+#[derive(Debug, Default)]
+struct Gate {
+    calls: AtomicUsize,
+    parked: AtomicUsize,
+    open: AtomicBool,
+}
+
+struct GatedSolver {
+    delegate: Arc<dyn Solver>,
+    gate: Arc<Gate>,
+}
+
+impl Solver for GatedSolver {
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+    fn solve_with_cache<'p>(
+        &self,
+        problem: &'p Problem,
+        budget: Budget,
+        cache: &EngineCache<'p>,
+    ) -> CoreResult<Plan> {
+        if self.gate.calls.fetch_add(1, Ordering::SeqCst) > 0 {
+            self.gate.parked.fetch_add(1, Ordering::SeqCst);
+            let parked = Instant::now();
+            while !self.gate.open.load(Ordering::SeqCst)
+                && parked.elapsed() < Duration::from_secs(10)
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        self.delegate.solve_with_cache(problem, budget, cache)
+    }
+}
+
+/// A server whose service routes every request to the inline lane,
+/// with the `"gated"` strategy registered.
+fn boot_inline_gated() -> (ServerHandle, PlannerService, Arc<Gate>) {
+    let gate = Arc::new(Gate::default());
+    let mut registry = SolverRegistry::with_defaults();
+    let delegate = registry.get("greedy").unwrap();
+    registry.register_solver(Arc::new(GatedSolver {
+        delegate,
+        gate: Arc::clone(&gate),
+    }));
+    let service = PlannerService::new(
+        Arc::new(registry),
+        ServiceOptions::new().with_inline_threshold(u64::MAX),
+    );
+    let (server, service) = boot_service(service, test_config());
+    (server, service, gate)
+}
+
+/// Spins until `done()` holds, failing after 10 s with `what`.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn inline_streamed_sweep_sends_its_first_point_before_solving_the_second() {
+    let body = r#"{"stream":"crime","measure":"dup","strategy":"gated","budgets":[1,2,3,4]}"#;
+    let raw = format!(
+        "POST /v1/sweep?stream=1 HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let (reference, _s0, open) = boot_inline_gated();
+    open.open.store(true, Ordering::SeqCst);
+    let (status, buffered) = post(reference.addr(), "/v1/sweep", body, None);
+    assert_eq!(status, 200, "{buffered}");
+    let first_plan = match Json::parse(&buffered).unwrap().get("plans") {
+        Some(Json::Arr(plans)) => plans[0].to_string(),
+        other => panic!("no plans in {other:?}"),
+    };
+    // Sends the streamed sweep and waits until point 1 is parked in its
+    // solve with point 0 already on the wire (peeked, not consumed).
+    let start = |addr: SocketAddr, gate: &Gate| {
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(raw.as_bytes()).unwrap();
+        wait_for("point 1's solve", || {
+            gate.parked.load(Ordering::SeqCst) == 1
+        });
+        sock.set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let mut buf = vec![0u8; 1 << 16];
+        wait_for("point 0 on the wire", || match sock.peek(&mut buf) {
+            Ok(n) => String::from_utf8_lossy(&buf[..n]).contains(&first_plan),
+            Err(_) => false,
+        });
+        sock.set_read_timeout(None).unwrap();
+        sock
+    };
+
+    // Point 0 arrives while point 1 is blocked; the chunks still
+    // concatenate to the buffered body.
+    let (server, service, gate) = boot_inline_gated();
+    let mut sock = start(server.addr(), &gate);
+    assert_eq!(gate.calls.load(Ordering::SeqCst), 2);
+    assert_eq!(service.stats().completed, 0, "the sweep has not settled");
+    gate.open.store(true, Ordering::SeqCst);
+    let (status, streamed) = client::read_response(&mut sock).unwrap();
+    assert_eq!(status, 200, "{streamed}");
+    assert_eq!(
+        streamed, buffered,
+        "chunks concatenate to the buffered body"
+    );
+    let stats = service.stats();
+    assert_eq!((stats.inline, stats.completed), (1, 1));
+
+    // A hangup after point 0 leaves the points after the one solving
+    // unsolved, and cancels the sweep.
+    let (server, service, gate) = boot_inline_gated();
+    drop(start(server.addr(), &gate));
+    gate.open.store(true, Ordering::SeqCst);
+    wait_for("the cancel", || service.stats().cancelled == 1);
+    assert_eq!(
+        gate.calls.load(Ordering::SeqCst),
+        2,
+        "points 2 and 3 unsolved"
+    );
+    assert_eq!(service.stats().completed, 0);
 }
 
 #[test]
