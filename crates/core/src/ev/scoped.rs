@@ -487,15 +487,10 @@ impl<'a, Q: DecomposableQuery + ?Sized> ScopedEv<'a, Q> {
     }
 
     /// Objective evaluations (full `EV` computations plus incremental
-    /// deltas) performed since construction or the last
-    /// [`Self::reset_eval_count`].
+    /// deltas) performed since construction, plus any count carried
+    /// over by `with_eval_count`.
     pub fn eval_count(&self) -> u64 {
         self.evals.get()
-    }
-
-    /// Resets the evaluation counter (e.g. between sweep points).
-    pub fn reset_eval_count(&self) {
-        self.evals.set(0);
     }
 
     #[inline]

@@ -416,11 +416,12 @@ impl Problem {
 /// error).
 ///
 /// A cache built with [`EngineCache::with_store`] additionally checks a
-/// persistent [`CacheStore`] before building: the scoped tables and
-/// modular benefits are fetched (or built once and published) under the
-/// given [`CacheKey`], so repeated sessions over the same dataset skip
-/// the scoped-EV prefix work entirely. The key must fingerprint the
-/// problem's instance *and* query — see [`cache`]'s module docs.
+/// persistent [`CacheStore`] before building the scoped tables: they are
+/// fetched (or built once and published) under the given [`CacheKey`],
+/// so repeated sessions over the same dataset skip the scoped-EV prefix
+/// work entirely. The modular benefits are cheap and are computed per
+/// cache, never stored. The key must fingerprint the problem's instance
+/// *and* query — see [`cache`]'s module docs.
 #[derive(Default)]
 pub struct EngineCache<'p> {
     scoped: OnceCell<ScopedEv<'p, dyn DecomposableQuery + Send + Sync>>,
@@ -428,7 +429,7 @@ pub struct EngineCache<'p> {
     /// [`ParkedCache`]; the scoped engine is rebuilt around them on
     /// first use, without a store lookup.
     parked_tables: std::cell::Cell<Option<(Arc<ScopedTables>, u64)>>,
-    benefits: OnceCell<Option<Arc<Vec<f64>>>>,
+    benefits: OnceCell<Option<Vec<f64>>>,
     /// Identity of the problem this cache is bound to.
     bound: std::cell::Cell<Option<*const Problem>>,
     /// Persistent backing, when this cache participates in one.
@@ -492,9 +493,8 @@ impl<'p> EngineCache<'p> {
                                 .with_eval_count(evals)
                         }
                         (None, Some((store, key))) => {
-                            let (tables, warm) = store.tables_tracked(*key, || {
-                                ScopedTables::build(instance, query.as_ref())
-                            });
+                            let (tables, warm) = store
+                                .tables(*key, || ScopedTables::build(instance, query.as_ref()));
                             self.record_store_lookup(warm);
                             ScopedEv::with_tables(instance, query.as_ref(), tables)
                         }
@@ -512,25 +512,16 @@ impl<'p> EngineCache<'p> {
     /// affine discrete queries and all Gaussian linear queries.
     pub fn modular_benefits(&self, problem: &'p Problem) -> Option<&[f64]> {
         self.bind(problem);
-        let compute = || match &problem.model {
-            Model::Discrete { instance, query } => {
-                crate::ev::modular::modular_benefits(instance, query.as_ref()).ok()
-            }
-            Model::Gaussian {
-                instance, weights, ..
-            } => Some(modular_benefits_gaussian(instance, weights)),
-        };
         self.benefits
-            .get_or_init(|| match &self.store {
-                Some((store, key)) => {
-                    let (benefits, warm) = store.benefits_tracked(*key, compute);
-                    self.record_store_lookup(warm);
-                    benefits
+            .get_or_init(|| match &problem.model {
+                Model::Discrete { instance, query } => {
+                    crate::ev::modular::modular_benefits(instance, query.as_ref()).ok()
                 }
-                None => compute().map(Arc::new),
+                Model::Gaussian {
+                    instance, weights, ..
+                } => Some(modular_benefits_gaussian(instance, weights)),
             })
-            .as_ref()
-            .map(|v| v.as_slice())
+            .as_deref()
     }
 
     fn record_store_lookup(&self, warm: bool) {
@@ -552,12 +543,6 @@ impl<'p> EngineCache<'p> {
     /// [`PlanDiagnostics::store_misses`]).
     pub fn store_misses(&self) -> u64 {
         self.store_misses.get()
-    }
-
-    /// Engine evaluations recorded by the scoped engine so far (zero
-    /// when the scoped engine was never built).
-    pub fn scoped_evals(&self) -> u64 {
-        self.scoped.get().map_or(0, |e| e.eval_count())
     }
 
     /// Enables sweep-to-sweep greedy resumption for solves through this
@@ -619,7 +604,7 @@ impl<'p> EngineCache<'p> {
 /// to an unbroken chain.
 pub(crate) struct ParkedCache {
     tables: Option<(Arc<ScopedTables>, u64)>,
-    benefits: Option<Option<Arc<Vec<f64>>>>,
+    benefits: Option<Option<Vec<f64>>>,
     store: Option<(Arc<CacheStore>, CacheKey)>,
     store_hits: u64,
     store_misses: u64,
@@ -639,16 +624,18 @@ pub struct PlanDiagnostics {
     pub candidates: usize,
     /// Persistent-store lookups the solve's engine cache served warm —
     /// service clients observe warm-vs-cold behavior from the plan
-    /// itself instead of reaching into [`CacheStore::stats`]. Zero when
-    /// no store was attached. Cumulative over the cache the solve ran
-    /// with, so call chains sharing a cache (budget sweeps) report the
-    /// chain's counts; a single serving request reports exactly its
-    /// own. **Observability, not plan content**: which runner performs
-    /// a lookup is scheduling-dependent, so [`Plan::divergence`]
-    /// deliberately ignores these two fields. A plan the serving layer
-    /// replays from the store's plan memo reports exactly one warm
-    /// lookup (`store_hits: 1, store_misses: 0`), whatever the solve
-    /// that produced it reported.
+    /// itself instead of reaching into [`CacheStore::stats`]. The store
+    /// holds scoped tables only, so this is zero when no store was
+    /// attached and when the solve never built the scoped engine
+    /// (modular, Gaussian and MaxPr solves). Cumulative over the cache
+    /// the solve ran with, so call chains sharing a cache (budget
+    /// sweeps) report the chain's counts; a single serving request
+    /// reports exactly its own. **Observability, not plan content**:
+    /// which runner performs a lookup is scheduling-dependent, so
+    /// [`Plan::divergence`] deliberately ignores these two fields. A
+    /// plan the serving layer replays from the store's plan memo
+    /// reports exactly one warm lookup (`store_hits: 1, store_misses:
+    /// 0`), whatever the solve that produced it reported.
     pub store_hits: u64,
     /// Persistent-store lookups that had to build (cold). See
     /// [`PlanDiagnostics::store_hits`] for semantics and the

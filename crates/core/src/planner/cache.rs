@@ -4,9 +4,12 @@
 //! budget sweep or an objective batch over one [`Problem`](super::Problem).
 //! Serving workloads, however, issue *sessions* of requests over the
 //! same dataset — a fact-checker sweeps measures and budgets over one
-//! table, then comes back tomorrow. The [`CacheStore`] makes the
-//! expensive prefix work (the scoped Theorem 3.8 tables, the Lemma 3.1
-//! modular benefits) outlive the call chain:
+//! table, then comes back tomorrow. The [`CacheStore`] keeps only the
+//! work that is costly to rebuild: the scoped Theorem 3.8 tables, which
+//! enumerate every claim scope's outcome space, and the finished plans
+//! solved over them. The Lemma 3.1 modular benefits are an O(n) closed
+//! form and are not stored; an [`EngineCache`](super::EngineCache)
+//! computes them once per call chain.
 //!
 //! * entries are keyed by a [`CacheKey`] — a pair of 64-bit FNV-1a
 //!   fingerprints, one over the **instance contents** (distributions,
@@ -14,13 +17,14 @@
 //!   (measure, θ, claim family — supplied by the caller, who knows the
 //!   concrete query type);
 //! * the store is sharded (`Mutex` per shard) so concurrent workers
-//!   contend only per shard, and each entry's engines are built at most
+//!   contend only per shard, and each entry's tables are built at most
 //!   once (`OnceLock` serializes racing builders);
 //! * a capacity cap evicts whole entries FIFO, bounding memory on
 //!   long-running servers;
 //! * [`CacheStore::stats`] reports hits, misses, evictions, and the
 //!   number of scoped-table builds — a warm store serves repeat
-//!   sessions with **zero** rebuild evaluations.
+//!   sessions with **zero** rebuild evaluations. Every store miss is a
+//!   table build, so `misses == scoped_builds`.
 //!
 //! ## Plan memo
 //!
@@ -37,11 +41,10 @@
 //! * an entry holds at most [`PLAN_MEMO_CAP`] plans; once full, further
 //!   plans are simply not stored, so client-chosen τ and budget values
 //!   cannot grow it without limit;
-//! * plans live and die with their entry: capacity eviction,
-//!   [`CacheStore::clear`] and [`CacheStore::invalidate_instance`]
-//!   drop them, and [`CacheStore::rekey`] carries the tables and
-//!   benefits but **clears** the plans (the moved entry now answers for
-//!   a different instance, and a plan over it is not proven equal).
+//! * plans live and die with their entry: capacity eviction and
+//!   [`CacheStore::invalidate_instance`] drop them. An entry is never
+//!   moved to another key: a data change re-fingerprints the instance,
+//!   and its old entries are invalidated.
 //!
 //! A memo hit counts once in [`CacheStats::plan_hits`] and once in
 //! [`CacheStats::hits`] (one lookup served warm); a memo miss counts in
@@ -185,9 +188,10 @@ pub fn fingerprint_gaussian(instance: &GaussianInstance) -> u64 {
 }
 
 /// A [`CacheStore`] entry key: (instance fingerprint, query
-/// fingerprint). Engines cached under a key are valid for *any* goal
-/// and budget — scoped tables and modular benefits depend only on the
-/// instance and the query.
+/// fingerprint). The scoped tables cached under a key are valid for
+/// *any* goal and budget — they depend only on the instance and the
+/// query; the plans memoized under it are keyed further by strategy,
+/// goal and budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Fingerprint of the instance contents ([`fingerprint_instance`] /
@@ -232,16 +236,14 @@ impl PlanKey {
     }
 }
 
-/// One cached entry: lazily built engines for an (instance, query)
-/// pair, plus the plans solved over them. `OnceLock` per engine kind —
-/// concurrent workers block on the first builder instead of
-/// duplicating the work. `plans` is only touched under the entry's
-/// shard lock, so a [`CacheStore::rekey`] that clears it cannot race
-/// a store into the moved entry.
+/// One cached entry: the lazily built scoped tables for an
+/// (instance, query) pair, plus the plans solved over them. The
+/// `OnceLock` makes concurrent workers block on the first builder
+/// instead of duplicating the work; `plans` is only touched under the
+/// entry's shard lock.
 #[derive(Default)]
 struct CacheSlot {
     tables: OnceLock<Arc<ScopedTables>>,
-    benefits: OnceLock<Option<Arc<Vec<f64>>>>,
     plans: Mutex<HashMap<PlanKey, Plan>>,
 }
 
@@ -263,10 +265,11 @@ struct Shard {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CacheStats {
-    /// Engine lookups served from an already-built entry.
+    /// Table and plan lookups served from an already-built entry.
     pub hits: u64,
-    /// Engine lookups that had to build (first touch of a key, or
-    /// re-touch after eviction).
+    /// Table lookups that had to build (first touch of a key, or
+    /// re-touch after eviction or invalidation); always equal to
+    /// [`CacheStats::scoped_builds`].
     pub misses: u64,
     /// Entries evicted by the capacity cap.
     pub evictions: u64,
@@ -278,8 +281,9 @@ pub struct CacheStats {
     /// Entries dropped by [`CacheStore::invalidate_instance`] (a
     /// cleaning step re-fingerprinting an instance).
     pub invalidations: u64,
-    /// Entries moved intact by [`CacheStore::rekey`] (a cleaning step
-    /// whose touched objects were provably out of every claim scope).
+    /// Always 0. The store no longer moves entries between keys; the
+    /// field and the `rekeys` key of the stats wire body are kept so
+    /// readers of either keep working.
     pub rekeys: u64,
     /// Plan lookups served from the plan memo (each also counts in
     /// [`CacheStats::hits`]).
@@ -306,7 +310,6 @@ pub struct CacheStore {
     scoped_builds: AtomicU64,
     scoped_build_evals: AtomicU64,
     invalidations: AtomicU64,
-    rekeys: AtomicU64,
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
 }
@@ -340,7 +343,6 @@ impl CacheStore {
             scoped_builds: AtomicU64::new(0),
             scoped_build_evals: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
-            rekeys: AtomicU64::new(0),
             plan_hits: AtomicU64::new(0),
             plan_misses: AtomicU64::new(0),
         }
@@ -364,15 +366,6 @@ impl CacheStore {
         self.len() == 0
     }
 
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock().expect("cache shard poisoned");
-            s.map.clear();
-            s.order.clear();
-        }
-    }
-
     /// Surgically drops every entry whose key's instance half is
     /// `instance_fingerprint`, returning how many were dropped. This is
     /// the incremental-invalidation hook for long-lived claim streams:
@@ -394,49 +387,6 @@ impl CacheStore {
         dropped
     }
 
-    /// Moves the entry under `old` to `new` without touching its built
-    /// engines, returning how many entries moved (0 or 1). The moved
-    /// entry's memoized plans are dropped: they answered for the old
-    /// instance.
-    ///
-    /// This is the *delta-resolve* hook: when a cleaning step touches
-    /// only objects outside every claim scope, the instance fingerprint
-    /// changes but every scoped table and benefit vector stays
-    /// value-identical (tables depend only on the dists of their scope
-    /// objects; benefits are zero off-scope), so the warm entry can be
-    /// carried to the new key instead of rebuilt from scratch.
-    ///
-    /// The caller owns the safety argument — `rekey` just moves the
-    /// slot. If an entry already lives under `new`, the stale slot is
-    /// dropped in its favor.
-    pub fn rekey(&self, old: CacheKey, new: CacheKey) -> usize {
-        if old == new {
-            return 0;
-        }
-        // Never hold both shard locks: remove under the old key's lock,
-        // then insert under the new key's.
-        let slot = {
-            let mut shard = self.shard_of(old).lock().expect("cache shard poisoned");
-            match shard.map.remove(&old) {
-                Some(slot) => {
-                    shard.order.retain(|key| *key != old);
-                    slot.plans().clear();
-                    slot
-                }
-                None => return 0,
-            }
-        };
-        let mut shard = self.shard_of(new).lock().expect("cache shard poisoned");
-        if shard.map.contains_key(&new) {
-            return 0;
-        }
-        self.make_room(&mut shard);
-        shard.map.insert(new, slot);
-        shard.order.push_back(new);
-        self.rekeys.fetch_add(1, Ordering::Relaxed);
-        1
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -446,7 +396,7 @@ impl CacheStore {
             scoped_builds: self.scoped_builds.load(Ordering::Relaxed),
             scoped_build_evals: self.scoped_build_evals.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            rekeys: self.rekeys.load(Ordering::Relaxed),
+            rekeys: 0,
             plan_hits: self.plan_hits.load(Ordering::Relaxed),
             plan_misses: self.plan_misses.load(Ordering::Relaxed),
             entries: self.len(),
@@ -528,19 +478,14 @@ impl CacheStore {
     }
 
     /// The scoped tables for `key`, building them with `build` on the
-    /// first touch. Concurrent callers for the same key block on one
-    /// build. `build` must construct tables for exactly the
-    /// (instance, query) pair the key fingerprints.
-    pub fn tables(&self, key: CacheKey, build: impl FnOnce() -> ScopedTables) -> Arc<ScopedTables> {
-        self.tables_tracked(key, build).0
-    }
-
-    /// [`CacheStore::tables`], additionally reporting whether the
-    /// lookup was served warm (`true` — a hit) or had to build
-    /// (`false` — a miss). The engine cache feeds this into
+    /// first touch, and whether the lookup was served warm (`true` — a
+    /// hit) or had to build (`false` — a miss). Concurrent callers for
+    /// the same key block on one build. `build` must construct tables
+    /// for exactly the (instance, query) pair the key fingerprints. The
+    /// engine cache feeds the warmth into
     /// [`PlanDiagnostics`](super::PlanDiagnostics) so plans expose
     /// their warm/cold provenance.
-    pub fn tables_tracked(
+    pub fn tables(
         &self,
         key: CacheKey,
         build: impl FnOnce() -> ScopedTables,
@@ -565,45 +510,6 @@ impl CacheStore {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         (Arc::clone(tables), !built)
-    }
-
-    /// The modular benefits for `key` (`None` when the query is not
-    /// affine), computing them with `build` on the first touch.
-    pub fn benefits(
-        &self,
-        key: CacheKey,
-        build: impl FnOnce() -> Option<Vec<f64>>,
-    ) -> Option<Arc<Vec<f64>>> {
-        self.benefits_tracked(key, build).0
-    }
-
-    /// [`CacheStore::benefits`], additionally reporting whether the
-    /// lookup was served warm (like [`CacheStore::tables_tracked`]).
-    pub fn benefits_tracked(
-        &self,
-        key: CacheKey,
-        build: impl FnOnce() -> Option<Vec<f64>>,
-    ) -> (Option<Arc<Vec<f64>>>, bool) {
-        let slot = self.slot(key);
-        if let Some(benefits) = slot.benefits.get() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (benefits.clone(), true);
-        }
-        let mut built = false;
-        let benefits = slot.benefits.get_or_init(|| {
-            built = true;
-            build().map(Arc::new)
-        });
-        self.record_lookup(built);
-        (benefits.clone(), !built)
-    }
-
-    fn record_lookup(&self, built: bool) {
-        if built {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -676,8 +582,10 @@ mod tests {
         let inst = instance(0.0);
         let q = query();
         let key = CacheKey::new(fingerprint_instance(&inst), 42);
-        let t1 = store.tables(key, || ScopedTables::build(&inst, &q));
-        let t2 = store.tables(key, || panic!("second lookup must not rebuild"));
+        let (t1, warm) = store.tables(key, || ScopedTables::build(&inst, &q));
+        assert!(!warm, "first touch is a miss");
+        let (t2, warm) = store.tables(key, || panic!("second lookup must not rebuild"));
+        assert!(warm, "second touch is a hit");
         assert!(Arc::ptr_eq(&t1, &t2));
         let stats = store.stats();
         assert_eq!(stats.scoped_builds, 1);
@@ -755,36 +663,6 @@ mod tests {
         assert_eq!(store.invalidate_instance(0xDEAD), 0);
     }
 
-    #[test]
-    fn rekey_carries_built_engines_without_rebuild() {
-        let store = CacheStore::new(16);
-        let inst = instance(0.0);
-        let q = query();
-        let fp_old = fingerprint_instance(&inst);
-        let fp_new = fp_old ^ 0xBEEF;
-        let old = CacheKey::new(fp_old, 1);
-        let new = CacheKey::new(fp_new, 1);
-        let built = store.tables(old, || ScopedTables::build(&inst, &q));
-        store.memoize_plan(old, at(1), plan(1));
-        assert_eq!(store.rekey(old, new), 1);
-        assert_eq!(store.stats().rekeys, 1);
-        assert!(store.plan(new, &at(1)).is_none(), "rekey clears the plans");
-        // The moved entry serves the new key warm, and the old key is gone.
-        let carried = store.tables(new, || panic!("rekeyed entry must stay warm"));
-        assert!(Arc::ptr_eq(&built, &carried));
-        assert_eq!(store.len(), 1);
-        store.tables(old, || ScopedTables::build(&inst, &q));
-        assert_eq!(store.stats().scoped_builds, 2, "old key went cold");
-        // Absent source and identity moves are no-ops.
-        assert_eq!(store.rekey(CacheKey::new(0xDEAD, 9), new), 0);
-        assert_eq!(store.rekey(new, new), 0);
-        // Occupied target: the stale source entry is dropped, not swapped.
-        assert_eq!(store.rekey(old, new), 0);
-        let kept = store.tables(new, || panic!("occupied target must be kept"));
-        assert!(Arc::ptr_eq(&built, &kept));
-        assert_eq!(store.len(), 1);
-    }
-
     fn plan(budget: u64) -> Plan {
         Plan {
             selection: crate::Selection::from_objects(vec![0], &[1, 1, 2]),
@@ -838,37 +716,5 @@ mod tests {
         assert_eq!(slot.plans().len(), PLAN_MEMO_CAP);
         assert!(store.plan(key, &at(1)).is_some(), "early plans stay");
         assert!(store.plan(key, &at(2 * PLAN_MEMO_CAP as u64 - 1)).is_none());
-    }
-
-    #[test]
-    fn tracked_lookups_report_warmth() {
-        let store = CacheStore::new(8);
-        let inst = instance(0.0);
-        let q = query();
-        let key = CacheKey::new(fingerprint_instance(&inst), 3);
-        let (_, warm) = store.tables_tracked(key, || ScopedTables::build(&inst, &q));
-        assert!(!warm, "first touch is a miss");
-        let (_, warm) = store.tables_tracked(key, || panic!("must not rebuild"));
-        assert!(warm, "second touch is a hit");
-        let (_, warm) = store.benefits_tracked(key, || Some(vec![1.0]));
-        assert!(!warm);
-        let (_, warm) = store.benefits_tracked(key, || panic!("must not recompute"));
-        assert!(warm);
-    }
-
-    #[test]
-    fn benefits_cached_including_non_affine_none() {
-        let store = CacheStore::new(8);
-        let key = CacheKey::new(1, 2);
-        let b1 = store.benefits(key, || Some(vec![1.0, 2.0]));
-        let b2 = store.benefits(key, || panic!("must not recompute"));
-        assert_eq!(b1.as_deref(), Some(&vec![1.0, 2.0]));
-        assert!(Arc::ptr_eq(&b1.unwrap(), &b2.unwrap()));
-        // `None` (non-affine) is a cacheable answer too.
-        let key2 = CacheKey::new(3, 4);
-        assert!(store.benefits(key2, || None).is_none());
-        assert!(store
-            .benefits(key2, || panic!("must not recompute"))
-            .is_none());
     }
 }

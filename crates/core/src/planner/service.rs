@@ -242,10 +242,6 @@ pub struct ServiceOptions {
     /// the rest ride bulk (default:
     /// [`ServiceOptions::DEFAULT_INTERACTIVE_THRESHOLD`]).
     pub interactive_threshold: u64,
-    /// Capacity of the service-owned [`CacheStore`] when none is
-    /// supplied (default:
-    /// [`ServiceOptions::DEFAULT_STORE_CAPACITY`]).
-    pub store_capacity: usize,
     /// The worker pool requests run on (`None` — the default — uses
     /// [`WorkerPool::global`]).
     pub pool: Option<Arc<WorkerPool>>,
@@ -257,7 +253,9 @@ impl ServiceOptions {
     /// latency-sensitive.
     pub const DEFAULT_INTERACTIVE_THRESHOLD: u64 = 1 << 20;
 
-    /// Default [`ServiceOptions::store_capacity`].
+    /// Capacity of the [`CacheStore`] that [`PlannerService::new`]
+    /// creates (a service that needs another size takes one through
+    /// [`PlannerService::with_store`]).
     pub const DEFAULT_STORE_CAPACITY: usize = 256;
 
     /// The default configuration.
@@ -265,7 +263,6 @@ impl ServiceOptions {
         Self {
             inline_threshold: ExecOptions::DEFAULT_INLINE_THRESHOLD,
             interactive_threshold: Self::DEFAULT_INTERACTIVE_THRESHOLD,
-            store_capacity: Self::DEFAULT_STORE_CAPACITY,
             pool: None,
         }
     }
@@ -279,12 +276,6 @@ impl ServiceOptions {
     /// Sets the interactive/bulk lane boundary.
     pub fn with_interactive_threshold(mut self, evals: u64) -> Self {
         self.interactive_threshold = evals;
-        self
-    }
-
-    /// Sets the capacity of the service-owned store.
-    pub fn with_store_capacity(mut self, entries: usize) -> Self {
-        self.store_capacity = entries;
         self
     }
 
@@ -1196,9 +1187,9 @@ pub struct PlannerService {
 
 impl PlannerService {
     /// A service with its own [`CacheStore`] (capacity
-    /// [`ServiceOptions::store_capacity`]).
+    /// [`ServiceOptions::DEFAULT_STORE_CAPACITY`]).
     pub fn new(registry: Arc<SolverRegistry>, opts: ServiceOptions) -> Self {
-        let store = Arc::new(CacheStore::new(opts.store_capacity));
+        let store = Arc::new(CacheStore::new(ServiceOptions::DEFAULT_STORE_CAPACITY));
         Self::with_store(registry, store, opts)
     }
 
@@ -2076,6 +2067,48 @@ mod tests {
             (2, 1),
             "repeats replay the memoized plan"
         );
+    }
+
+    #[test]
+    fn store_misses_are_table_builds_only() {
+        let svc = service(ServiceOptions::new());
+        let dup = dup_problem(12, 17);
+        let bias = Arc::new(
+            Problem::discrete_min_var(
+                random_instance(12, 17),
+                Arc::new(BiasQuery::new(claims(12), 6.0)),
+            )
+            .unwrap(),
+        );
+        let fp = dup.instance_fingerprint();
+        let budgets: Vec<Budget> = (0..4).map(Budget::absolute).collect();
+        svc.submit_sweep(
+            SweepRequest::new("greedy", Arc::clone(&dup), budgets).with_key(CacheKey::new(fp, 1)),
+        )
+        .unwrap()
+        .wait()
+        .unwrap();
+        let plan = svc
+            .submit(
+                SolveRequest::new("greedy", Arc::clone(&bias), Budget::absolute(3))
+                    .with_key(CacheKey::new(fp, 2)),
+            )
+            .unwrap()
+            .wait()
+            .unwrap();
+        let stats = svc.store().stats();
+        assert_eq!(stats.scoped_builds, 1, "one table build for the dup sweep");
+        assert_eq!(stats.misses, stats.scoped_builds, "every miss is a build");
+        assert_eq!(
+            (plan.diagnostics.store_hits, plan.diagnostics.store_misses),
+            (0, 0),
+            "a modular solve looks nothing up"
+        );
+        let expected = svc
+            .registry()
+            .solve("greedy", &bias, Budget::absolute(3))
+            .unwrap();
+        assert_eq!(plan.divergence(&expected), None);
     }
 
     /// A solver that parks every solve until the gate opens, then

@@ -130,11 +130,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Installs a persistent engine store: scoped-EV tables and modular
-    /// benefits are keyed on (instance fingerprint, measure identity)
-    /// so repeated sessions over the same dataset skip the prefix
-    /// rebuild. Share one `Arc` across sessions and request threads.
-    /// See [`fc_core::planner::cache`] for the fingerprint caveats.
+    /// Installs a persistent engine store: scoped-EV tables are keyed
+    /// on (instance fingerprint, measure identity) so repeated sessions
+    /// over the same dataset skip the prefix rebuild. Share one `Arc`
+    /// across sessions and request threads. See
+    /// [`fc_core::planner::cache`] for the fingerprint caveats.
     pub fn cache_store(mut self, store: Arc<CacheStore>) -> Self {
         self.cache_store = Some(store);
         self

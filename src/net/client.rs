@@ -151,7 +151,11 @@ impl Conn {
         headers: &[(&str, &str)],
         body: &str,
     ) -> io::Result<(u16, String)> {
-        self.exchange(method, path, headers, body, None)
+        self.write(method, path, headers, body, None)?;
+        let head = self.reader.head(None)?;
+        let body = self.reader.body(&head, None)?;
+        self.framed(&head);
+        Ok((head.status, body))
     }
 
     /// Whether the server will accept another request on this
@@ -159,31 +163,6 @@ impl Conn {
     /// framed a whole response).
     pub fn reusable(&self) -> bool {
         !self.close
-    }
-
-    /// Like [`Conn::send`], but while waiting for the response the
-    /// socket is polled every `poll` and `alive` is consulted; when it
-    /// reports `false` the exchange is abandoned and `Ok(None)` is
-    /// returned. The connection must then be **dropped**, not reused:
-    /// the response is still in flight, and — more importantly —
-    /// closing the socket is the signal that propagates a downstream
-    /// hangup to the server, whose own disconnect probe cancels the
-    /// request. This is how a routing front relays
-    /// cancellation-on-disconnect instead of absorbing it.
-    pub fn send_with_probe(
-        &mut self,
-        method: &str,
-        path: &str,
-        headers: &[(&str, &str)],
-        body: &str,
-        poll: Duration,
-        alive: &mut dyn FnMut() -> bool,
-    ) -> io::Result<Option<(u16, String)>> {
-        let mut probe = Probe::new(poll, alive, self.timeout);
-        match self.exchange(method, path, headers, body, Some(&mut probe)) {
-            Err(e) if is_gone(&e) => Ok(None),
-            response => response.map(Some),
-        }
     }
 
     /// Writes one request whose response the caller reads through
@@ -214,22 +193,6 @@ impl Conn {
         let restored = !std::mem::take(&mut self.polling)
             || self.writer.set_read_timeout(Some(self.timeout)).is_ok();
         self.close = head.close || !restored;
-    }
-
-    /// One exchange, consulting `probe` while the response is pending.
-    fn exchange(
-        &mut self,
-        method: &str,
-        path: &str,
-        headers: &[(&str, &str)],
-        body: &str,
-        mut probe: Option<&mut Probe<'_>>,
-    ) -> io::Result<(u16, String)> {
-        self.write(method, path, headers, body, probe.as_deref())?;
-        let head = self.reader.head(probe.as_deref_mut())?;
-        let body = self.reader.body(&head, probe)?;
-        self.framed(&head);
-        Ok((head.status, body))
     }
 }
 
@@ -770,12 +733,15 @@ impl ClientPool {
         self.request("GET", path, &[], "")
     }
 
-    /// [`ClientPool::request`] with downstream-liveness probing
-    /// ([`Conn::send_with_probe`]): `Ok(None)` means `alive` reported
-    /// the downstream client gone — the upstream connection is dropped
-    /// (not parked), closing the socket so the server's disconnect
-    /// probe cancels the request. Only safe for requests that may
-    /// re-execute (the stale-keep-alive retry applies here too).
+    /// [`ClientPool::request`] with downstream-liveness probing: while
+    /// the response is pending the socket is polled every `poll` and
+    /// `alive` is consulted. `Ok(None)` means `alive` reported the
+    /// downstream client gone — the upstream connection is dropped (not
+    /// parked), closing the socket so the server's disconnect probe
+    /// cancels the request. This is how a routing front relays
+    /// cancellation-on-disconnect instead of absorbing it. Only safe
+    /// for requests that may re-execute (the stale-keep-alive retry
+    /// applies here too).
     pub fn request_with_probe(
         &self,
         method: &str,

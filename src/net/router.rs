@@ -7,7 +7,7 @@
 //! cache store. [`RouterServer`] exploits that: it speaks the same
 //! HTTP surface as a backend and consistent-hashes each request's
 //! stream id onto one of N backends, so a fact-checker's session
-//! sticks to one replica (warm scoped tables, warm benefits) while
+//! sticks to one replica (warm scoped tables, warm plan memo) while
 //! the fleet shares the load.
 //!
 //! ## Routing and failure semantics
@@ -17,9 +17,8 @@
 //!   first point at or after its own hash. Adding or removing one
 //!   backend moves only the streams that hashed to it.
 //! * **Health probes** — a prober thread `GET`s `/v1/health` on every
-//!   backend each [`RouterConfig::probe_interval`] (falling back to
-//!   `/v1/stats` for backends without the health route). A probe
-//!   failure marks the backend unhealthy; a later success restores it.
+//!   backend each [`RouterConfig::probe_interval`]. A probe failure
+//!   marks the backend unhealthy; a later success restores it.
 //! * **Drain / rotate** — a backend is *draining* when the operator
 //!   flags it on the router (`POST /v1/admin/backends/{name}/drain`)
 //!   or the backend advertises it (`draining: true` in its health
@@ -575,13 +574,7 @@ fn prober_loop(ctx: &RouterCtx) {
 fn probe_fleet(backends: &[Backend], timeout: Duration) {
     std::thread::scope(|scope| {
         for backend in backends {
-            let probe = move || {
-                let mut conn = Conn::connect(backend.addr, Some(timeout));
-                probe_backend(backend, |path| match conn.as_mut() {
-                    Ok(conn) => conn.send("GET", path, &[], ""),
-                    Err(e) => Err(e.kind().into()),
-                });
-            };
+            let probe = move || probe_backend(backend, timeout);
             let spawned = std::thread::Builder::new()
                 .name("fc-router-probe".into())
                 .spawn_scoped(scope, probe);
@@ -592,18 +585,16 @@ fn probe_fleet(backends: &[Backend], timeout: Duration) {
     });
 }
 
-/// One health probe over `get`: `GET /v1/health`, falling back to
-/// `/v1/stats` on backends without the health route. A `200` marks
-/// healthy, updates the advertised drain flag, and refreshes the
-/// backend's per-stream residency; anything else marks unhealthy.
-fn probe_backend(backend: &Backend, mut get: impl FnMut(&str) -> io::Result<(u16, String)>) {
-    let exchange = get("/v1/health").and_then(|(status, body)| match status {
-        404 => get("/v1/stats").map(|(s, b)| (s, b, false)),
-        _ => Ok((status, body, true)),
-    });
+/// One health probe: `GET /v1/health` on a fresh connection bounded by
+/// `timeout`. A `200` marks healthy, updates the advertised drain flag,
+/// and refreshes the backend's per-stream residency; anything else
+/// marks unhealthy.
+fn probe_backend(backend: &Backend, timeout: Duration) {
+    let exchange = Conn::connect(backend.addr, Some(timeout))
+        .and_then(|mut conn| conn.send("GET", "/v1/health", &[], ""));
     match exchange {
-        Ok((200, body, has_health)) => {
-            let health = has_health.then(|| Json::parse(&body).ok()).flatten();
+        Ok((200, body)) => {
+            let health = Json::parse(&body).ok();
             let advertised = health
                 .as_ref()
                 .and_then(|j| j.get("draining").and_then(Json::as_bool))

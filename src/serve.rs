@@ -196,15 +196,8 @@ impl ClaimStream {
     /// entries of the *previous* data version. Only the touched
     /// instance is re-fingerprinted (the claim-family digests are
     /// memoized); every other instance's entries stay warm. Returns
-    /// the number of store entries invalidated.
-    ///
-    /// **Delta-resolve:** when every cleaned object sits outside every
-    /// claim's scope, nothing is invalidated at all — the warm entries
-    /// are carried to the new fingerprint intact (scoped tables depend
-    /// only on the dists of their scope objects, and modular benefits
-    /// are zero off-scope), so the next submission replays the cached
-    /// prefix work with zero scoped rebuilds. The return value is `0`
-    /// on that path.
+    /// the number of store entries invalidated. Every clean takes this
+    /// path, whether or not a claim references the cleaned objects.
     ///
     /// Submissions already in flight keep their pre-cleaning problem
     /// (and produce pre-cleaning plans); submissions after this call
@@ -212,60 +205,30 @@ impl ClaimStream {
     pub fn mark_cleaned(&mut self, objects: &[usize], revealed: &[f64]) -> Result<usize> {
         let selection = self.selection_of(objects)?;
         let next = self.session.after_cleaning(&selection, revealed)?;
-        Ok(self.install(next, objects))
+        Ok(self.install(next))
     }
 
     /// Applies softer evidence: replaces the marginal distribution and
     /// current value of each `(object, dist, value)` triple (cleaning
     /// that narrows uncertainty without eliminating it). Invalidates
-    /// (or delta-resolves) like [`ClaimStream::mark_cleaned`]; returns
-    /// the number of store entries invalidated.
+    /// like [`ClaimStream::mark_cleaned`]; returns the number of store
+    /// entries invalidated.
     pub fn update_values(
         &mut self,
         updates: &[(usize, fc_uncertain::DiscreteDist, f64)],
     ) -> Result<usize> {
         let next = self.session.with_updated_values(updates)?;
-        let touched: Vec<usize> = updates.iter().map(|(object, _, _)| *object).collect();
-        Ok(self.install(next, &touched))
+        Ok(self.install(next))
     }
 
-    /// Swaps in the updated session, dropping the stale problem memo.
-    /// Store entries of the previous data version are *rekeyed* to the
-    /// new fingerprint when every touched object is provably out of
-    /// every claim scope (the cached tables and benefits are
-    /// value-identical in that case), and invalidated otherwise.
-    /// Returns the number of entries invalidated — `0` on the rekey
-    /// path.
-    fn install(&mut self, next: CleaningSession, touched: &[usize]) -> usize {
+    /// Swaps in the updated session, dropping the stale problem memo,
+    /// and invalidates the store entries of the previous data version.
+    /// Returns the number of entries invalidated.
+    fn install(&mut self, next: CleaningSession) -> usize {
         // The fingerprints that may hold store entries are exactly the
         // ones requests actually derived (memoized on the *old*
         // session).
         let stale = self.session.active_instance_fingerprints();
-        // Delta-resolve precondition: scoped tables depend only on the
-        // dists of their scope objects, and modular benefits are zero
-        // for objects no claim references — so a data update touching
-        // only out-of-scope objects leaves every cached engine
-        // value-identical under the new fingerprint.
-        let scoped = self.session.claims().all_objects();
-        let out_of_scope = touched
-            .iter()
-            .all(|object| scoped.binary_search(object).is_err());
-        if out_of_scope {
-            let moves: Option<Vec<(CacheKey, CacheKey)>> = self
-                .session
-                .derived_cache_keys()
-                .into_iter()
-                .map(|(index, old)| next.prederive_cache_key(index).map(|new| (old, new)))
-                .collect();
-            if let Some(moves) = moves {
-                self.session = next;
-                self.problems.lock().expect("problem memo poisoned").clear();
-                for (old, new) in moves {
-                    self.service.store().rekey(old, new);
-                }
-                return 0;
-            }
-        }
         self.session = next;
         self.problems.lock().expect("problem memo poisoned").clear();
         stale
@@ -448,8 +411,7 @@ mod tests {
         );
     }
 
-    /// [`session`] plus a sixth object no claim references — the
-    /// delta-resolve setting.
+    /// [`session`] plus a sixth object no claim references.
     fn session_with_unreferenced_object() -> CleaningSession {
         let dists = vec![
             DiscreteDist::uniform_over(&[8_990.0, 9_010.0, 9_030.0]).unwrap(),
@@ -476,77 +438,33 @@ mod tests {
     }
 
     #[test]
-    fn out_of_scope_cleaning_rekeys_instead_of_invalidating() {
+    fn out_of_scope_cleaning_and_updates_invalidate() {
         let mut stream = ClaimStream::open(session_with_unreferenced_object(), service());
         let spec = ObjectiveSpec::ascertain(Measure::Dup);
-        stream
-            .submit(spec.clone(), Budget::absolute(2))
-            .unwrap()
-            .wait()
-            .unwrap();
-        let cold = stream.service.store().stats();
-        assert!(cold.entries > 0 && cold.scoped_builds > 0);
-        // Cleaning the unreferenced object changes the fingerprint but
-        // not a single cached table value: nothing is invalidated.
-        let invalidated = stream.mark_cleaned(&[5], &[250.0]).unwrap();
-        assert_eq!(invalidated, 0, "scope-disjoint cleaning rekeys");
-        let moved = stream.service.store().stats();
-        assert!(moved.rekeys >= 1);
-        assert_eq!(moved.invalidations, cold.invalidations);
-        assert_eq!(moved.entries, cold.entries, "entries carried, not dropped");
-        // The next submission replays the carried tables — zero store
-        // misses, zero new scoped builds — but solves its plan again
-        // (rekey clears the memo), and still matches a fresh solve over
-        // the cleaned data byte-for-byte.
-        let warm = stream
-            .submit(spec.clone(), Budget::absolute(2))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(warm.diagnostics.store_misses, 0, "no cold store touch");
-        let resolved = stream.service.store().stats();
-        assert_eq!(
-            resolved.scoped_builds, cold.scoped_builds,
-            "zero scoped rebuilds after a scope-disjoint clean"
-        );
-        assert_eq!(resolved.plan_hits, cold.plan_hits, "the plan was re-solved");
-        assert_eq!(resolved.plan_misses, cold.plan_misses + 1);
-        let expected = stream
-            .session()
-            .recommend(spec, Budget::absolute(2))
-            .unwrap();
-        assert_eq!(warm.divergence(&expected), None);
-        assert!(stream.session().instance().dist(5).is_certain());
-    }
-
-    #[test]
-    fn out_of_scope_update_values_rekeys_too() {
-        let mut stream = ClaimStream::open(session_with_unreferenced_object(), service());
-        let spec = ObjectiveSpec::ascertain(Measure::Bias);
-        stream
-            .submit(spec.clone(), Budget::absolute(1))
-            .unwrap()
-            .wait()
-            .unwrap();
-        let cold = stream.service.store().stats();
+        let solve = |stream: &ClaimStream| {
+            stream
+                .submit(spec.clone(), Budget::absolute(2))
+                .unwrap()
+                .wait()
+                .unwrap()
+        };
+        // Touching only an object no claim references still
+        // re-fingerprints the instance, and its stale entries go.
+        solve(&stream);
         let narrowed = DiscreteDist::uniform_over(&[180.0, 220.0]).unwrap();
         let invalidated = stream.update_values(&[(5, narrowed, 200.0)]).unwrap();
-        assert_eq!(invalidated, 0);
-        assert!(stream.service.store().stats().rekeys >= 1);
-        let warm = stream
-            .submit(spec, Budget::absolute(1))
-            .unwrap()
-            .wait()
+        assert!(invalidated > 0, "out-of-scope update invalidates");
+        solve(&stream);
+        let invalidated = stream.mark_cleaned(&[5], &[220.0]).unwrap();
+        assert!(invalidated > 0, "out-of-scope clean invalidates");
+        // The next plan equals a fresh solve over the cleaned data.
+        let expected = stream
+            .session()
+            .recommend(spec.clone(), Budget::absolute(2))
             .unwrap();
-        assert_eq!(warm.diagnostics.store_misses, 0);
-        assert_eq!(
-            stream.service.store().stats().scoped_builds,
-            cold.scoped_builds
-        );
-        // In-scope updates still take the invalidation path.
-        let shifted = DiscreteDist::uniform_over(&[9_270.0, 9_280.0]).unwrap();
-        let invalidated = stream.update_values(&[(1, shifted, 9_275.0)]).unwrap();
-        assert!(invalidated > 0, "in-scope update invalidates");
+        assert_eq!(solve(&stream).divergence(&expected), None);
+        assert!(stream.session().instance().dist(5).is_certain());
+        assert_eq!(stream.service.store().stats().rekeys, 0);
     }
 
     #[test]

@@ -302,11 +302,11 @@ impl CleaningSession {
     /// depend on besides it — measure, θ, the claim family, and the
     /// discretization width (for Gaussian data lowered onto discrete
     /// engines). Goal and budget are deliberately excluded: scoped
-    /// tables and modular benefits are valid for every goal. Memoized
-    /// per measure and per data version, with the two halves memoized
-    /// independently: after a cleaning step only the instance half is
-    /// recomputed ([`ClaimStream`](crate::serve::ClaimStream) relies on
-    /// this to keep incremental updates cheap).
+    /// tables are valid for every goal. Memoized per measure and per
+    /// data version, with the two halves memoized independently: after
+    /// a cleaning step only the instance half is recomputed
+    /// ([`ClaimStream`](crate::serve::ClaimStream) relies on this to
+    /// keep incremental updates cheap).
     pub(crate) fn cache_key(&self, problem: &Problem, measure: Measure) -> CacheKey {
         let index = Self::measure_index(measure);
         *self.cache_keys[index].get_or_init(|| {
@@ -337,40 +337,6 @@ impl CleaningSession {
         fps.sort_unstable();
         fps.dedup();
         fps
-    }
-
-    /// The measure-indexed cache keys actually derived so far — the
-    /// candidate entries for a [`CacheStore::rekey`] carry after a
-    /// data update whose touched objects sit outside every claim
-    /// scope (see [`ClaimStream::mark_cleaned`](crate::serve::ClaimStream::mark_cleaned)).
-    pub(crate) fn derived_cache_keys(&self) -> Vec<(usize, CacheKey)> {
-        self.cache_keys
-            .iter()
-            .enumerate()
-            .filter_map(|(index, slot)| slot.get().map(|&key| (index, key)))
-            .collect()
-    }
-
-    /// Derives (and memoizes) the cache key for measure index `index`
-    /// directly from this session's discrete instance, without
-    /// lowering a [`Problem`]. Matches [`CleaningSession::cache_key`]
-    /// exactly: discrete problems clone the session instance, so the
-    /// fingerprint of the session data *is* the lowered problem's
-    /// instance fingerprint. Returns `None` for Gaussian sessions
-    /// (bias problems fingerprint the Gaussian instance there, and
-    /// dup/frag fingerprint a derived discretization).
-    pub(crate) fn prederive_cache_key(&self, index: usize) -> Option<CacheKey> {
-        let DataModel::Discrete(instance) = &self.data else {
-            return None;
-        };
-        let measure = [Measure::Bias, Measure::Dup, Measure::Frag][index];
-        Some(*self.cache_keys[index].get_or_init(|| {
-            let query = *self.query_digests[index].get_or_init(|| self.query_digest(measure));
-            CacheKey::new(
-                fc_core::planner::cache::fingerprint_instance(instance),
-                query,
-            )
-        }))
     }
 
     /// The non-instance half of a [`CacheKey`] (see
