@@ -438,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_scope_cleaning_and_updates_invalidate() {
+    fn out_of_scope_cleaning_invalidates() {
         let mut stream = ClaimStream::open(session_with_unreferenced_object(), service());
         let spec = ObjectiveSpec::ascertain(Measure::Dup);
         let solve = |stream: &ClaimStream| {
@@ -448,12 +448,8 @@ mod tests {
                 .wait()
                 .unwrap()
         };
-        // Touching only an object no claim references still
+        // Cleaning only an object no claim references still
         // re-fingerprints the instance, and its stale entries go.
-        solve(&stream);
-        let narrowed = DiscreteDist::uniform_over(&[180.0, 220.0]).unwrap();
-        let invalidated = stream.update_values(&[(5, narrowed, 200.0)]).unwrap();
-        assert!(invalidated > 0, "out-of-scope update invalidates");
         solve(&stream);
         let invalidated = stream.mark_cleaned(&[5], &[220.0]).unwrap();
         assert!(invalidated > 0, "out-of-scope clean invalidates");
@@ -464,6 +460,36 @@ mod tests {
             .unwrap();
         assert_eq!(solve(&stream).divergence(&expected), None);
         assert!(stream.session().instance().dist(5).is_certain());
+        assert_eq!(stream.service.store().stats().rekeys, 0);
+    }
+
+    #[test]
+    fn out_of_scope_update_values_invalidates() {
+        let mut stream = ClaimStream::open(session_with_unreferenced_object(), service());
+        let spec = ObjectiveSpec::ascertain(Measure::Bias);
+        let solve = |stream: &ClaimStream| {
+            stream
+                .submit(spec.clone(), Budget::absolute(1))
+                .unwrap()
+                .wait()
+                .unwrap()
+        };
+        solve(&stream);
+        let narrowed = DiscreteDist::uniform_over(&[180.0, 220.0]).unwrap();
+        let invalidated = stream
+            .update_values(&[(5, narrowed.clone(), 200.0)])
+            .unwrap();
+        assert!(invalidated > 0, "out-of-scope update invalidates");
+        let expected = stream
+            .session()
+            .recommend(spec.clone(), Budget::absolute(1))
+            .unwrap();
+        assert_eq!(solve(&stream).divergence(&expected), None);
+        assert_eq!(stream.session().instance().dist(5), &narrowed);
+        // In-scope updates take the same invalidation path.
+        let shifted = DiscreteDist::uniform_over(&[9_270.0, 9_280.0]).unwrap();
+        let invalidated = stream.update_values(&[(1, shifted, 9_275.0)]).unwrap();
+        assert!(invalidated > 0, "in-scope update invalidates");
         assert_eq!(stream.service.store().stats().rekeys, 0);
     }
 
