@@ -13,17 +13,18 @@
 //! timeout, which is how the router relays a hangup upstream.
 //! [`ClientPool`] parks idle [`Conn`]s for reuse across calls and
 //! threads; the free functions ([`post`], [`get`], [`request`]) run one
-//! exchange on a fresh [`Conn`]; and [`SweepStream`] wraps a dedicated
+//! exchange on a fresh [`Conn`]; and [`SweepStream`] borrows a pooled
 //! [`Conn`], yielding each plan of a streamed sweep as its chunk
-//! arrives. A chunked response read whole is its chunks concatenated —
-//! the byte-identity gate: a streamed sweep read through [`post`] must
+//! arrives and parking the connection after the terminal chunk. A
+//! chunked response read whole is its chunks concatenated — the
+//! byte-identity gate: a streamed sweep read through [`post`] must
 //! equal the buffered response.
 //!
 //! A connection stays reusable after a chunked response once its
 //! terminal chunk has framed: the reader consumes exactly the terminal
 //! chunk and its trailers and keeps whatever follows for the next head.
 //! Only `connection: close`, or a response not read to its end, retires
-//! a connection. Inside the crate, every pooled exchange, the router's
+//! a connection. Every pooled exchange, [`SweepStream`], the router's
 //! streamed relay and its broadcast run through one in-flight request
 //! type, `InFlight`, which owns the stale-connection retry and parks
 //! the connection once the response is whole.
@@ -55,6 +56,21 @@ const MAX_CHUNK_SIZE: usize = 1 << 26;
 
 /// Longest acceptable trailer line after the terminal chunk.
 const MAX_TRAILER_LINE: usize = 1024;
+
+/// Pools [`SweepStream::open`] keeps, most recently used first; the
+/// least recently used one is dropped (closing its idle connections)
+/// when a new address or timeout needs a pool.
+const SWEEP_POOLS: usize = 8;
+
+/// Idle connections each of those pools parks. With [`SWEEP_POOLS`] it
+/// bounds the process-wide set at 32 sockets, however many servers a
+/// process talks to over its life.
+const SWEEP_POOL_IDLE: usize = 4;
+
+/// The process-wide idle set behind [`SweepStream::open`]: one
+/// [`ClientPool`] per resolved address and timeout, most recently used
+/// first.
+static SWEEP_POOL_SET: Mutex<Vec<Arc<ClientPool>>> = Mutex::new(Vec::new());
 
 /// Writes one request on `sock` (keep-alive framing: the connection
 /// stays usable for [`read_response`] and further requests), head and
@@ -506,44 +522,85 @@ fn find_crlf(raw: &[u8]) -> Option<usize> {
     raw.windows(2).position(|w| w == b"\r\n")
 }
 
+/// The pool [`SweepStream::open`] takes a connection to `addr` from:
+/// the process-wide set's pool for the resolved address and `timeout`,
+/// created (evicting the least recently used past [`SWEEP_POOLS`]) on
+/// first use.
+fn sweep_pool(addr: impl ToSocketAddrs, timeout: Option<Duration>) -> io::Result<Arc<ClientPool>> {
+    let fresh = ClientPool::new(addr)?;
+    let mut pools = SWEEP_POOL_SET
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let pool = match pools
+        .iter()
+        .position(|pool| pool.addr == fresh.addr && pool.timeout == timeout)
+    {
+        Some(at) => pools.remove(at),
+        None => Arc::new(ClientPool {
+            timeout,
+            max_idle: SWEEP_POOL_IDLE,
+            ..fresh
+        }),
+    };
+    pools.insert(0, Arc::clone(&pool));
+    pools.truncate(SWEEP_POOLS);
+    Ok(pool)
+}
+
 /// An in-flight streamed sweep (`POST /v1/sweep?stream=1`): iterate to
 /// receive each budget point's plan as its chunk arrives — ascending
 /// budget order, first point available while later ones are still
-/// solving. Runs on a dedicated connection that the iterator owns and
-/// closes when dropped. The server would keep the connection open after
-/// a complete stream, but a stream dropped mid-way cannot be reused,
-/// and closing it is what the server's disconnect probe turns into
-/// cancellation of the remaining points.
+/// solving. Runs on a connection borrowed from a [`ClientPool`] and
+/// parked back there once the terminal chunk frames, with or without
+/// an error trailer (a buffered refusal parks it too). A stream dropped
+/// before its terminal chunk closes its connection instead, which the
+/// server's disconnect probe turns into cancellation of the remaining
+/// points.
 ///
 /// A mid-stream server failure arrives as the error trailer and is
 /// yielded as one final `Err`; after any `Err` (or the clean end) the
 /// iterator is fused.
 #[derive(Debug)]
 pub struct SweepStream {
-    conn: Conn,
+    /// The borrowed connection until the terminal chunk parks it (or a
+    /// failure closes it).
+    conn: Option<Conn>,
+    pool: Arc<ClientPool>,
+    head: Head,
     prologue_seen: bool,
     epilogue_seen: bool,
     done: bool,
 }
 
 impl SweepStream {
-    /// Opens a dedicated connection to `addr` and submits `request`
-    /// with `stream=1`. A refusal (non-2xx, delivered buffered) is
-    /// decoded and returned here, so a constructed stream is live.
+    /// Submits `request` with `stream=1` to `addr` on a keep-alive
+    /// connection from a process-wide idle set, keyed by the resolved
+    /// address and `timeout` (which bounds the connect and every read
+    /// and write). A refusal (non-2xx, delivered buffered) is decoded
+    /// and returned here, so a constructed stream is live.
     pub fn open(
         addr: impl ToSocketAddrs,
         timeout: Option<Duration>,
         request: &SweepRequest,
         tenant: Option<&str>,
     ) -> Result<Self, ClientError> {
-        let mut conn = Conn::connect(addr, timeout)?;
+        Self::over(sweep_pool(addr, timeout)?, request, tenant)
+    }
+
+    /// [`SweepStream::open`] on a connection from `pool`.
+    fn over(
+        pool: Arc<ClientPool>,
+        request: &SweepRequest,
+        tenant: Option<&str>,
+    ) -> Result<Self, ClientError> {
         let tenant = tenant.map(|tenant| ("x-tenant", tenant));
         let body = request.encode();
-        conn.write("POST", "/v1/sweep?stream=1", tenant.as_slice(), &body, None)?;
-        let head = conn.reader.head(None)?;
+        let mut call = pool.start("POST", "/v1/sweep?stream=1", tenant.as_slice(), &body, None)?;
+        let head = call.head(None)?;
         if !(200..300).contains(&head.status) {
             // Refusals are sent up front with an ordinary buffered body.
-            let body = conn.reader.body(&head, None)?;
+            let body = call.reader().body(&head, None)?;
+            call.finish(&head);
             let json = Json::parse(&body).unwrap_or(Json::Null);
             return Err(api_error(head.status, &json));
         }
@@ -553,7 +610,9 @@ impl SweepStream {
             ));
         }
         Ok(Self {
-            conn,
+            conn: Some(call.into_conn()),
+            pool,
+            head,
             prologue_seen: false,
             epilogue_seen: false,
             done: false,
@@ -563,7 +622,15 @@ impl SweepStream {
     /// Reads frames up to the next plan, the clean end, or a failure.
     fn next_point(&mut self) -> Option<Result<PlanView, ClientError>> {
         loop {
-            let text = match self.conn.reader.frame(None) {
+            let conn = self.conn.as_mut()?;
+            let frame = conn.reader.frame(None);
+            if let Ok(ChunkFrame::End { .. }) = frame {
+                // The response is whole: the connection can carry the
+                // next request.
+                conn.framed(&self.head);
+                self.pool.park(self.conn.take()?);
+            }
+            let text = match frame {
                 Err(e) => return Some(Err(e.into())),
                 Ok(ChunkFrame::End {
                     error: Some(trailer),
@@ -639,8 +706,12 @@ impl Iterator for SweepStream {
             return None;
         }
         let point = self.next_point();
-        // Fused after any error and after the clean end.
+        // Fused after any error and after the clean end; a connection
+        // the terminal chunk did not park is closed here.
         self.done = !matches!(point, Some(Ok(_)));
+        if self.done {
+            self.conn = None;
+        }
         point
     }
 }
@@ -889,6 +960,12 @@ impl InFlight<'_> {
         self.conn.framed(head);
         self.pool.park(self.conn);
     }
+
+    /// The connection, for a response read past this request's
+    /// lifetime; its reader parks it through [`ClientPool::park`].
+    fn into_conn(self) -> Conn {
+        self.conn
+    }
 }
 
 /// A registry of [`ClientPool`]s keyed by **resolved** socket address,
@@ -1068,14 +1145,16 @@ impl ApiClient {
 
     /// `POST /v1/sweep?stream=1` — the same sweep, streamed: yields
     /// each budget point's plan as it completes (ascending budget) on
-    /// a dedicated connection (see [`SweepStream`]). Dropping the
-    /// iterator early cancels the points still solving server-side.
+    /// a connection from this client's pool, parked back after the
+    /// terminal chunk (see [`SweepStream`]). Dropping the iterator
+    /// early closes the connection, which cancels the points still
+    /// solving server-side.
     pub fn sweep_streaming(
         &self,
         request: &SweepRequest,
         tenant: Option<&str>,
     ) -> Result<SweepStream, ClientError> {
-        SweepStream::open(self.pool.addr(), self.pool.timeout, request, tenant)
+        SweepStream::over(Arc::clone(&self.pool), request, tenant)
     }
 
     /// `POST /v1/streams` — create a stream from an uploaded dataset;

@@ -10,22 +10,28 @@
 //! the read timeout for the next accepted socket. The accept loop hands
 //! a new socket to a parked handler when one is free and spawns a
 //! thread only when none is, so a burst of short connections (a
-//! `SweepStream` opens one per sweep) costs no thread spawn each.
-//! Shutdown wakes parked handlers, which then exit. A connection
-//! outlives a complete streamed response too: the keep-alive loop reads
-//! the next request after the terminal chunk, and only a stream
-//! abandoned part-way closes it.
+//! plain `client::post` opens one per call) costs no thread spawn each.
+//! A connection outlives a complete streamed response too: the
+//! keep-alive loop reads the next request after the terminal chunk, and
+//! only a stream abandoned part-way closes it.
+//!
+//! Shutdown stops accepting, wakes parked handlers, which then exit,
+//! and closes every keep-alive connection whose handler is waiting for
+//! its next request with nothing read yet; requests already read are
+//! answered (with `connection: close`) before the drain returns. So a
+//! pooled client's idle connection never holds shutdown for the read
+//! timeout.
 //!
 //! Each front supplies only its shared state and a route table; the
 //! request-lifecycle rules — timeouts, framing errors, connection
 //! reaping, graceful drain — live here once.
 
-use std::collections::VecDeque;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, BufRead, BufReader};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use super::api::ApiError;
@@ -161,11 +167,58 @@ struct Shared<C: 'static> {
     live: Arc<LiveConnections>,
     handoff: Mutex<Handoff>,
     handed: Condvar,
+    /// A handle on each connection whose handler waits for the first
+    /// byte of its next request, keyed by the handler thread (which
+    /// serves one connection at a time); shutdown closes their read
+    /// halves.
+    waiting: Mutex<HashMap<ThreadId, TcpStream>>,
 }
 
 impl<C: 'static> Shared<C> {
     fn handoff(&self) -> MutexGuard<'_, Handoff> {
         self.handoff.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn waiting(&self) -> MutexGuard<'_, HashMap<ThreadId, TcpStream>> {
+        self.waiting.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until the next request's first byte is buffered in
+    /// `reader`, with `closer` (a handle on the same socket) registered
+    /// so shutdown can end the wait. `false` when the connection should
+    /// close instead: the client closed it, it sat idle past the read
+    /// timeout, or shutdown is under way with nothing read.
+    fn await_request(
+        &self,
+        closer: &mut Option<TcpStream>,
+        reader: &mut BufReader<TcpStream>,
+    ) -> bool {
+        if !reader.buffer().is_empty() {
+            return true; // a pipelined request is already read
+        }
+        let Some(handle) = closer.take() else {
+            return false;
+        };
+        let handler = std::thread::current().id();
+        {
+            // Checked under the lock shutdown closes the waiting set
+            // under, so no handler registers after that sweep.
+            let mut waiting = self.waiting();
+            if self.shutdown.load(Ordering::SeqCst) {
+                return false;
+            }
+            waiting.insert(handler, handle);
+        }
+        let arrived = loop {
+            match reader.fill_buf() {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                filled => break filled.is_ok_and(|bytes| !bytes.is_empty()),
+            }
+        };
+        // Gone when shutdown closed it meanwhile: the request that may
+        // have arrived first is still answered, then the connection ends.
+        *closer = self.waiting().remove(&handler);
+        arrived
     }
 
     /// Queues `accepted` for a parked handler, or gives it back when
@@ -236,6 +289,7 @@ impl<C: Send + Sync + 'static> Front<C> {
             live: Arc::default(),
             handoff: Mutex::default(),
             handed: Condvar::new(),
+            waiting: Mutex::default(),
         });
         let accept_shared = Arc::clone(&shared);
         let name = name.to_string();
@@ -261,12 +315,12 @@ impl<C: 'static> Front<C> {
         *self.shared.live.lock()
     }
 
-    /// Graceful shutdown: stop accepting, then wait until every
-    /// accepted connection's handler has finished its request. Idle
-    /// keep-alive connections are released at their next read-timeout
-    /// tick. Parked handlers are woken to exit, and a socket still
-    /// queued for one is closed unserved. Returns `false` when the
-    /// front was already shut down.
+    /// Graceful shutdown: stop accepting, close every keep-alive
+    /// connection waiting for its next request with nothing read, then
+    /// wait until every other connection's handler has answered the
+    /// request it read. Parked handlers are woken to exit, and a socket
+    /// still queued for one is closed unserved. Returns `false` when
+    /// the front was already shut down.
     pub(crate) fn shutdown(&mut self) -> bool {
         let Some(accept) = self.accept.take() else {
             return false;
@@ -280,6 +334,10 @@ impl<C: 'static> Front<C> {
         // The queued sockets' slots must be released before the drain
         // waits on them.
         drop(queued);
+        // A closed read half wakes the waiting handler to an EOF.
+        for (_, sock) in self.shared.waiting().drain() {
+            let _ = sock.shutdown(Shutdown::Read);
+        }
         self.shared.live.wait_drained();
         true
     }
@@ -355,12 +413,16 @@ fn handle_connection<C: 'static>(sock: TcpStream, shared: &Shared<C>) {
     let _ = sock.set_read_timeout(Some(limits.read_timeout));
     let _ = sock.set_write_timeout(Some(limits.read_timeout));
     let _ = sock.set_nodelay(true);
-    let Ok(read_half) = sock.try_clone() else {
+    let (Ok(read_half), Ok(closer)) = (sock.try_clone(), sock.try_clone()) else {
         return;
     };
+    let mut closer = Some(closer);
     let mut reader = BufReader::new(read_half);
     let mut writer = sock;
     loop {
+        if !shared.await_request(&mut closer, &mut reader) {
+            return;
+        }
         let request = match read_request(&mut reader, limits.max_body_bytes) {
             Ok(request) => request,
             // Closed, broken, or idle past the keep-alive window: reap

@@ -513,8 +513,8 @@ impl RouterHandle {
         }
     }
 
-    /// Graceful shutdown: stop accepting, drain in-flight relays, stop
-    /// the prober.
+    /// Graceful shutdown: stop accepting, close idle keep-alive
+    /// connections, drain in-flight relays, stop the prober.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }

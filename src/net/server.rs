@@ -268,10 +268,10 @@ impl ServerHandle {
         &self.ctx.service
     }
 
-    /// Graceful shutdown: stop accepting, then drain — every accepted
-    /// request completes and its response is written before this
-    /// returns. Idle keep-alive connections are released at the next
-    /// [`ServerConfig::read_timeout`] tick.
+    /// Graceful shutdown: stop accepting, close idle keep-alive
+    /// connections (those waiting for a next request with nothing
+    /// read), then drain — every request already read completes and
+    /// its response is written before this returns.
     pub fn shutdown(mut self) {
         self.front.shutdown();
     }

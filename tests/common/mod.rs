@@ -1,10 +1,14 @@
 //! Fixtures shared by the integration tests: the 5-object crime
-//! session, window-sum sessions over the paper's datasets, and a
-//! deliberately slow solver.
+//! session, window-sum sessions over the paper's datasets, a
+//! deliberately slow solver, and a pass-through proxy that counts the
+//! connections streamed sweeps dial.
 
 // Each test binary compiles its own copy and uses a subset.
 #![allow(dead_code)]
 
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -92,4 +96,53 @@ pub fn registry_with_slow(delay: Duration) -> Arc<SolverRegistry> {
     let delegate = registry.get("greedy").unwrap();
     registry.register_solver(Arc::new(SlowSolver { delegate, delay }));
     Arc::new(registry)
+}
+
+/// A pass-through TCP proxy to `upstream`. Returns its address and the
+/// number of proxied connections that carried at least one `POST
+/// /v1/sweep` request; other connections (a router's health probes, a
+/// plain recommend) are not counted. A hangup on either side is passed on
+/// as a half-close, so a dropped relay still reads as a hangup upstream.
+pub fn sweep_connection_counter(upstream: SocketAddr) -> (SocketAddr, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let addr = listener.local_addr().expect("proxy addr");
+    let count = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&count);
+    std::thread::spawn(move || {
+        for downstream in listener.incoming() {
+            let Ok(mut downstream) = downstream else {
+                continue;
+            };
+            let Ok(mut server) = TcpStream::connect(upstream) else {
+                continue;
+            };
+            let (Ok(mut answers), Ok(mut client)) = (server.try_clone(), downstream.try_clone())
+            else {
+                continue;
+            };
+            std::thread::spawn(move || {
+                let _ = std::io::copy(&mut answers, &mut client);
+                let _ = client.shutdown(Shutdown::Write);
+            });
+            let counter = Arc::clone(&counter);
+            std::thread::spawn(move || {
+                let (mut seen, mut counted) = (Vec::new(), false);
+                let mut buf = [0u8; 4096];
+                while let Ok(n @ 1..) = downstream.read(&mut buf) {
+                    if !counted {
+                        seen.extend_from_slice(&buf[..n]);
+                        if seen.windows(14).any(|w| w == b"POST /v1/sweep") {
+                            counted = true;
+                            counter.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                    if server.write_all(&buf[..n]).is_err() {
+                        break;
+                    }
+                }
+                let _ = server.shutdown(Shutdown::Write);
+            });
+        }
+    });
+    (addr, count)
 }

@@ -2,8 +2,10 @@
 //! with in-process plans, the full malformed-input matrix (each bad
 //! request yields a typed 4xx — or a cancelled request — without
 //! tearing down the listener or leaking quota), disconnect-driven
-//! cancellation, keep-alive, graceful-shutdown drain, and snapshot →
-//! adopt hops that keep a stream's definition bit for bit.
+//! cancellation, keep-alive, graceful-shutdown drain (idle keep-alive
+//! connections closed, in-flight requests answered), streamed sweeps on
+//! pooled connections, and snapshot → adopt hops that keep a stream's
+//! definition bit for bit.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -12,10 +14,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fact_clean::net::api::{
-    plan_identity_json, plan_json, BudgetSpec, CreateStreamRequest, SweepRequest,
-    MAX_DISCRETIZE_SUPPORT,
+    plan_identity_json, plan_json, BudgetSpec, CreateStreamRequest, PlanView, RecommendRequest,
+    SweepRequest, MAX_DISCRETIZE_SUPPORT,
 };
-use fact_clean::net::client::{self, ApiClient, ClientError};
+use fact_clean::net::client::{self, ApiClient, ClientError, SweepStream};
 use fact_clean::net::json::Json;
 use fact_clean::net::{PlannerServer, ServerConfig, ServerHandle};
 use fact_clean::prelude::*;
@@ -23,7 +25,7 @@ use fc_core::{EngineCache, Result as CoreResult, SolverRegistry, WorkerPool};
 use fc_datasets::cdc::cdc_firearms_gaussian;
 
 mod common;
-use common::{registry_with_slow, session, window_session};
+use common::{registry_with_slow, session, sweep_connection_counter, window_session};
 
 fn test_config() -> ServerConfig {
     ServerConfig::new()
@@ -629,6 +631,148 @@ fn mid_stream_disconnect_cancels_the_remaining_points() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// A `crime` dup sweep over budgets `1..=points`, on `strategy`.
+fn crime_sweep(strategy: &str, points: u64) -> SweepRequest {
+    SweepRequest {
+        stream: "crime".into(),
+        spec: ObjectiveSpec::ascertain(Measure::Dup).with_strategy(strategy),
+        budgets: (1..=points).map(BudgetSpec::Absolute).collect(),
+    }
+}
+
+/// Opens a streamed sweep by address and reads it to its end.
+fn drain_open(addr: SocketAddr, request: &SweepRequest) -> Vec<PlanView> {
+    SweepStream::open(addr, Some(Duration::from_secs(10)), request, None)
+        .expect("open stream")
+        .map(|point| point.expect("streamed point"))
+        .collect()
+}
+
+#[test]
+fn complete_streams_opened_by_address_share_one_connection() {
+    let (server, _service) = boot();
+    let (proxy, dialed) = sweep_connection_counter(server.addr());
+    let request = crime_sweep("greedy", 3);
+    let first = drain_open(proxy, &request);
+    let second = drain_open(proxy, &request);
+    assert_eq!(first.len(), 3);
+    assert_eq!(second.len(), 3);
+    assert_eq!(
+        dialed.load(Ordering::SeqCst),
+        1,
+        "the second stream rides the connection the first parked"
+    );
+}
+
+#[test]
+fn client_streams_ride_its_pool() {
+    let (server, _service) = boot();
+    let (proxy, dialed) = sweep_connection_counter(server.addr());
+    let api = ApiClient::connect(proxy).expect("connect");
+    let request = crime_sweep("greedy", 3);
+    for _ in 0..2 {
+        let points: Vec<_> = api
+            .sweep_streaming(&request, None)
+            .expect("open stream")
+            .map(|point| point.expect("streamed point"))
+            .collect();
+        assert_eq!(points.len(), 3);
+    }
+    assert_eq!(dialed.load(Ordering::SeqCst), 1);
+    assert_eq!(api.pool().idle_connections(), 1, "parked after the end");
+    // A refusal is a complete response too: it parks the connection.
+    let refused = api.sweep_streaming(
+        &SweepRequest {
+            stream: "nope".into(),
+            ..request
+        },
+        None,
+    );
+    assert!(matches!(refused, Err(ClientError::Api(ref e)) if e.status == 404));
+    assert_eq!(api.pool().idle_connections(), 1);
+    assert_eq!(dialed.load(Ordering::SeqCst), 1);
+}
+
+#[test]
+fn a_stream_dropped_mid_way_cancels_and_is_not_reused() {
+    let (server, service) = boot_sequential(Duration::from_millis(300));
+    let (proxy, dialed) = sweep_connection_counter(server.addr());
+    let mut stream = SweepStream::open(
+        proxy,
+        Some(Duration::from_secs(10)),
+        &crime_sweep("slow", 4),
+        None,
+    )
+    .expect("open stream");
+    stream
+        .next()
+        .expect("a first point")
+        .expect("first point decodes");
+    drop(stream);
+    wait_for("the cancel", || service.stats().cancelled >= 1);
+    // The abandoned connection was closed, not parked: the next stream
+    // dials afresh and reads a whole stream, not the leftover points.
+    let points = drain_open(proxy, &crime_sweep("greedy", 2));
+    assert_eq!(points.len(), 2);
+    assert_eq!(dialed.load(Ordering::SeqCst), 2);
+}
+
+#[test]
+fn a_parked_connection_the_server_reaped_is_retried_unseen() {
+    let (server, _service) = boot();
+    let (proxy, dialed) = sweep_connection_counter(server.addr());
+    let request = crime_sweep("greedy", 2);
+    assert_eq!(drain_open(proxy, &request).len(), 2);
+    // Past `test_config`'s 300 ms read timeout the server has closed
+    // the parked connection.
+    std::thread::sleep(Duration::from_millis(600));
+    assert_eq!(drain_open(proxy, &request).len(), 2);
+    assert_eq!(dialed.load(Ordering::SeqCst), 2, "the retry dialed afresh");
+}
+
+#[test]
+fn shutdown_closes_idle_keep_alive_connections_and_answers_in_flight_ones() {
+    // A keep-alive window far past the assertions below: only closing
+    // the idle connection lets shutdown return in time.
+    let (server, _service) = boot_with(
+        registry_with_slow(Duration::from_millis(400)),
+        ServerConfig::new().with_read_timeout(Duration::from_secs(5)),
+    );
+    let addr = server.addr();
+    let recommend = RecommendRequest {
+        stream: "crime".into(),
+        spec: ObjectiveSpec::ascertain(Measure::Dup),
+        budget: BudgetSpec::Absolute(2),
+    };
+    let idle = ApiClient::connect(addr).expect("connect");
+    idle.recommend(&recommend, None).expect("recommend");
+    assert_eq!(idle.pool().idle_connections(), 1);
+    let slow = RecommendRequest {
+        spec: recommend.spec.clone().with_strategy("slow"),
+        ..recommend.clone()
+    };
+    let in_flight = std::thread::spawn(move || {
+        ApiClient::connect(addr)
+            .expect("connect")
+            .recommend(&slow, None)
+    });
+    std::thread::sleep(Duration::from_millis(100)); // the slow solve is running
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    in_flight
+        .join()
+        .expect("client thread")
+        .expect("the in-flight request is answered");
+    // The pooled connection is closed and the listener gone: the next
+    // request fails as a transport error rather than hanging.
+    let started = Instant::now();
+    let after = idle.recommend(&recommend, None);
+    assert!(matches!(after, Err(ClientError::Io(_))), "{after:?}");
+    assert!(started.elapsed() < Duration::from_secs(1));
 }
 
 /// Parks every solve after the first until the gate opens (or 10 s

@@ -18,7 +18,7 @@
 //! the file.
 
 use std::io::{BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,10 +37,12 @@ use fc_core::planner::Fnv1a;
 use fc_core::{SolverRegistry, WorkerPool};
 
 mod common;
-use common::{registry_with_slow, session, session_over};
+use common::{registry_with_slow, session, session_over, sweep_connection_counter};
 
 /// Boots one backend registering `session()` under each given stream
-/// id; the short read timeout keeps drains (and the test suite) fast.
+/// id. Shutdown closes idle keep-alive connections at once; the short
+/// read timeout bounds what a drain still waits for (a connection left
+/// mid-request) and lets parked handler threads exit soon after a test.
 fn boot_backend(streams: &[&str]) -> (PlannerService, ServerHandle) {
     let service = PlannerService::new(
         Arc::new(SolverRegistry::with_defaults()),
@@ -112,55 +114,6 @@ fn syn_dropping_listener() -> (TcpListener, TcpStream) {
     assert_eq!(unsafe { listen(listener.as_raw_fd(), 0) }, 0);
     let filler = TcpStream::connect(listener.local_addr().unwrap()).expect("fill the queue");
     (listener, filler)
-}
-
-/// A pass-through TCP proxy to `upstream`. Returns its address and the
-/// number of proxied connections that carried at least one `POST
-/// /v1/sweep` request; the router's health probes open connections of
-/// their own and are not counted. A hangup on either side is passed on
-/// as a half-close, so a dropped relay still reads as a hangup upstream.
-fn sweep_connection_counter(upstream: SocketAddr) -> (SocketAddr, Arc<AtomicUsize>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
-    let addr = listener.local_addr().expect("proxy addr");
-    let count = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&count);
-    std::thread::spawn(move || {
-        for downstream in listener.incoming() {
-            let Ok(mut downstream) = downstream else {
-                continue;
-            };
-            let Ok(mut server) = TcpStream::connect(upstream) else {
-                continue;
-            };
-            let (Ok(mut answers), Ok(mut client)) = (server.try_clone(), downstream.try_clone())
-            else {
-                continue;
-            };
-            std::thread::spawn(move || {
-                let _ = std::io::copy(&mut answers, &mut client);
-                let _ = client.shutdown(Shutdown::Write);
-            });
-            let counter = Arc::clone(&counter);
-            std::thread::spawn(move || {
-                let (mut seen, mut counted) = (Vec::new(), false);
-                let mut buf = [0u8; 4096];
-                while let Ok(n @ 1..) = downstream.read(&mut buf) {
-                    if !counted {
-                        seen.extend_from_slice(&buf[..n]);
-                        if seen.windows(14).any(|w| w == b"POST /v1/sweep") {
-                            counted = true;
-                            counter.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                    if server.write_all(&buf[..n]).is_err() {
-                        break;
-                    }
-                }
-                let _ = server.shutdown(Shutdown::Write);
-            });
-        }
-    });
-    (addr, count)
 }
 
 /// A fake backend holding stream `crime`: it answers its health probe
@@ -877,6 +830,69 @@ fn sequential_streamed_sweeps_share_one_upstream_connection() {
     router.shutdown();
     backend.shutdown();
     reference.shutdown();
+}
+
+/// Shutdown closes idle keep-alive connections instead of waiting out
+/// their read timeout, on the router (a client's pooled connection) and
+/// on the backend behind it (the router's parked upstream connection),
+/// and still answers the request in flight.
+#[test]
+fn shutdown_closes_idle_connections_on_the_router_and_its_backend() {
+    let window = Duration::from_secs(5);
+    let service = PlannerService::new(
+        registry_with_slow(Duration::from_millis(400)),
+        ServiceOptions::new(),
+    );
+    let backend = PlannerServer::new(service.clone())
+        .with_config(fact_clean::net::ServerConfig::new().with_read_timeout(window))
+        .with_stream("crime", ClaimStream::open(session(), service))
+        .serve("127.0.0.1:0")
+        .expect("bind backend");
+    let router = RouterServer::new()
+        .with_config(
+            RouterConfig::new()
+                .with_probe_interval(Duration::from_millis(25))
+                .with_read_timeout(window),
+        )
+        .with_backend("a", backend.addr().to_string())
+        .serve("127.0.0.1:0")
+        .expect("bind router");
+    let addr = router.addr();
+    let idle = ApiClient::connect(addr).expect("connect");
+    idle.recommend(&crime_request(), None).expect("recommend");
+    assert_eq!(idle.pool().idle_connections(), 1);
+    let in_flight = std::thread::spawn(move || {
+        let slow = RecommendRequest {
+            spec: ObjectiveSpec::ascertain(Measure::Dup).with_strategy("slow"),
+            ..crime_request()
+        };
+        ApiClient::connect(addr)
+            .expect("connect")
+            .recommend(&slow, None)
+    });
+    std::thread::sleep(Duration::from_millis(100)); // the slow solve is running
+    let started = Instant::now();
+    router.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "router shutdown took {took:?}"
+    );
+    in_flight
+        .join()
+        .expect("client thread")
+        .expect("the relayed in-flight request is answered");
+    let started = Instant::now();
+    backend.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "backend shutdown took {took:?}"
+    );
+    let started = Instant::now();
+    let after = idle.recommend(&crime_request(), None);
+    assert!(matches!(after, Err(ClientError::Io(_))), "{after:?}");
+    assert!(started.elapsed() < Duration::from_secs(1));
 }
 
 /// A clean goes to every target before the router reads any answer:
